@@ -1,4 +1,4 @@
-"""Character tables over 𝔽_ℓ by Dixon's method, and exact recovery across primes.
+"""Character tables over 𝔽_ℓ by Dixon's method, and exact character sums from one prime.
 
 For a finite group Γ and a prime ℓ ≡ 1 (mod exp Γ) with ℓ > 2|Γ|, every
 character value lands in 𝔽_ℓ (the field contains the needed roots of unity),
@@ -12,8 +12,10 @@ so the full table can be computed by modular linear algebra:
     eigenvector normalized to 1 on the identity class is the ω-vector;
   * degrees come from first orthogonality, rows from χ(g_j) = d·ω_j/|K_j|.
 
-Order-independent integers (character sums, hom counts) are then recovered
-exactly by Chinese remaindering the residues from two or more such primes.
+A character sum S_ρ = Σ_g χ_ρ(g^e)·χ_ρ(g) is a rational integer (the Galois
+action g ↦ g^a permutes Γ and fixes it) with |S_ρ| ≤ |Γ|·χ_ρ(1)² ≤ |Γ|·|Γ:Z(Γ)|.
+So one split prime above 2|Γ|·|Γ:Z(Γ)| recovers every S_ρ exactly by a
+centered lift, one character at a time.
 """
 
 from __future__ import annotations
@@ -22,33 +24,23 @@ import random
 from dataclasses import dataclass
 from math import isqrt
 
+import numpy as np
+
 from .errors import ComputationError, ValidationError
-from .pgroup import FiniteGroup
+from .pgroup import FiniteGroup, is_prime, unique_prime_factor
 from .units import p_power_minus_one
 
 MAX_SEED_TRIES = 20
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
-def split_primes(G: FiniteGroup, count: int = 2) -> list[int]:
-    """The `count` smallest primes ℓ ≡ 1 (mod exp G) with ℓ > 2|G|."""
+def split_primes(G: FiniteGroup, count: int = 2, above: int = 0) -> list[int]:
+    """The `count` smallest primes ℓ ≡ 1 (mod exp G) with ℓ > 2|G| and ℓ > `above`."""
     e = G.exponent()
+    floor = max(2 * G.order, above)
     out = []
     l = e + 1
     while len(out) < count:
-        if l > 2 * G.order and _is_prime(l):
+        if l > floor and is_prime(l):
             out.append(l)
         l += e
     return out
@@ -57,57 +49,39 @@ def split_primes(G: FiniteGroup, count: int = 2) -> list[int]:
 # -- modular linear algebra helpers -----------------------------------------------
 
 
-def _det_mod(mat, l: int) -> int:
-    m = [row[:] for row in mat]
-    k = len(m)
-    det = 1
-    for col in range(k):
-        piv = next((r for r in range(col, k) if m[r][col] % l), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = l - det
-        inv = pow(m[col][col], l - 2, l)
-        det = det * m[col][col] % l
-        for r in range(col + 1, k):
-            f = m[r][col] * inv % l
-            if f:
-                m[r] = [(a - f * b) % l for a, b in zip(m[r], m[col])]
-    return det % l
-
-
-def _polymul(a, b, l: int):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % l
-    return out
-
-
 def _charpoly(M, l: int):
-    """Coefficients (low degree first) of det(x·I − M) mod ℓ, by interpolation."""
+    """Coefficients (low degree first) of det(x·I − M) mod ℓ, via upper Hessenberg form, O(k³)."""
     k = len(M)
-    xs = list(range(k + 1))
-    ys = []
-    for t in xs:
-        mat = [[((t if r == c else 0) - M[r][c]) % l for c in range(k)] for r in range(k)]
-        ys.append(_det_mod(mat, l))
-    coeffs = [0] * (k + 1)
-    for t, y in zip(xs, ys):
-        if y == 0:
+    H = [[x % l for x in row] for row in M]
+    for j in range(k - 2):
+        piv = next((i for i in range(j + 1, k) if H[i][j]), None)
+        if piv is None:
             continue
-        num = [1]
-        denom = 1
-        for s in xs:
-            if s != t:
-                num = _polymul(num, [(-s) % l, 1], l)
-                denom = denom * (t - s) % l
-        f = y * pow(denom % l, l - 2, l) % l
-        for i, c in enumerate(num):
-            coeffs[i] = (coeffs[i] + f * c) % l
-    return coeffs
+        if piv != j + 1:  # similarity: swap rows and columns piv, j+1
+            H[piv], H[j + 1] = H[j + 1], H[piv]
+            for row in H:
+                row[piv], row[j + 1] = row[j + 1], row[piv]
+        inv = pow(H[j + 1][j], -1, l)
+        for i in range(j + 2, k):
+            u = H[i][j] * inv % l
+            if u:  # similarity: row_i −= u·row_{j+1}, then column_{j+1} += u·column_i
+                H[i] = [(a - u * b) % l for a, b in zip(H[i], H[j + 1])]
+                for row in H:
+                    row[j + 1] = (row[j + 1] + u * row[i]) % l
+    polys = [[1]]  # polys[c] = charpoly of the leading c×c block, by expansion along column c
+    for c in range(k):
+        p = [0] + polys[c]
+        for t, x in enumerate(polys[c]):
+            p[t] = (p[t] - H[c][c] * x) % l
+        prod = 1
+        for i in range(c - 1, -1, -1):
+            prod = prod * H[i + 1][i] % l
+            f = H[i][c] * prod % l
+            if f:
+                for t, x in enumerate(polys[i]):
+                    p[t] = (p[t] - f * x) % l
+        polys.append(p)
+    return polys[k]
 
 
 def _poly_roots(coeffs, l: int) -> list[int]:
@@ -201,7 +175,7 @@ def _least_primitive_residue(order: int, l: int) -> int:
 
 
 def character_table_mod(G: FiniteGroup, l: int, seed: int = 0) -> CharacterTableMod:
-    if not _is_prime(l):
+    if not is_prime(l):
         raise ValidationError("bad-spec", f"modulus {l} is not prime")
     if l <= 2 * G.order:
         raise ValidationError("bad-spec", f"need ℓ > 2|G| = {2 * G.order}, got {l}")
@@ -215,7 +189,7 @@ def character_table_mod(G: FiniteGroup, l: int, seed: int = 0) -> CharacterTable
 
     conj = G.conjugacy_classes()
     k = len(conj)
-    a = G.structure_constants()
+    a = np.array(G.structure_constants(), dtype=np.int64)
     cls_e = conj.class_of[G.identity]
     n = G.order
     inv_sizes = [pow(s, l - 2, l) for s in conj.sizes]
@@ -224,7 +198,7 @@ def character_table_mod(G: FiniteGroup, l: int, seed: int = 0) -> CharacterTable
     for s in range(seed, seed + MAX_SEED_TRIES):
         rng = random.Random(s)
         c = [rng.randrange(1, l) for _ in range(k)]
-        M = [[sum(c[i] * a[i][j][m] for i in range(k)) % l for m in range(k)] for j in range(k)]
+        M = (np.tensordot(c, a, axes=1) % l).tolist()  # M[j][m] = Σ_i c_i·a[i][j][m] mod ℓ
         roots = _poly_roots(_charpoly(M, l), l)
         if len(roots) != k:
             last_failure = f"seed {s}: {len(roots)} distinct eigenvalues, need {k}"
@@ -290,18 +264,7 @@ def _validate_orthogonality(t: CharacterTableMod) -> None:
                 raise ComputationError("eigenspace-separation", f"column orthogonality fails mod {l}")
 
 
-# -- character sums and integer recovery ---------------------------------------------
-
-
-def _unique_prime_factor(n: int):
-    p, m = 2, n
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            return p if m == 1 else None
-        p += 1
-    return m if m > 1 else None
+# -- character sums and their exact values ---------------------------------------------
 
 
 def char_sum(table: CharacterTableMod, r, p: int | None = None) -> tuple:
@@ -312,7 +275,7 @@ def char_sum(table: CharacterTableMod, r, p: int | None = None) -> tuple:
     """
     G = table.group
     if p is None:
-        p = _unique_prime_factor(G.order)
+        p = unique_prime_factor(G.order)
         if p is None:
             raise ValidationError("bad-spec", "char_sum needs an explicit p for a mixed-order group")
     e = p_power_minus_one(p, r)
@@ -325,7 +288,10 @@ def char_sum(table: CharacterTableMod, r, p: int | None = None) -> tuple:
 
 
 def recover_integer(pairs, bound: int) -> int:
-    """Centered Chinese-remainder lift of residue/modulus pairs, |result| ≤ bound."""
+    """Centered Chinese-remainder lift of residue/modulus pairs, |result| ≤ bound.
+
+    A single pair (r, ℓ) gives the centered lift of r mod ℓ, which is exact once ℓ > 2·bound.
+    """
     modulus = 1
     x = 0
     for res, m in pairs:

@@ -6,8 +6,9 @@ aligned human-readable text).  Errors go to stderr as ``{"error": code,
 failures, so batch drivers can tell the two apart.  Flags that take a diagram
 or a task accept either a literal string or a path to a file holding one.
 
-The Dixon seed behind every character-table-based number is recorded in the
-output, making each command a reproducible artifact.
+`homcount` and `extensions` record the prime and the Dixon seed of the
+character table their count used (null when no table was needed), making
+each count a reproducible artifact.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import json
 import os
 import sys
 import time
+from fractions import Fraction
 
 from .chartab import character_table_mod, split_primes
 from .cobordism import canonicalize, invariant_of, parse_diagram
@@ -25,9 +27,7 @@ from .dw import (
     DWAlgebra,
     RelatorSpec,
     counting_summary,
-    epi_count,
     evaluate_dw,
-    extension_count,
     hom_count,
     uncached_hom_count,
 )
@@ -36,8 +36,6 @@ from .frobenius import UniversalAlgebra, check_axioms, evaluate_diagram
 from .oracle import EnumerationTask, count_epis, count_solutions, run_task
 from .pgroup import group_from_spec
 from .units import INF, level_to_json
-
-SEED = 0  # the fixed Dixon seed used for every character table a command builds
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,6 +79,11 @@ def _fraction_json(q):
     return int(q) if q.denominator == 1 else str(q)
 
 
+def _table_seed(G, primes):
+    """Dixon seed of the (cached) character table a count used, or None when it used none."""
+    return character_table_mod(G, primes[0]).seed if primes else None
+
+
 # -- command handlers ---------------------------------------------------------------------
 
 
@@ -88,7 +91,7 @@ def _cmd_homcount(args):
     G = group_from_spec(args.group)
     spec = _spec_from_flags(args)
     out = counting_summary(spec, G)
-    out["seed"] = SEED
+    out["seed"] = _table_seed(G, out["primes_used"])
     if args.verify:
         task = EnumerationTask(G, spec, budget=args.budget)
         scanned = (count_solutions(task), count_epis(task))
@@ -116,12 +119,13 @@ def _cmd_extensions(args):
         if args.degree % 2:
             raise ValidationError("odd-degree", f"no base field has odd degree {args.degree} here")
         spec = RelatorSpec(args.degree // 2 + 1, args.r)
+    out = counting_summary(spec, G)
     return [
         {
-            "extensions": _fraction_json(extension_count(spec, G)),
-            "epi_count": epi_count(spec, G),
+            "extensions": _fraction_json(Fraction(out["extensions"])),
+            "epi_count": out["epi_count"],
             "spec": str(spec),
-            "seed": SEED,
+            "seed": _table_seed(G, out["primes_used"]),
         }
     ]
 
@@ -150,7 +154,7 @@ def _cmd_axioms(args):
         G = group_from_spec(args.group)
         l = _default_prime(G, args.prime)
         A = DWAlgebra(G, l)
-        extra = {"modulus": l, "seed": SEED}
+        extra = {"modulus": l}
     levels = _parse_levels(args.levels) if args.levels else None
     report = check_axioms(A, levels=levels)
     lines = [
@@ -193,7 +197,6 @@ def _cmd_evaluate(args):
             "modulus": l,
             "shape": list(M.shape),
             "entries": [list(map(int, row)) for row in M.rows],
-            "seed": SEED,
         }
     ]
 
@@ -201,7 +204,7 @@ def _cmd_evaluate(args):
 def _cmd_chartab(args):
     G = group_from_spec(args.group)
     l = _default_prime(G, args.prime)
-    return [character_table_mod(G, l, seed=SEED).to_json()]
+    return [character_table_mod(G, l).to_json()]
 
 
 def _cmd_oracle(args):
@@ -238,7 +241,6 @@ def _cmd_bench(args):
             "oracle_seconds": oracle_seconds,
             "oracle_scanned": G.order ** spec.letters(),
             "speedup": oracle_seconds / formula_seconds if formula_seconds > 0 else float("inf"),
-            "seed": SEED,
         }
     ]
 
@@ -328,11 +330,18 @@ def run(argv=None) -> int:
     except ComputationError as e:
         print(json.dumps({"error": e.code, "message": e.message}), file=sys.stderr)
         return 2
-    for obj in lines:
-        if args.pretty:
-            _print_pretty(obj, sys.stdout)
-        else:
-            print(json.dumps(obj))
+    try:
+        for obj in lines:
+            if args.pretty:
+                _print_pretty(obj, sys.stdout)
+            else:
+                print(json.dumps(obj))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (e.g. `| head`): send whatever is still
+        # buffered to devnull, as the Python docs advise, so exit stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
     return 0
 
 

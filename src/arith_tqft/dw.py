@@ -10,11 +10,11 @@ structural matrices of this algebra in the class-indicator basis, exactly over
 axiom checker in `frobenius`.
 
 On top of the algebra sit the counting formulas: `hom_count` recovers the
-number of homomorphisms from a one-relator surface group into Γ through
-character sums mod several primes plus a Chinese-remainder lift, `epi_count`
-inverts it over the subgroup lattice with Möbius coefficients, and
-`extension_count`, `yamagishi_count` and `general_gauge_count` are the derived
-quantities.  Everything here has an independent brute-force twin in `oracle`.
+number of homomorphisms from a one-relator surface group into Γ from integer
+character sums, each a centered lift from one character table mod one split
+prime; `epi_count` inverts it over the subgroup lattice with Möbius
+coefficients, and `extension_count`, `yamagishi_count` and
+`general_gauge_count` are the derived quantities.  Everything here has an independent brute-force twin in `oracle`.
 """
 
 from __future__ import annotations
@@ -24,14 +24,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .chartab import _is_prime, char_sum, character_table_mod, recover_integer, split_primes
+from .chartab import char_sum, character_table_mod, recover_integer, split_primes
 from .cobordism import Diagram, Token
 from .errors import ComputationError, ValidationError
 from .frobenius import GenericMatrix, evaluate_diagram
-from .pgroup import FiniteGroup, group_from_spec
+from .pgroup import FiniteGroup, group_from_spec, group_prime, is_prime
 from .units import INF, PadicUnit, is_valid_level, level_to_json, one, p_power, sample_units
-
-MAX_CRT_PRIMES = 16
 
 
 # -- relator specs -------------------------------------------------------------------
@@ -154,21 +152,6 @@ class ModMatrix:
 # -- exact structural matrices ---------------------------------------------------------
 
 
-def _group_prime(G: FiniteGroup) -> int:
-    """The prime p with |Γ| = p^k; rejects mixed orders and the trivial group."""
-    n = G.order
-    if n > 1:
-        p = 2
-        while n % p:
-            p += 1
-        m = n
-        while m % p == 0:
-            m //= p
-        if m == 1:
-            return p
-    raise ValidationError("bad-spec", f"gauge group must be a nontrivial finite p-group, order {G.order} is not")
-
-
 def _exponent_val(G: FiniteGroup, p: int) -> int:
     """e with exponent(Γ) = p^e."""
     e, m = 0, G.exponent()
@@ -189,7 +172,7 @@ def _power_perm(G: FiniteGroup, c: int) -> GenericMatrix:
 
 
 def _twist_exponent(G: FiniteGroup, u: PadicUnit) -> int:
-    p = _group_prime(G)
+    p = group_prime(G)
     if u.p != p:
         raise ValidationError("incompatible-units", f"{u} twists a {u.p}-adic theory, the group is a {p}-group")
     e = _exponent_val(G, p)
@@ -219,7 +202,7 @@ def _exact_generator(G: FiniteGroup, tok: Token) -> GenericMatrix:
     if kind == "tw":
         key = ("dw-exact", "tw", _twist_exponent(G, tok.unit))
     elif kind == "tor":
-        key = ("dw-exact", "tor", _torus_exponent(G, _group_prime(G), tok.level))
+        key = ("dw-exact", "tor", _torus_exponent(G, group_prime(G), tok.level))
     elif kind in ("m", "d", "cup", "cap", "id", "swap"):
         key = ("dw-exact", kind)
     else:
@@ -273,7 +256,7 @@ def _exact_generator(G: FiniteGroup, tok: Token) -> GenericMatrix:
 def dw_generator_map_exact(G, token: Token) -> GenericMatrix:
     """Exact rational matrix of a generator token on the class functions of Γ."""
     G = group_from_spec(G)
-    _group_prime(G)
+    group_prime(G)
     return _exact_generator(G, token)
 
 
@@ -299,8 +282,8 @@ class DWAlgebra:
 
     def __init__(self, G, l: int, precheck=("F1", "F2", "F3", "F4", "F5", "FS")):
         self.group = group_from_spec(G)
-        self.p = _group_prime(self.group)
-        if not _is_prime(l):
+        self.p = group_prime(self.group)
+        if not is_prime(l):
             raise ValidationError("bad-spec", f"scalar modulus {l} is not prime")
         if self.group.order % l == 0:
             raise ValidationError("bad-spec", f"modulus {l} divides the group order {self.group.order}")
@@ -368,54 +351,31 @@ def evaluate_dw(D: Diagram, G, l: int) -> ModMatrix:
 # -- character-sum counting -------------------------------------------------------------
 
 
-def _table(G: FiniteGroup, l: int):
-    key = ("chartab", l)
-    if key not in G._cache:
-        G._cache[key] = character_table_mod(G, l)
-    return G._cache[key]
-
-
 def _surface_hom_count(G: FiniteGroup, n: int, r) -> tuple[int, list[int]]:
-    """(#Hom(G_{n,r} → Γ), primes used): |Γ|^{2n−2}·Σ_ρ dim(ρ)^{2−2n}·S_ρ(r).
+    """(#Hom(G_{n,r} → Γ), [ℓ]): Σ_ρ (|Γ|/dim ρ)^{2n−2}·S_ρ(r), summed in ℤ.
 
-    Each prime ℓ sees the total mod ℓ through the character table; the exact
-    integer comes out of a centered CRT lift once the combined modulus clears
-    2·|Γ|^{2n}.  Starts with two split primes and extends the pool on demand.
+    Each character sum S_ρ(r) is an integer with |S_ρ| ≤ |Γ|·|Γ:Z(Γ)|, so one
+    table at the smallest split prime ℓ above 2|Γ|·|Γ:Z(Γ)| gives every S_ρ
+    exactly by a centered lift mod ℓ, whatever the genus n.
     """
     if G.order == 1 or n == 0:
         return 1, []
     cache_key = ("hom-count", n, r)
     if cache_key in G._cache:
         return G._cache[cache_key]
-    p = _group_prime(G)
-    bound = G.order ** (2 * n)
-    pairs: list[tuple[int, int]] = []
-    primes: list[int] = []
-    want = 2
-    while True:
-        for l in split_primes(G, count=want)[len(primes):]:
-            table = _table(G, l)
-            s = char_sum(table, r, p=p)
-            total = 0
-            for deg, s_rho in zip(table.degrees, s):
-                total += pow(pow(deg, -1, l), 2 * n - 2, l) * s_rho
-            t_l = pow(G.order, 2 * n - 2, l) * total % l
-            pairs.append((t_l, l))
-            primes.append(l)
-        try:
-            value = recover_integer(pairs, bound)
-            break
-        except ComputationError:
-            if want >= MAX_CRT_PRIMES:
-                raise ComputationError(
-                    "need-more-primes",
-                    f"{MAX_CRT_PRIMES} split primes cannot separate counts up to ±{bound} for |Γ|={G.order}",
-                ) from None
-            want = min(want + 2, MAX_CRT_PRIMES)
+    centre = G.conjugacy_classes().sizes.count(1)
+    bound = G.order * (G.order // centre)
+    l = split_primes(G, count=1, above=2 * bound)[0]
+    table = character_table_mod(G, l)
+    sums = char_sum(table, r, p=group_prime(G))
+    value = sum(
+        (G.order // deg) ** (2 * n - 2) * recover_integer([(s_rho, l)], bound)
+        for deg, s_rho in zip(table.degrees, sums)
+    )
     if value < 0:
         raise ComputationError("invariant", f"character sums produced a negative count {value}")
-    G._cache[cache_key] = (value, primes)
-    return value, primes
+    G._cache[cache_key] = (value, [l])
+    return value, [l]
 
 
 def hom_count(spec: RelatorSpec, G) -> int:
@@ -431,9 +391,10 @@ def hom_count(spec: RelatorSpec, G) -> int:
 def uncached_hom_count(spec: RelatorSpec, G) -> int:
     """hom_count with the memoized result discarded first: the true formula cost.
 
-    Character tables and split primes stay warm — they are per-group assets
-    amortized over every (n, r) query — so timing this measures the character
-    sums plus the CRT lift, which is what a marginal count actually costs.
+    The character table stays warm — it is a per-group asset amortized over
+    every (n, r) query — so timing this measures the character sums, their
+    centered lifts and the weighted sum in ℤ, which is what a marginal count
+    actually costs.
     """
     G = group_from_spec(G)
     if isinstance(spec, RelatorSpec) and not spec.is_free:
@@ -455,6 +416,8 @@ def hall_mobius(G) -> dict:
 
 
 def _subgroup_group(G: FiniteGroup, elements: frozenset) -> FiniteGroup:
+    if len(elements) == G.order:
+        return G  # Γ itself: reuse its table and counts
     key = ("subgroup-group", elements)
     if key not in G._cache:
         G._cache[key] = G.subgroup_as_group(elements)[0]
@@ -497,7 +460,7 @@ def general_gauge_count(H, p: int, spec: RelatorSpec) -> tuple[int, Fraction]:
     agree before the value is returned.
     """
     H = group_from_spec(H)
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValidationError("bad-spec", f"{p} is not prime")
     total = 0
     for sub in H.all_subgroups():

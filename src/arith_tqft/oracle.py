@@ -29,7 +29,7 @@ from itertools import product
 
 from .dw import FREE, RelatorSpec
 from .errors import ValidationError
-from .pgroup import FiniteGroup, group_from_spec
+from .pgroup import FiniteGroup, group_from_spec, is_power_of, unique_prime_factor
 from .units import INF, level_from_json, p_power
 
 DEFAULT_BUDGET = 10**8
@@ -81,22 +81,9 @@ class EnumerationTask:
                 raise ValidationError("bad-spec", f"boundary element {g} outside the group")
 
 
-def _group_p(G: FiniteGroup):
-    """The unique prime factor of |G| when there is one, else None."""
-    n = G.order
-    if n == 1:
-        return None
-    p = 2
-    while n % p:
-        p += 1
-    while n % p == 0:
-        n //= p
-    return p if n == 1 else None
-
-
 def _task_p(task: EnumerationTask) -> int | None:
     """The prime the relator power and the p-image test refer to."""
-    inferred = _group_p(task.group)
+    inferred = unique_prime_factor(task.group.order)
     if task.p is not None:
         if inferred is not None and task.p != inferred:
             raise ValidationError("bad-spec", f"p={task.p} clashes with the {inferred}-group target")
@@ -128,12 +115,6 @@ def _closure_size(G: FiniteGroup, elements) -> int:
     if key not in cache:
         cache[key] = len(G.closure(key))
     return cache[key]
-
-
-def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 def _scan(task: EnumerationTask, need_epi: bool):
@@ -186,7 +167,7 @@ def _scan(task: EnumerationTask, need_epi: bool):
         )
 
     def accept(chosen) -> int:
-        if task.p_image and not _is_p_power(_closure_size(G, chosen), p):
+        if task.p_image and not is_power_of(_closure_size(G, chosen), p):
             return 0
         if need_epi and _closure_size(G, chosen) != N:
             return 0
@@ -318,7 +299,7 @@ def _pants_table(G: FiniteGroup):
 
 def _torus_table(G: FiniteGroup, r):
     """raw[i][o] = #{(x,a,b) ∈ K_i×Γ² : x·a^{p^r}·[a,b] ∈ K_o}, one pass over Γ³."""
-    p = _group_p(G)
+    p = unique_prime_factor(G.order)
     if p is None:
         raise ValidationError("bad-spec", "decorated torus counts need a p-group target")
     q = p_power(p, r) % G.exponent()

@@ -8,7 +8,9 @@ permutation-generator and raw-table input.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import random
 from dataclasses import dataclass
 
@@ -122,12 +124,7 @@ class FiniteGroup:
 
     def exponent(self) -> int:
         if "exponent" not in self._cache:
-            e = 1
-            for a in range(self.order):
-                o = self.element_order(a)
-                g = _gcd(e, o)
-                e = e // g * o
-            self._cache["exponent"] = e
+            self._cache["exponent"] = math.lcm(*(self.element_order(a) for a in range(self.order)))
         return self._cache["exponent"]
 
     def power(self, a: int, k: int) -> int:
@@ -201,13 +198,14 @@ class FiniteGroup:
 
     def closure(self, gens) -> frozenset:
         """Subgroup generated by the given element indices."""
+        t, n = self._t, self.order
         seen = {self.identity}
         frontier = [self.identity]
         gens = list(gens)
         while frontier:
-            x = frontier.pop()
+            row = frontier.pop() * n
             for g in gens:
-                y = self.mul(x, g)
+                y = t[row + g]
                 if y not in seen:
                     seen.add(y)
                     frontier.append(y)
@@ -221,18 +219,20 @@ class FiniteGroup:
                 "bound-exceeded", f"subgroup enumeration limited to order ≤ {MAX_SUBGROUP_ORDER}"
             )
         trivial = frozenset({self.identity})
-        seen = {trivial}
+        gens = {trivial: []}  # each subgroup found, with a generating set
         queue = [trivial]
         while queue:
             h = queue.pop()
+            tried = set(h)
             for g in range(self.order):
-                if g in h:
+                if g in tried:
                     continue
-                k = self.closure(list(h) + [g])
-                if k not in seen:
-                    seen.add(k)
+                tried.update(self.mul(x, g) for x in h)  # ⟨h, x·g⟩ = ⟨h, g⟩: one try per coset
+                k = self.closure(gens[h] + [g])
+                if k not in gens:
+                    gens[k] = gens[h] + [g]
                     queue.append(k)
-        subs = sorted(seen, key=lambda s: (len(s), sorted(s)))
+        subs = sorted(gens, key=lambda s: (len(s), sorted(s)))
         self._cache["subgroups"] = subs
         return subs
 
@@ -243,7 +243,7 @@ class FiniteGroup:
         return subs, contains
 
     def is_p_group(self, p: int) -> bool:
-        return _is_power_of(self.order, p)
+        return is_power_of(self.order, p)
 
     def sylow_p_subgroups(self, p: int) -> list[frozenset]:
         """All Sylow p-subgroups (conjugates of a greedily grown maximal p-subgroup)."""
@@ -253,7 +253,7 @@ class FiniteGroup:
             target *= p
         if target == 1:
             return [frozenset({self.identity})]
-        p_elements = [x for x in range(n) if _is_power_of(self.element_order(x), p) or x == self.identity]
+        p_elements = [x for x in range(n) if is_power_of(self.element_order(x), p) or x == self.identity]
         h = frozenset({self.identity})
         grown = True
         while len(h) < target and grown:
@@ -262,7 +262,7 @@ class FiniteGroup:
                 if y in h:
                     continue
                 k = self.closure(list(h) + [y])
-                if _is_power_of(len(k), p) and len(k) > len(h):
+                if is_power_of(len(k), p) and len(k) > len(h):
                     h, grown = k, True
                     break
         if len(h) != target:
@@ -319,7 +319,7 @@ class FiniteGroup:
         orders = [self.element_order(g) for g in gens]
         candidates = [[h for h in range(n) if self.element_order(h) == o] for o in orders]
         count = 0
-        for images in _product(candidates):
+        for images in itertools.product(*candidates):
             phi = {self.identity: self.identity}
             for y in order_list[1:]:
                 x, i = parent[y]
@@ -339,27 +339,42 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order})"
 
 
-def _product(pools):
-    if not pools:
-        yield ()
-        return
-    for head in pools[0]:
-        for rest in _product(pools[1:]):
-            yield (head,) + rest
+# -- prime and prime-power helpers ------------------------------------------------
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+def is_prime(n: int) -> bool:
+    """Primality by trial division."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
 
 
-def _is_power_of(n: int, p: int) -> bool:
+def is_power_of(n: int, p: int) -> bool:
+    """True when n = p^k for some k ≥ 0."""
     if n < 1:
         return False
     while n % p == 0:
         n //= p
     return n == 1
+
+
+def unique_prime_factor(n: int) -> int | None:
+    """The prime p with n = p^k for some k ≥ 1, or None (n = 1, or two prime factors)."""
+    p = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+    return p if n > 1 and is_power_of(n, p) else None
+
+
+def group_prime(G: FiniteGroup) -> int:
+    """The prime p with |G| = p^k; rejects mixed orders and the trivial group."""
+    p = unique_prime_factor(G.order)
+    if p is None:
+        raise ValidationError("bad-spec", f"gauge group must be a nontrivial finite p-group, order {G.order} is not")
+    return p
 
 
 # -- named constructors ---------------------------------------------------------
@@ -518,7 +533,7 @@ def sylow_p_subgroups(G: FiniteGroup, p: int) -> list[frozenset]:
 def is_p_group(G, p: int) -> bool:
     """Accepts a FiniteGroup or a subgroup (set of element indices)."""
     size = G.order if isinstance(G, FiniteGroup) else len(G)
-    return _is_power_of(size, p)
+    return is_power_of(size, p)
 
 
 def automorphism_count(G: FiniteGroup) -> int:

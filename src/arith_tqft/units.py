@@ -11,6 +11,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import ValidationError
+from .pgroup import is_prime
 
 INF = float("inf")
 
@@ -46,17 +47,6 @@ def p_power_minus_one(p: int, r) -> int:
     return -1 if r == INF else p**r - 1
 
 
-def _is_odd_prime(p: int) -> bool:
-    if p < 3 or p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
-
-
 @dataclass(frozen=True)
 class PadicUnit:
     """A unit of Z_p with residue ≡ 1 (mod p), held at finite precision p^precision."""
@@ -66,7 +56,7 @@ class PadicUnit:
     residue: int
 
     def __post_init__(self):
-        if not _is_odd_prime(self.p):
+        if self.p == 2 or not is_prime(self.p):
             raise ValidationError("not-a-unit", f"p must be an odd prime, got {self.p}")
         if not (isinstance(self.precision, int) and self.precision >= 1):
             raise ValidationError("not-a-unit", f"precision must be a positive integer, got {self.precision}")

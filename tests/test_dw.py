@@ -40,6 +40,7 @@ from arith_tqft.errors import ComputationError, ValidationError
 from arith_tqft.frobenius import check_axioms
 from arith_tqft.pgroup import (
     cyclic,
+    direct_product,
     elementary_abelian,
     extraspecial_exp_p2,
     gl2,
@@ -280,6 +281,10 @@ def test_hom_count_known_values():
     assert hom_count(RelatorSpec(1, INF), HEIS) == 297
     assert hom_count(RelatorSpec(1, 1), C9) == 27
     assert hom_count(RelatorSpec(1, INF), C9) == 81
+    assert hom_count(RelatorSpec(30, 1), C3) == 3**60
+    assert hom_count(RelatorSpec(12, 1), HEIS) == 7509466515032902432664630964833121
+    # abelian A: |A|^{2n-1}·|A[p^r]|, and C3×C9 has |A[3]| = 9
+    assert hom_count(RelatorSpec(2, 1), direct_product(C3, C9)) == 27**3 * 9
 
 
 def test_hom_count_free_and_degenerate():
@@ -293,7 +298,7 @@ def test_hom_count_matches_closed_surface_character_formula():
     # at the infinite level the count is |G|^{2n-1} * sum over irreducibles of d^{2-2n}
     for G in (C3, C9, E9, HEIS, XSP):
         degrees = character_table_mod(G, next(iter(_split(G)))).degrees
-        for n in (1, 2):
+        for n in (1, 2, 12, 14):
             total = sum(Fraction(1, d ** (2 * n - 2)) for d in degrees) * G.order ** (2 * n - 1)
             assert total.denominator == 1
             assert hom_count(RelatorSpec(n, INF), G) == total
@@ -361,6 +366,7 @@ def test_general_gauge_count_without_p_part():
 
 def test_counting_summary():
     out = counting_summary(RelatorSpec(1, 1), C3)
-    assert out == {"hom_count": 9, "epi_count": 8, "extensions": "4", "primes_used": [7, 13]}
+    assert out == {"hom_count": 9, "epi_count": 8, "extensions": "4", "primes_used": [7]}
     free = counting_summary(FREE(2), C3)
     assert free["hom_count"] == 9 and free["primes_used"] == []
+    assert len(counting_summary(RelatorSpec(14, INF), HEIS)["primes_used"]) == 1
