@@ -1,4 +1,4 @@
-"""Character tables over 𝔽_ℓ by Dixon's method, and exact character sums from one prime.
+"""Character tables over 𝔽_ℓ by Dixon–Schneider splitting, and exact character sums from one prime.
 
 For a finite group Γ and a prime ℓ ≡ 1 (mod exp Γ) with ℓ > 2|Γ|, every
 character value lands in 𝔽_ℓ (the field contains the needed roots of unity),
@@ -6,11 +6,18 @@ so the full table can be computed by modular linear algebra:
 
   * class sums C_i multiply by C_i·C_j = Σ_m a_{ijm} C_m, so the matrices
     M_i[j][m] = a_{ijm} share the k central-character eigenvectors
-    ω_j(χ) = |K_j|·χ(g_j)/χ(1);
-  * a random linear combination M = Σ_i c_i M_i separates the eigenvalues
-    (retry with a fresh seed on collision), each eigenspace is a line, and the
-    eigenvector normalized to 1 on the identity class is the ω-vector;
+    ω_j(χ) = |K_j|·χ(g_j)/χ(1), and no two characters share all eigenvalues;
+  * the identity-class indicator is Σ_χ (χ(1)²/|Γ|)·ω_χ, with no coefficient
+    0 mod ℓ.  Each refinement step takes a vector v and a matrix M, reads the
+    minimal polynomial of v off one RREF of its Krylov columns v, Mv, M²v, …,
+    finds its roots by evaluation over 𝔽_ℓ and projects v onto each
+    eigenspace it meets.  One seeded random combination Σ_i c_i M_i splits
+    first, then the M_i of the non-identity classes refine what it left,
+    until there are k vectors, each a multiple of one ω-vector.  No seed is
+    ever retried;
   * degrees come from first orthogonality, rows from χ(g_j) = d·ω_j/|K_j|.
+
+All arithmetic is numpy int64 mod ℓ; k·(ℓ−1)² < 2⁶³ keeps every dot product exact.
 
 A character sum S_ρ = Σ_g χ_ρ(g^e)·χ_ρ(g) is a rational integer (the Galois
 action g ↦ g^a permutes Γ and fixes it) with |S_ρ| ≤ |Γ|·χ_ρ(1)² ≤ |Γ|·|Γ:Z(Γ)|.
@@ -21,16 +28,14 @@ centered lift, one character at a time.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import isqrt
 
 import numpy as np
 
 from .errors import ComputationError, ValidationError
-from .pgroup import FiniteGroup, is_prime, unique_prime_factor
+from .pgroup import CHUNK_ENTRIES, FiniteGroup, is_prime, unique_prime_factor
 from .units import p_power_minus_one
-
-MAX_SEED_TRIES = 20
 
 
 def split_primes(G: FiniteGroup, count: int = 2, above: int = 0) -> list[int]:
@@ -46,82 +51,72 @@ def split_primes(G: FiniteGroup, count: int = 2, above: int = 0) -> list[int]:
     return out
 
 
-# -- modular linear algebra helpers -----------------------------------------------
+# -- Krylov splitting mod ℓ ------------------------------------------------------
 
 
-def _charpoly(M, l: int):
-    """Coefficients (low degree first) of det(x·I − M) mod ℓ, via upper Hessenberg form, O(k³)."""
-    k = len(M)
-    H = [[x % l for x in row] for row in M]
-    for j in range(k - 2):
-        piv = next((i for i in range(j + 1, k) if H[i][j]), None)
-        if piv is None:
-            continue
-        if piv != j + 1:  # similarity: swap rows and columns piv, j+1
-            H[piv], H[j + 1] = H[j + 1], H[piv]
-            for row in H:
-                row[piv], row[j + 1] = row[j + 1], row[piv]
-        inv = pow(H[j + 1][j], -1, l)
-        for i in range(j + 2, k):
-            u = H[i][j] * inv % l
-            if u:  # similarity: row_i −= u·row_{j+1}, then column_{j+1} += u·column_i
-                H[i] = [(a - u * b) % l for a, b in zip(H[i], H[j + 1])]
-                for row in H:
-                    row[j + 1] = (row[j + 1] + u * row[i]) % l
-    polys = [[1]]  # polys[c] = charpoly of the leading c×c block, by expansion along column c
-    for c in range(k):
-        p = [0] + polys[c]
-        for t, x in enumerate(polys[c]):
-            p[t] = (p[t] - H[c][c] * x) % l
-        prod = 1
-        for i in range(c - 1, -1, -1):
-            prod = prod * H[i + 1][i] % l
-            f = H[i][c] * prod % l
-            if f:
-                for t, x in enumerate(polys[i]):
-                    p[t] = (p[t] - f * x) % l
-        polys.append(p)
-    return polys[k]
+def _min_poly(K, l: int) -> list[int]:
+    """Monic minimal polynomial (low degree first) of v under M, from the Krylov columns K[:, t] = Mᵗ·v.
+
+    A column-wise RREF mod ℓ stops at the first column that depends on the earlier ones.
+    """
+    A = K.copy()
+    for j in range(A.shape[1]):  # rows 0..j−1 hold the unit pivots of columns 0..j−1
+        nz = A[j:, j].nonzero()[0]
+        if not nz.size:  # Mʲ·v = Σ_{i<j} A[i, j]·Mⁱ·v
+            return (-A[:j, j] % l).tolist() + [1]
+        if nz[0]:
+            A[[j, j + nz[0]]] = A[[j + nz[0], j]]
+        pivot_row = A[j] * pow(int(A[j, j]), -1, l) % l
+        A -= A[:, j, None] * pivot_row
+        A[j] = pivot_row
+        A %= l
+    raise ComputationError("eigenspace-separation", "Krylov sequence did not close within its bound")
 
 
-def _poly_roots(coeffs, l: int) -> list[int]:
-    roots = []
-    for x in range(l):
-        acc = 0
-        for c in reversed(coeffs):
+def _roots(poly: list[int], l: int) -> np.ndarray:
+    """All roots in 𝔽_ℓ of a monic polynomial (low degree first), by Horner over 𝔽_ℓ in chunks."""
+    found, count = [], 0
+    for lo in range(0, l, CHUNK_ENTRIES):
+        x = np.arange(lo, min(lo + CHUNK_ENTRIES, l), dtype=np.int64)
+        acc = x + poly[-2]
+        for c in poly[-3::-1]:
             acc = (acc * x + c) % l
-        if acc == 0:
-            roots.append(x)
-    return roots
+        found.append(x[acc % l == 0])
+        count += len(found[-1])
+        if count == len(poly) - 1:
+            break
+    return np.concatenate(found)
 
 
-def _kernel_vector(mat, l: int):
-    """One kernel vector of a square matrix mod ℓ, plus the nullity."""
-    k = len(mat)
-    m = [row[:] for row in mat]
-    pivots = []
-    r = 0
-    for c in range(k):
-        piv = next((i for i in range(r, k) if m[i][c] % l), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], l - 2, l)
-        m[r] = [x * inv % l for x in m[r]]
-        for i in range(k):
-            if i != r and m[i][c] % l:
-                f = m[i][c]
-                m[i] = [(a - f * b) % l for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(k) if c not in pivots]
-    if not free:
-        return None, 0
-    v = [0] * k
-    v[free[0]] = 1
-    for row_idx, c in enumerate(pivots):
-        v[c] = (-sum(m[row_idx][cc] * v[cc] for cc in free)) % l
-    return v, len(free)
+def _refine(M, V, l: int):
+    """Replace each column v of V by its projections q_λ(M)·v onto the eigenspaces of M it meets.
+
+    q_λ = m_v(x)/(x − λ) for the minimal polynomial m_v of v; eigenvectors of M stay as they are.
+    """
+    k, p = V.shape
+    MV = M @ V % l
+    cols, rows = np.arange(p), V.argmax(axis=0)  # V[rows, cols] ≠ 0
+    moved = ((MV * V[rows, cols] - V * MV[rows, cols]) % l).any(axis=0)
+    if not moved.any():
+        return V
+    krylov = [V[:, moved], MV[:, moved]]
+    for _ in range(k - p):  # the columns span k dimensions, so none meets more than k − p + 1 eigenspaces
+        krylov.append(M @ krylov[-1] % l)
+    K = np.stack(krylov)
+    out = [V[:, ~moved]]
+    for j in range(K.shape[2]):
+        Kj = K[:, :, j].T
+        poly = _min_poly(Kj, l)
+        d = len(poly) - 1
+        lam = _roots(poly, l)
+        if len(lam) != d:
+            raise ComputationError("eigenspace-separation", f"minimal polynomial has {len(lam)} of {d} roots in F_{l}")
+        B = np.empty((d, d), dtype=np.int64)  # column i: coefficients of m_v(x)/(x − λ_i)
+        B[d - 1] = 1
+        for t in range(d - 1, 0, -1):
+            B[t - 1] = (poly[t] + lam * B[t]) % l
+        out.append(Kj[:, :d] @ B % l)
+    return np.concatenate(out, axis=1)
 
 
 # -- the table -----------------------------------------------------------------
@@ -175,6 +170,10 @@ def _least_primitive_residue(order: int, l: int) -> int:
 
 
 def character_table_mod(G: FiniteGroup, l: int, seed: int = 0) -> CharacterTableMod:
+    """The character table of G mod ℓ.
+
+    `seed` picks the random class-matrix combination that splits first; every seed gives the same table.
+    """
     if not is_prime(l):
         raise ValidationError("bad-spec", f"modulus {l} is not prime")
     if l <= 2 * G.order:
@@ -185,83 +184,69 @@ def character_table_mod(G: FiniteGroup, l: int, seed: int = 0) -> CharacterTable
         )
     cache_key = ("chartab", l, seed)
     if cache_key in G._cache:
-        return G._cache[cache_key]
+        return replace(G._cache[cache_key], group=G)
 
     conj = G.conjugacy_classes()
-    k = len(conj)
+    k, n = len(conj), G.order
+    if k * (l - 1) ** 2 >= 2**63:
+        raise ValidationError("bound-exceeded", f"k·(ℓ−1)² ≥ 2⁶³ for k = {k}, ℓ = {l}: int64 dot products would wrap")
     a = np.array(G.structure_constants(), dtype=np.int64)
     cls_e = conj.class_of[G.identity]
-    n = G.order
-    inv_sizes = [pow(s, l - 2, l) for s in conj.sizes]
 
-    last_failure = "no seed attempted"
-    for s in range(seed, seed + MAX_SEED_TRIES):
-        rng = random.Random(s)
-        c = [rng.randrange(1, l) for _ in range(k)]
-        M = (np.tensordot(c, a, axes=1) % l).tolist()  # M[j][m] = Σ_i c_i·a[i][j][m] mod ℓ
-        roots = _poly_roots(_charpoly(M, l), l)
-        if len(roots) != k:
-            last_failure = f"seed {s}: {len(roots)} distinct eigenvalues, need {k}"
-            continue
-        rows, degrees = [], []
-        ok = True
-        for lam in roots:
-            shifted = [[(M[r][cc] - (lam if r == cc else 0)) % l for cc in range(k)] for r in range(k)]
-            v, nullity = _kernel_vector(shifted, l)
-            if nullity != 1 or v[cls_e] == 0:
-                ok = False
-                last_failure = f"seed {s}: eigenvalue {lam} has nullity {nullity}"
-                break
-            norm = pow(v[cls_e], l - 2, l)
-            omega_vec = [x * norm % l for x in v]
-            ssum = sum(omega_vec[j] * omega_vec[conj.inverse_class[j]] * inv_sizes[j] for j in range(k)) % l
-            d_sq = n * pow(ssum, l - 2, l) % l
-            d = isqrt(d_sq)
-            if d * d != d_sq or d == 0:
-                ok = False
-                last_failure = f"seed {s}: non-square degree residue {d_sq}"
-                break
-            degrees.append(d)
-            rows.append(tuple(d * omega_vec[j] * inv_sizes[j] % l for j in range(k)))
-        if not ok:
-            continue
-        if sum(d * d for d in degrees) != n:
-            last_failure = f"seed {s}: Σd² = {sum(d * d for d in degrees)} ≠ {n}"
-            continue
-        order = sorted(range(k), key=lambda i: (degrees[i], rows[i]))
-        table = CharacterTableMod(
-            group=G,
-            l=l,
-            seed=s,
-            omega=_least_primitive_residue(G.exponent(), l),
-            degrees=tuple(degrees[i] for i in order),
-            rows=tuple(rows[i] for i in order),
-            sizes=conj.sizes,
-            inverse_class=conj.inverse_class,
-            identity_class=cls_e,
-        )
-        _validate_orthogonality(table)
-        G._cache[cache_key] = table
-        return table
-    raise ComputationError("eigenspace-separation", f"character table mod {l} failed: {last_failure}")
+    # e = Σ_χ (χ(1)²/|Γ|)·ω_χ meets every eigenspace; split it by a seeded combination, then by each M_i
+    rng = random.Random(seed)
+    combo = np.array([rng.randrange(1, l) for _ in range(k)], dtype=np.int64) @ a.reshape(k, k * k) % l
+    V = np.zeros((k, 1), dtype=np.int64)
+    V[cls_e, 0] = 1
+    for M in [combo.reshape(k, k)] + [a[i] for i in range(k) if i != cls_e]:  # M_e = I splits nothing
+        if V.shape[1] == k:
+            break
+        V = _refine(M, V, l)
+    if V.shape[1] != k:
+        raise ComputationError("eigenspace-separation", f"class matrices mod {l} split {V.shape[1]} of {k} characters")
+
+    W = V.T  # row χ: a multiple of ω_χ; scale it to 1 on the identity class
+    if not W[:, cls_e].all():
+        raise ComputationError("eigenspace-separation", f"a split vector vanishes on the identity class mod {l}")
+    W = W * np.array([pow(int(x), -1, l) for x in W[:, cls_e]], dtype=np.int64)[:, None] % l
+    inv_sizes = np.array([pow(s, -1, l) for s in conj.sizes], dtype=np.int64)
+    ssum = (W * W[:, conj.inverse_class] % l * inv_sizes % l).sum(axis=1) % l  # |Γ|/χ(1)² mod ℓ
+    degrees = []
+    for s in ssum.tolist():
+        d_sq = n * pow(s, -1, l) % l if s else 0
+        d = isqrt(d_sq)
+        if d * d != d_sq or d == 0:
+            raise ComputationError("eigenspace-separation", f"non-square degree residue {d_sq} mod {l}")
+        degrees.append(d)
+    if sum(d * d for d in degrees) != n:
+        raise ComputationError("eigenspace-separation", f"Σd² = {sum(d * d for d in degrees)} ≠ {n} mod {l}")
+    R = np.array(degrees, dtype=np.int64)[:, None] * W % l * inv_sizes % l
+    rows = R.tolist()
+    order = sorted(range(k), key=lambda i: (degrees[i], rows[i]))
+    _validate_orthogonality(R, conj, n, l)
+    table = CharacterTableMod(
+        group=G,
+        l=l,
+        seed=seed,
+        omega=_least_primitive_residue(G.exponent(), l),
+        degrees=tuple(degrees[i] for i in order),
+        rows=tuple(tuple(rows[i]) for i in order),
+        sizes=conj.sizes,
+        inverse_class=conj.inverse_class,
+        identity_class=cls_e,
+    )
+    G._cache[cache_key] = replace(table, group=None)  # no G ↔ table cycle: a dropped G is freed at once
+    return table
 
 
-def _validate_orthogonality(t: CharacterTableMod) -> None:
-    l, k, n = t.l, len(t.rows), t.group.order
-    for a_idx in range(k):
-        for b_idx in range(k):
-            s = sum(
-                t.sizes[j] * t.rows[a_idx][j] * t.rows[b_idx][t.inverse_class[j]] for j in range(k)
-            ) % l
-            want = n % l if a_idx == b_idx else 0
-            if s != want:
-                raise ComputationError("eigenspace-separation", f"row orthogonality fails mod {l}")
-    for i in range(k):
-        for j in range(k):
-            s = sum(t.rows[r][i] * t.rows[r][t.inverse_class[j]] for r in range(k)) % l
-            want = (n // t.sizes[i]) % l if i == j else 0
-            if s != want:
-                raise ComputationError("eigenspace-separation", f"column orthogonality fails mod {l}")
+def _validate_orthogonality(R, conj, n: int, l: int) -> None:
+    """Both orthogonality relations of the rows R mod ℓ, as two matrix products (k·(ℓ−1)² < 2⁶³: no wrap)."""
+    sizes = np.array(conj.sizes, dtype=np.int64)
+    R_inv = R[:, conj.inverse_class]
+    if ((R * sizes % l) @ R_inv.T % l != np.diag(np.full(len(R), n % l))).any():
+        raise ComputationError("eigenspace-separation", f"row orthogonality fails mod {l}")
+    if (R.T @ R_inv % l != np.diag(n // sizes % l)).any():
+        raise ComputationError("eigenspace-separation", f"column orthogonality fails mod {l}")
 
 
 # -- character sums and their exact values ---------------------------------------------

@@ -6,9 +6,9 @@ aligned human-readable text).  Errors go to stderr as ``{"error": code,
 failures, so batch drivers can tell the two apart.  Flags that take a diagram
 or a task accept either a literal string or a path to a file holding one.
 
-`homcount` and `extensions` record the prime and the Dixon seed of the
-character table their count used (null when no table was needed), making
-each count a reproducible artifact.
+`homcount` and `extensions` record the prime and the seed of the character
+table their count used (null when no table was needed), making each count a
+reproducible artifact.  Tables never retry a seed, so the seed is always 0.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ def _fraction_json(q):
 
 
 def _table_seed(G, primes):
-    """Dixon seed of the (cached) character table a count used, or None when it used none."""
+    """Seed of the (cached) character table a count used, or None when it used none."""
     return character_table_mod(G, primes[0]).seed if primes else None
 
 

@@ -8,17 +8,18 @@ permutation-generator and raw-table input.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
-import random
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ValidationError
 
 MAX_ORDER = 10_000
 MAX_SUBGROUP_ORDER = 200
 MAX_AUT_ORDER = 128
+CHUNK_ENTRIES = 1 << 14  # array entries per vectorized step of a scan: keeps temporaries small
 
 
 @dataclass(frozen=True)
@@ -104,14 +105,16 @@ class FiniteGroup:
         for a in range(n):
             if set(self._t[a * n : (a + 1) * n]) != full or {self._t[b * n + a] for b in range(n)} != full:
                 raise ValidationError("bad-spec", "table is not a Latin square")
-        if n <= 64:
-            triples = ((a, b, c) for a in range(n) for b in range(n) for c in range(n))
-        else:
-            rng = random.Random(0)
-            triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(2000))
-        for a, b, c in triples:
-            if self.mul(self.mul(a, b), c) != self.mul(a, self.mul(b, c)):
-                raise ValidationError("bad-spec", f"associativity fails at ({a},{b},{c})")
+        # Light's test: the g with (a·g)·b = a·(g·b) for all a, b are closed under products,
+        # so checking a generating set checks every element
+        t = np.array(self._t, dtype=np.int64).reshape(n, n)
+        step = max(1, CHUNK_ENTRIES // n)
+        for g in self.generating_set():
+            for lo in range(0, n, step):
+                bad = np.argwhere(t[t[lo : lo + step, g]] != t[lo : lo + step][:, t[g]])
+                if bad.size:
+                    a, b = int(bad[0][0]) + lo, int(bad[0][1])
+                    raise ValidationError("bad-spec", f"associativity fails at ({a},{g},{b})")
 
     # -- element-level structure ------------------------------------------
 
@@ -304,34 +307,39 @@ class FiniteGroup:
         if not gens:
             self._cache["aut"] = 1
             return 1
-        # BFS word table: each element as (previous element, generator index)
-        parent = {self.identity: None}
-        frontier = [self.identity]
-        order_list = [self.identity]
-        while frontier:
-            x = frontier.pop(0)
-            for i, g in enumerate(gens):
-                y = self.mul(x, g)
-                if y not in parent:
-                    parent[y] = (x, i)
-                    frontier.append(y)
-                    order_list.append(y)
-        orders = [self.element_order(g) for g in gens]
-        candidates = [[h for h in range(n) if self.element_order(h) == o] for o in orders]
-        count = 0
-        for images in itertools.product(*candidates):
-            phi = {self.identity: self.identity}
-            for y in order_list[1:]:
-                x, i = parent[y]
-                phi[y] = self.mul(phi[x], images[i])
-            if len(set(phi.values())) != n:
-                continue
-            if all(
-                phi[self.mul(y, g)] == self.mul(phi[y], images[i])
-                for i, g in enumerate(gens)
-                for y in range(n)
-            ):
-                count += 1
+        # BFS word table by layers: each y = x·g_i reached by a tree edge (x, i)
+        tree = {self.identity: None}
+        layers, layer = [], [self.identity]
+        while layer:
+            steps = []
+            for x in layer:
+                for i, g in enumerate(gens):
+                    y = self.mul(x, g)
+                    if y not in tree:
+                        tree[y] = (x, i)
+                        steps.append((y, x, i))
+            if steps:
+                layers.append(np.array(steps).T)
+            layer = [y for y, _, _ in steps]
+        # φ(x·g_i) = φ(x)·φ(g_i) holds on tree edges by construction; the other edges are checked
+        ey, ex, ei = np.array(
+            [(self.mul(x, g), x, i) for x in range(n) for i, g in enumerate(gens) if tree[self.mul(x, g)] != (x, i)]
+        ).T
+        tn = np.array(self._t, dtype=np.int32) * n  # tn[a·n + b] = (a·b)·n: elements are stored times n
+        orders = [self.element_order(h) for h in range(n)]
+        candidates = [np.array([h for h in range(n) if orders[h] == orders[g]], dtype=np.int32) for g in gens]
+        grid = tuple(len(c) for c in candidates)
+        total, count = math.prod(grid), 0
+        step = max(1, CHUNK_ENTRIES // max(n, len(ex)))
+        for lo in range(0, total, step):
+            picks = np.unravel_index(np.arange(lo, min(lo + step, total)), grid)
+            images = np.stack([c[p] for c, p in zip(candidates, picks)])  # images[i] = φ(g_i), a column per candidate
+            phi = np.empty((n, images.shape[1]), dtype=np.int32)  # phi[y] = φ(y)·n
+            phi[self.identity] = self.identity * n
+            for y, x, i in layers:
+                phi[y] = tn.take(phi[x] + images[i])
+            hom = (phi[ey] == tn.take(phi[ex] + images[ei])).all(axis=0)
+            count += int(((phi[:, hom] == self.identity * n).sum(axis=0) == 1).sum())  # trivial kernel: bijective
         self._cache["aut"] = count
         return count
 

@@ -50,7 +50,7 @@ def test_degree_patterns():
 
 
 def test_orthogonality_both_primes():
-    for G in (cyclic(9), heisenberg(3)):
+    for G in (cyclic(9), heisenberg(3), elementary_abelian(3, 3), elementary_abelian(5, 2)):
         for l in split_primes(G):
             t = character_table_mod(G, l)
             k = len(t.rows)
@@ -111,6 +111,9 @@ def test_bad_modulus_rejected():
         character_table_mod(cyclic(3), 5)  # too small
     with pytest.raises(ValidationError):
         character_table_mod(cyclic(9), 23)  # 23 ≢ 1 mod 9
+    with pytest.raises(ValidationError) as exc:  # ℓ = 2³² + 15 is prime, 3·(ℓ−1)² ≥ 2⁶³
+        character_table_mod(cyclic(3), 4_294_967_311)
+    assert exc.value.code == "bound-exceeded"
 
 
 def test_abelian_rows_are_homomorphisms():

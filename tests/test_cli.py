@@ -28,7 +28,7 @@ def test_homcount_with_verification(capsys):
     assert out["extensions"] == "4"
     assert out["verified"] is True
     assert out["primes_used"] == [7]
-    assert out["seed"] == 1  # the table mod 7 needs the second Dixon seed
+    assert out["seed"] == 0  # a table never retries: the count used seed 0
 
 
 def test_homcount_free_rank(capsys):

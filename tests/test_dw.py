@@ -285,6 +285,13 @@ def test_hom_count_known_values():
     assert hom_count(RelatorSpec(12, 1), HEIS) == 7509466515032902432664630964833121
     # abelian A: |A|^{2n-1}·|A[p^r]|, and C3×C9 has |A[3]| = 9
     assert hom_count(RelatorSpec(2, 1), direct_product(C3, C9)) == 27**3 * 9
+    # groups with many classes at the counting prime: C3³ and C5² at ℓ = 61, C81 at ℓ = 163
+    assert hom_count(RelatorSpec(2, 1), elementary_abelian(3, 3)) == 531441
+    assert hom_count(RelatorSpec(2, 1), elementary_abelian(5, 2)) == 390625
+    assert hom_count(RelatorSpec(2, 1), cyclic(81)) == 1594323
+    assert hom_count(RelatorSpec(2, 1), elementary_abelian(7, 2)) == 5764801
+    assert hom_count(RelatorSpec(2, 1), heisenberg(5)) == 49140625
+    assert hom_count(RelatorSpec(2, 1), heisenberg(7)) == 1982268001
 
 
 def test_hom_count_free_and_degenerate():
@@ -328,6 +335,10 @@ def test_mobius_inversion_detects_non_cyclicity():
 def test_epi_and_extension_counts():
     assert epi_count(RelatorSpec(1, 1), C3) == 8
     assert epi_count(FREE(2), E9) == 48
+    # the Möbius sums reach C3³ and C5² subgroups; the values are Hall's closed form
+    assert epi_count(RelatorSpec(2, 1), elementary_abelian(3, 3)) == 449280
+    assert epi_count(RelatorSpec(2, 1), elementary_abelian(5, 2)) == 386880
+    assert epi_count(RelatorSpec(2, 1), heisenberg(5)) == 46800000
     assert extension_count(FREE(2), C3) == 4
     assert extension_count(RelatorSpec(2, 1), C3) == 40
 

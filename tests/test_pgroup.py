@@ -148,6 +148,10 @@ def test_automorphism_counts():
     # Aut((Z/3)²) = GL_2(F_3)
     assert automorphism_count(elementary_abelian(3, 2)) == 48
     assert automorphism_count(heisenberg(3)) == 432
+    assert automorphism_count(heisenberg(5)) == 12000
+    # three generators: the candidate grid of 26³ images spans several chunks
+    assert automorphism_count(elementary_abelian(3, 3)) == 11232  # |GL_3(F_3)|
+    assert automorphism_count(elementary_abelian(5, 2)) == 480  # |GL_2(F_5)|
 
 
 def test_subgroup_as_group():
@@ -211,6 +215,16 @@ def test_non_associative_table_rejected():
         FiniteGroup(table)
     assert exc.value.code == "bad-spec"
     assert "associativity" in exc.value.message
+    # Z/500 with the intercalate at rows 3, 253 and columns 5, 255 swapped: (3·5)·1 ≠ 3·(5·1) is
+    # one of 7952 bad triples in 500³, so a sample of 2000 random triples most likely misses them all
+    table = [[(i + j) % 500 for j in range(500)] for i in range(500)]
+    for row in (3, 253):
+        table[row][5], table[row][255] = table[row][255], table[row][5]
+    with pytest.raises(ValidationError) as exc:
+        FiniteGroup(table)
+    assert exc.value.code == "bad-spec"
+    assert "associativity" in exc.value.message
+    assert FiniteGroup([[(i + j) % 500 for j in range(500)] for i in range(500)]).order == 500
 
 
 def test_non_latin_table_rejected():
