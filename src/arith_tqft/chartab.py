@@ -43,9 +43,9 @@ def split_primes(G: FiniteGroup, count: int = 2, above: int = 0) -> list[int]:
     e = G.exponent()
     floor = max(2 * G.order, above)
     out = []
-    l = e + 1
+    l = floor + 1 + (-floor) % e  # the first ℓ ≡ 1 (mod e) above the floor
     while len(out) < count:
-        if l > floor and is_prime(l):
+        if is_prime(l):
             out.append(l)
         l += e
     return out

@@ -27,7 +27,7 @@ import numpy as np
 from .chartab import char_sum, character_table_mod, recover_integer, split_primes
 from .cobordism import Diagram, Token
 from .errors import ComputationError, ValidationError
-from .frobenius import GenericMatrix, evaluate_diagram
+from .frobenius import GenericMatrix, ModMatrix, evaluate_diagram
 from .pgroup import FiniteGroup, group_from_spec, group_prime, is_prime
 from .units import INF, PadicUnit, is_valid_level, level_to_json, one, p_power, sample_units
 
@@ -80,75 +80,6 @@ def FREE(rank: int) -> RelatorSpec:
     return RelatorSpec(free_rank=rank)
 
 
-# -- matrices mod ℓ --------------------------------------------------------------------
-
-
-class ModMatrix:
-    """Dense matrix over 𝔽_ℓ; entries are int64 reduced into [0, ℓ).
-
-    Products go through float64 BLAS whenever the accumulated dot products fit
-    a double exactly (inner·(ℓ−1)² < 2⁵³ — always true at desk scale), with an
-    exact object-dtype fallback beyond that.
-    """
-
-    __slots__ = ("a", "l", "_rows")
-
-    def __init__(self, a, l: int):
-        self.a = np.asarray(a, dtype=np.int64) % l
-        self.l = l
-        self._rows = None
-        if self.a.ndim != 2:
-            raise ValidationError("bad-spec", f"matrix must be 2-dimensional, got shape {self.a.shape}")
-
-    @classmethod
-    def identity(cls, n: int, l: int) -> "ModMatrix":
-        return cls(np.eye(n, dtype=np.int64), l)
-
-    @property
-    def shape(self):
-        return tuple(self.a.shape)
-
-    @property
-    def rows(self):
-        if self._rows is None:
-            self._rows = tuple(tuple(int(x) for x in row) for row in self.a)
-        return self._rows
-
-    def _check_partner(self, other):
-        if not isinstance(other, ModMatrix) or other.l != self.l:
-            raise ValidationError("incompatible-units", "matrices live over different moduli")
-
-    def __matmul__(self, other: "ModMatrix") -> "ModMatrix":
-        self._check_partner(other)
-        n, k = self.shape
-        k2, m = other.shape
-        if k != k2:
-            raise ValidationError("bad-spec", f"cannot multiply {self.shape} by {other.shape}")
-        if k * (self.l - 1) ** 2 < 2**53:
-            prod = (self.a.astype(np.float64) @ other.a.astype(np.float64)) % self.l
-            return ModMatrix(prod.astype(np.int64), self.l)
-        prod = (self.a.astype(object) @ other.a.astype(object)) % self.l
-        return ModMatrix(prod.astype(np.int64), self.l)
-
-    def kron(self, other: "ModMatrix") -> "ModMatrix":
-        self._check_partner(other)
-        return ModMatrix(np.kron(self.a, other.a) % self.l, self.l)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ModMatrix)
-            and other.l == self.l
-            and self.shape == other.shape
-            and bool(np.array_equal(self.a, other.a))
-        )
-
-    def __hash__(self):
-        return hash((self.l, self.shape, self.rows))
-
-    def __repr__(self):
-        return f"ModMatrix({self.a.tolist()}, l={self.l})"
-
-
 # -- exact structural matrices ---------------------------------------------------------
 
 
@@ -159,16 +90,6 @@ def _exponent_val(G: FiniteGroup, p: int) -> int:
         m //= p
         e += 1
     return e
-
-
-def _power_perm(G: FiniteGroup, c: int) -> GenericMatrix:
-    """Permutation matrix of the class map K ↦ K^c (c coprime to the exponent)."""
-    conj = G.conjugacy_classes()
-    k = len(conj)
-    rows = [[0] * k for _ in range(k)]
-    for i in range(k):
-        rows[G.class_power(i, c)][i] = 1
-    return GenericMatrix(tuple(tuple(row) for row in rows))
 
 
 def _twist_exponent(G: FiniteGroup, u: PadicUnit) -> int:
@@ -196,7 +117,7 @@ def _exact_generator(G: FiniteGroup, tok: Token) -> GenericMatrix:
 
     Entries are integers except for the counit row, which carries 1/|Γ|.
     Columns of a k²-legged token are indexed row-major, leftmost strand first,
-    matching the Kronecker conventions of the generic evaluator.
+    matching the strand order of the generic evaluator.
     """
     kind = tok.kind
     if kind == "tw":
@@ -214,14 +135,9 @@ def _exact_generator(G: FiniteGroup, tok: Token) -> GenericMatrix:
     k, N = len(conj), G.order
     if kind == "id":
         mat = GenericMatrix.identity(k)
-    elif kind == "swap":
-        mat = GenericMatrix(
-            tuple(
-                tuple(int((i, j) == (d, c)) for c in range(k) for d in range(k))
-                for i in range(k)
-                for j in range(k)
-            )
-        )
+    elif kind == "swap":  # the basis tensor (c, d) goes to (d, c)
+        eye = np.eye(k * k, dtype=np.int64).reshape(k, k, k, k)
+        mat = GenericMatrix(eye.transpose(0, 1, 3, 2).reshape(k * k, -1).tolist())
     elif kind == "cup":
         e_class = conj.class_of[G.identity]
         mat = GenericMatrix((tuple(Fraction(1, N) if j == e_class else 0 for j in range(k)),))
@@ -242,13 +158,13 @@ def _exact_generator(G: FiniteGroup, tok: Token) -> GenericMatrix:
                 for c in range(k)
             )
         )
-    elif kind == "tw":
-        mat = _power_perm(G, key[2])
-    else:  # tor
-        twist = _power_perm(G, key[2])
-        m_ = _exact_generator(G, Token("m"))
-        d_ = _exact_generator(G, Token("d"))
-        mat = m_ @ twist.kron(GenericMatrix.identity(k)) @ d_
+    elif kind == "tw":  # the class permutation K ↦ K^c
+        mat = GenericMatrix(np.eye(k, dtype=np.int64)[:, [G.class_power(i, key[2]) for i in range(k)]].tolist())
+    else:  # tor = m∘(tw⊗id)∘d, and tw permutes the classes
+        perm = [G.class_power(i, key[2]) for i in range(k)]
+        m_ = np.array(_exact_generator(G, Token("m")).rows, dtype=np.int64).reshape(k, k, k)
+        d_ = np.array(_exact_generator(G, Token("d")).rows, dtype=np.int64)
+        mat = GenericMatrix((m_[:, perm, :].reshape(k, k * k) @ d_).tolist())
     G._cache[key] = mat
     return mat
 
@@ -272,10 +188,11 @@ class DWAlgebra:
     """Class functions on a finite p-group Γ, with scalars in 𝔽_ℓ.
 
     Satisfies the same protocol as the universal algebra (`dim`, `max_dim`,
-    `basis_names`, `token_matrix`, `identity_matrix`, `default_levels`,
-    `default_unit_samples`), so `frobenius.evaluate_diagram` and
-    `frobenius.check_axioms` drive it unchanged.  Basis: indicator functions
-    of conjugacy classes, in the group's class order.
+    `basis_names`, `token_matrix`, `default_levels`, `default_unit_samples`),
+    so `frobenius.evaluate_diagram` and `frobenius.check_axioms` drive it
+    unchanged: their contraction keeps the state in float64 BLAS products,
+    reduced mod ℓ only when exactness needs it.
+    Basis: indicator functions of conjugacy classes, in the group's class order.
     """
 
     max_dim = 4096
@@ -294,9 +211,6 @@ class DWAlgebra:
         self.name = f"dw(order-{self.group.order} group, ℓ={l})"
         self.precheck = tuple(precheck)
         self._matrices: dict = {}
-
-    def identity_matrix(self, n: int) -> ModMatrix:
-        return ModMatrix.identity(n, self.l)
 
     def token_matrix(self, tok: Token) -> ModMatrix:
         if tok.kind == "tw":

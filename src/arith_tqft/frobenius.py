@@ -16,16 +16,19 @@ Every identity that holds here holds in any specialization, which is what makes
 this the universal target for symbolic evaluation of cobordism diagrams.
 
 `evaluate_diagram` and `check_axioms` are generic: they drive any algebra
-object exposing `dim`, `max_dim`, `basis_names`, `token_matrix`, and
-`identity_matrix` (see dw.DWAlgebra for the finite-group specialization).
+object exposing `dim`, `max_dim`, `basis_names` and `token_matrix` (see
+dw.DWAlgebra for the finite-group specialization); `ModMatrix` token matrices
+mark scalars in 𝔽_ℓ.  Both go through one contraction, `_contract`,
+in which every generator acts on its own strands of a single state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
-from .cobordism import TORUS, Diagram, Token
+import numpy as np
+
+from .cobordism import TORUS, Diagram, Token, identity_diagram
 from .errors import ComputationError, ValidationError
 from .units import INF, PadicUnit, format_unit, level, one, sample_units
 
@@ -108,7 +111,7 @@ class UniversalScalar:
 
     @staticmethod
     def from_int(c: int) -> "UniversalScalar":
-        return UniversalScalar._make({(0, 0): c}, {})
+        return UniversalScalar((((0, 0), c),) if c else ())
 
     @staticmethod
     def monomial(i: int, j: int, c: int = 1) -> "UniversalScalar":
@@ -119,6 +122,10 @@ class UniversalScalar:
 
     def __add__(self, other):
         other = as_scalar(other)
+        if not other:
+            return self
+        if not self:
+            return other
         f1, b1 = self._parts()
         f2, b2 = other._parts()
         for r, poly in b2.items():
@@ -139,6 +146,8 @@ class UniversalScalar:
 
     def __mul__(self, other):
         other = as_scalar(other)
+        if not (self and other):
+            return UniversalScalar()
         f1, b1 = self._parts()
         f2, b2 = other._parts()
         free = _pmul(f1, f2, 0)
@@ -309,7 +318,7 @@ def universal_phi(u: PadicUnit, v: UniversalElem) -> UniversalElem:
     return _phi_level(level(u), v)
 
 
-# -- generic matrices ----------------------------------------------------------------
+# -- result matrices -----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -332,29 +341,45 @@ class GenericMatrix:
     def identity(n: int) -> "GenericMatrix":
         return GenericMatrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
-    def __matmul__(self, other: "GenericMatrix") -> "GenericMatrix":
-        n, k = self.shape
-        k2, m = other.shape
-        if k != k2:
-            raise ValidationError("bad-spec", f"cannot multiply {self.shape} by {other.shape}")
-        cols = tuple(zip(*other.rows)) if other.rows else ()
-        return GenericMatrix(
-            tuple(
-                tuple(sum((a * b for a, b in zip(row, col) if a and b), 0) for col in cols)
-                for row in self.rows
-            )
+
+class ModMatrix:
+    """Dense matrix over 𝔽_ℓ; entries are int64 reduced into [0, ℓ).
+
+    A read-only result container: the products behind it happen in `_contract`.
+    """
+
+    __slots__ = ("a", "l", "_rows")
+
+    def __init__(self, a, l: int):
+        self.a = np.asarray(a, dtype=np.int64) % l
+        self.l = l
+        self._rows = None
+        if self.a.ndim != 2:
+            raise ValidationError("bad-spec", f"matrix must be 2-dimensional, got shape {self.a.shape}")
+
+    @property
+    def shape(self):
+        return tuple(self.a.shape)
+
+    @property
+    def rows(self):
+        if self._rows is None:
+            self._rows = tuple(tuple(int(x) for x in row) for row in self.a)
+        return self._rows
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, ModMatrix)
+            and other.l == self.l
+            and self.shape == other.shape
+            and bool(np.array_equal(self.a, other.a))
         )
 
-    def kron(self, other: "GenericMatrix") -> "GenericMatrix":
-        n, k = self.shape
-        m, l = other.shape
-        return GenericMatrix(
-            tuple(
-                tuple(self.rows[i][j] * other.rows[i2][j2] for j in range(k) for j2 in range(l))
-                for i in range(n)
-                for i2 in range(m)
-            )
-        )
+    def __hash__(self):
+        return hash((self.l, self.shape, self.rows))
+
+    def __repr__(self):
+        return f"ModMatrix({self.a.tolist()}, l={self.l})"
 
 
 # -- the universal algebra as an evaluation target -----------------------------------
@@ -377,9 +402,6 @@ class UniversalAlgebra:
         self._precheck_ok = False
 
     p = 3  # canonical odd prime for default unit sampling; φ only sees levels
-
-    def identity_matrix(self, n: int) -> GenericMatrix:
-        return GenericMatrix.identity(n)
 
     def basis_elem(self, i: int) -> UniversalElem:
         return (ONE, X)[i]
@@ -465,22 +487,12 @@ class UniversalAlgebra:
 AXIOMS = ("F1", "F2", "F3", "F4", "F5", "FS", "F6", "F7", "F8", "F9", "F10", "F11", "F12")
 
 
-def _tensor_labels(names, width):
-    if width == 0:
-        return ("",)
-    return tuple("⊗".join(combo) for combo in product(names, repeat=width))
-
-
-def _first_diff(m1: "GenericMatrix", m2, labels):
+def _first_diff(m1, m2, names, width):
     """Label of a failing input column, scanning generic (high-degree) inputs first."""
-    if m1.shape != m2.shape:
-        return f"shape {m1.shape} vs {m2.shape}"
-    rows, cols = m1.shape
-    for j in reversed(range(cols)):
-        for i in range(rows):
-            if not (m1.rows[i][j] == m2.rows[i][j]):
-                return labels[j] if j < len(labels) else f"column {j}"
-    return None
+    cols = np.flatnonzero((m1 != m2).any(axis=0))
+    if not len(cols):
+        return None
+    return "⊗".join(names[i] for i in np.unravel_index(cols[-1], (len(names),) * width))
 
 
 def check_axioms(A, levels=None, sample_units=None, axioms=None):
@@ -490,6 +502,7 @@ def check_axioms(A, levels=None, sample_units=None, axioms=None):
     basis vector (and unit or level data, where relevant) that breaks the law.
     Structural axioms F1–F5/FS need no units; F6–F12 quantify over the sampled
     units, grouped by level, and over the handle operators at the given levels.
+    Each law compares two diagrams, contracted like any other.
     """
     if levels is None:
         levels = A.default_levels()
@@ -506,34 +519,31 @@ def check_axioms(A, levels=None, sample_units=None, axioms=None):
     if unknown:
         raise ValidationError("bad-spec", f"unknown axioms {sorted(unknown)}; known: {', '.join(AXIOMS)}")
 
-    m_ = A.token_matrix(Token("m"))
-    d_ = A.token_matrix(Token("d"))
-    e_ = A.token_matrix(Token("cup"))
-    i_ = A.token_matrix(Token("cap"))
-    s_ = A.token_matrix(Token("swap"))
-    I1 = A.identity_matrix(A.dim)
-    phi = lambda u: A.token_matrix(Token("tw", unit=u))
-    torus = lambda r: A.token_matrix(TORUS(r))
-    lab = lambda w: _tensor_labels(A.basis_names, w)
+    m, d, cup, cap, swap, I = (Token(kind) for kind in ("m", "d", "cup", "cap", "swap", "id"))
+    tw = lambda u: Token("tw", unit=u)
+    D = lambda *slices: Diagram(slices)
+    wire = identity_diagram(1)
+    l = _modulus(A)
 
-    def eq(lhs, rhs, width, extra=""):
-        w = _first_diff(lhs, rhs, lab(width))
+    def eq(lhs, rhs, extra=""):
+        # _contract, not evaluate_diagram: no precheck recursion and no width guard
+        w = _first_diff(_contract(lhs, A, l), _contract(rhs, A, l), A.basis_names, lhs.in_arity)
         return None if w is None else (w + extra if w else extra.lstrip(", "))
 
     def structural(name):
         if name == "F1":
-            return eq(m_ @ i_.kron(I1), I1, 1) or eq(m_ @ I1.kron(i_), I1, 1)
+            return eq(D((cap, I), (m,)), wire) or eq(D((I, cap), (m,)), wire)
         if name == "F2":
-            return eq(e_.kron(I1) @ d_, I1, 1) or eq(I1.kron(e_) @ d_, I1, 1)
+            return eq(D((d,), (cup, I)), wire) or eq(D((d,), (I, cup)), wire)
         if name == "F3":
-            return eq(m_ @ m_.kron(I1), m_ @ I1.kron(m_), 3)
+            return eq(D((m, I), (m,)), D((I, m), (m,)))
         if name == "F4":
-            return eq(d_.kron(I1) @ d_, I1.kron(d_) @ d_, 1)
+            return eq(D((d,), (d, I)), D((d,), (I, d)))
         if name == "F5":
-            mid = d_ @ m_
-            return eq(I1.kron(m_) @ d_.kron(I1), mid, 2) or eq(m_.kron(I1) @ I1.kron(d_), mid, 2)
+            mid = D((m,), (d,))
+            return eq(D((d, I), (I, m)), mid) or eq(D((I, d), (m, I)), mid)
         if name == "FS":
-            return eq(m_ @ s_, m_, 2) or eq(s_ @ d_, d_, 1)
+            return eq(D((swap,), (m,)), D((m,))) or eq(D((d,), (swap,)), D((d,)))
         return None
 
     report = {}
@@ -543,30 +553,28 @@ def check_axioms(A, levels=None, sample_units=None, axioms=None):
             witness = structural(name)
         elif name == "F6":
             for u in sample_units:
-                witness = witness or eq(phi(u) @ i_, i_, 0, f", α={format_unit(u)}")
+                witness = witness or eq(D((cap,), (tw(u),)), D((cap,)), f", α={format_unit(u)}")
         elif name == "F7":
             for u in sample_units:
-                witness = witness or eq(e_ @ phi(u), e_, 1, f", α={format_unit(u)}")
+                witness = witness or eq(D((tw(u),), (cup,)), D((cup,)), f", α={format_unit(u)}")
         elif name == "F8":
             for u in sample_units:
-                witness = witness or eq(d_ @ phi(u), phi(u).kron(phi(u)) @ d_, 1, f", α={format_unit(u)}")
+                witness = witness or eq(D((tw(u),), (d,)), D((d,), (tw(u), tw(u))), f", α={format_unit(u)}")
         elif name == "F9":
             for u in sample_units:
-                witness = witness or eq(phi(u) @ m_, m_ @ phi(u).kron(phi(u)), 2, f", α={format_unit(u)}")
+                witness = witness or eq(D((m,), (tw(u),)), D((tw(u), tw(u)), (m,)), f", α={format_unit(u)}")
         elif name == "F10":
             for r in levels:
                 for u in by_level.get(r, []):
                     witness = witness or eq(
-                        m_ @ phi(u).kron(I1) @ d_, torus(r), 1, f", α={format_unit(u)} at level {r}"
+                        D((d,), (tw(u), I), (m,)), D((TORUS(r),)), f", α={format_unit(u)} at level {r}"
                     )
         elif name == "F11":
             for r in levels:
                 for s in levels:
-                    rmin = min(r, s)
                     witness = witness or eq(
-                        torus(r) @ torus(s) @ i_,
-                        torus(INF) @ torus(rmin) @ i_,
-                        0,
+                        D((cap,), (TORUS(s),), (TORUS(r),)),
+                        D((cap,), (TORUS(min(r, s)),), (TORUS(INF),)),
                         f", levels ({r}, {s})",
                     )
         elif name == "F12":
@@ -574,7 +582,7 @@ def check_axioms(A, levels=None, sample_units=None, axioms=None):
                 for s in [x for x in levels if x == INF or x >= r]:
                     for u in by_level.get(s, []):
                         witness = witness or eq(
-                            phi(u) @ torus(r), torus(r), 1, f", α={format_unit(u)} on level {r}"
+                            D((TORUS(r),), (tw(u),)), D((TORUS(r),)), f", α={format_unit(u)} on level {r}"
                         )
         report[name] = (witness is None, witness)
     return report
@@ -594,29 +602,85 @@ def ensure_prechecked(A):
 
 # -- evaluation ----------------------------------------------------------------------
 
+_FLOAT_EXACT = 2**53  # float64 holds every integer below this exactly
+_STATE_ENTRIES = 2**22  # input columns are contracted in blocks of at most this many entries
+
+
+def _modulus(A):
+    """ℓ when A's token matrices are `ModMatrix` over 𝔽_ℓ, None for exact scalars."""
+    return getattr(A.token_matrix(Token("id")), "l", None)
+
+
+def _contract(D: Diagram, A, l):
+    """The matrix of D in A as an array, each token acting on its own strands.
+
+    The state has one row per basis tensor of the current strands and one
+    column per input basis tensor.  A token a → b at strand offset o is one
+    batched product T @ S.reshape(k^o, k^a, -1); `id` only moves the offset.
+    Tokens of one slice act on disjoint strands and commute, so the narrowing
+    ones go first: the state is never wider than the slice's wider boundary.
+    A diagram with fewer outputs than inputs runs top-down with transposed
+    tokens, so the state starts at the narrower boundary, and is transposed back.
+    Columns are independent, so they go through in blocks that keep the state
+    within `_STATE_ENTRIES` entries.
+
+    Over 𝔽_ℓ (l from `_modulus`, else None) the state is float64, reduced mod ℓ
+    only when its entry bound would reach 2⁵³; when even reduced entries could
+    overflow a k²-term dot product, it is exact object dtype instead.
+    """
+    k = A.dim
+    reverse = D.out_arity < D.in_arity
+    dtype = np.float64 if l is not None and k * k * (l - 1) ** 2 < _FLOAT_EXACT else object
+    start = D.out_arity if reverse else D.in_arity
+    ops, bound, peak = [], 1, start  # bound: every entry of the state is at most this
+    for sl in reversed(D.slices) if reverse else D.slices:
+        arities = [tok.arity[::-1] if reverse else tok.arity for tok in sl]
+        for narrowing in (True, False):
+            offset = 0  # strands left of tok in the state, some already mapped a → b
+            for tok, (a, b) in zip(sl, arities):
+                if tok.kind != "id" and (b < a) == narrowing:
+                    M = A.token_matrix(tok)
+                    T = np.array(M.rows, dtype=object) if l is None else M.a.astype(dtype)
+                    if reverse:
+                        T = T.T
+                    reduce = False
+                    if l is not None:
+                        grow = (l - 1) * T.shape[1]  # bounds a row sum of T
+                        if bound * grow >= _FLOAT_EXACT:
+                            reduce, bound = True, l - 1
+                        bound *= grow
+                    ops.append((T, k**offset, k**a, reduce))
+                offset += b if b < a or not narrowing else a
+        peak = max(peak, sum(b for _, b in arities))
+    n = k**start
+    step = max(1, _STATE_ENTRIES // k**peak)
+    blocks = []
+    for j in range(0, n, step):
+        c = min(step, n - j)
+        S = np.eye(n, c, -j, dtype=dtype)  # input columns j, …, j + c − 1
+        for T, before, a, reduce in ops:
+            if reduce:
+                S = S % l
+            S = np.matmul(T, S.reshape(before, a, -1)).reshape(-1, c)
+        blocks.append(S % l if l is not None else S)
+    S = np.hstack(blocks) if len(blocks) > 1 else blocks[0]
+    return S.T if reverse else S
+
 
 def evaluate_diagram(D: Diagram, A):
     """The linear map of D in the algebra A, as a matrix on tensor powers of A.
 
-    Slices act bottom-up by matrix products of Kronecker factors; the leftmost
-    strand is the leftmost factor.  A closed diagram yields a 1×1 matrix.
+    Every generator acts on its own strands of one state (`_contract`), never
+    through a matrix of its whole slice; the leftmost strand is the most
+    significant tensor index.  A closed diagram yields a 1×1 matrix.
     """
     ensure_prechecked(A)
-    dim = A.dim
-
-    def guard(width):
-        if dim**width > A.max_dim:
+    for width in (D.in_arity, *(sum(t.arity[1] for t in sl) for sl in D.slices)):
+        if A.dim**width > A.max_dim:
             raise ComputationError(
                 "dimension-guard",
-                f"slice of width {width} needs dimension {dim}^{width} > {A.max_dim} on {A.name}",
+                f"slice of width {width} needs dimension {A.dim}^{width} > {A.max_dim} on {A.name}",
             )
-
-    guard(D.in_arity)
-    total = A.identity_matrix(dim**D.in_arity)
-    for sl in D.slices:
-        guard(sum(t.arity[1] for t in sl))
-        slice_mat = A.identity_matrix(1)
-        for tok in sl:
-            slice_mat = slice_mat.kron(A.token_matrix(tok))
-        total = slice_mat @ total
-    return total
+    l = _modulus(A)
+    M = _contract(D, A, l)
+    return GenericMatrix(M) if l is None else ModMatrix(M, l)

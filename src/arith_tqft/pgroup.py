@@ -514,41 +514,13 @@ def from_permutations(gens, degree: int, max_order: int = MAX_ORDER) -> FiniteGr
     return FiniteGroup(table, check=False)
 
 
-# -- module-level operations (thin wrappers over FiniteGroup methods) -------------
-
-
-def conjugacy_classes(G: FiniteGroup) -> ConjugacyData:
-    return G.conjugacy_classes()
-
-
-def power_map(G: FiniteGroup, g: int, k: int) -> int:
-    """g^k in G; k may be negative (e.g. the exponent −1 used for the infinite level)."""
-    return G.power(g, k)
-
-
-def all_subgroups(G: FiniteGroup) -> list[frozenset]:
-    return G.all_subgroups()
-
-
-def subgroup_lattice(G: FiniteGroup):
-    return G.subgroup_lattice()
-
-
-def sylow_p_subgroups(G: FiniteGroup, p: int) -> list[frozenset]:
-    return G.sylow_p_subgroups(p)
+# -- module-level helpers -------------------------------------------------------------
 
 
 def is_p_group(G, p: int) -> bool:
     """Accepts a FiniteGroup or a subgroup (set of element indices)."""
     size = G.order if isinstance(G, FiniteGroup) else len(G)
     return is_power_of(size, p)
-
-
-def automorphism_count(G: FiniteGroup) -> int:
-    return G.automorphism_count()
-
-
-product = direct_product
 
 
 _NAMED = {

@@ -26,6 +26,9 @@ def test_split_primes():
     assert split_primes(extraspecial_exp_p2(3)) == [73, 109]
     assert split_primes(gl2(3)) == [97, 193]
     assert split_primes(elementary_abelian(3, 2), count=3) == [19, 31, 37]
+    # the search starts above the floor instead of walking up to it from exp G + 1
+    assert split_primes(cyclic(3), count=1, above=2**32) == [4294967311]
+    assert split_primes(heisenberg(3), count=2, above=100) == [103, 109]
 
 
 def test_cyclic3_table_mod_7():

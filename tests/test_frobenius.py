@@ -1,8 +1,13 @@
 """Universal scalars, the rank-2 universal algebra, axiom checks, evaluation."""
 
+import random
+
+import numpy as np
 import pytest
 
-from arith_tqft.cobordism import TORUS, Token, parse_diagram, surface_diagram
+from arith_tqft import frobenius
+from arith_tqft.cobordism import TORUS, TWIST, Diagram, Token, parse_diagram, surface_diagram
+from arith_tqft.dw import DWAlgebra
 from arith_tqft.errors import ComputationError, ValidationError
 from arith_tqft.frobenius import (
     AXIOMS,
@@ -16,6 +21,7 @@ from arith_tqft.frobenius import (
     UniversalScalar,
     bracket,
     check_axioms,
+    ensure_prechecked,
     evaluate_diagram,
     universal_delta,
     universal_eps,
@@ -23,6 +29,7 @@ from arith_tqft.frobenius import (
     universal_mul,
     universal_phi,
 )
+from arith_tqft.pgroup import cyclic, heisenberg
 from arith_tqft.units import INF, one, sample_units, unit
 
 
@@ -120,19 +127,6 @@ def test_phi_is_determined_by_the_level():
 
 
 # -- matrices and the algebra --------------------------------------------------------
-
-
-def test_generic_matrix_algebra():
-    I2 = GenericMatrix.identity(2)
-    A = GenericMatrix(((1, 2), (3, 4)))
-    assert A @ I2 == A and I2 @ A == A
-    B = GenericMatrix(((0, 1), (1, 0)))
-    assert (A @ B).rows == ((2, 1), (4, 3))
-    K = I2.kron(B)
-    assert K.shape == (4, 4)
-    assert K.rows[0] == (0, 1, 0, 0)
-    with pytest.raises(ValidationError):
-        A @ GenericMatrix(((1, 2, 3),))
 
 
 def test_token_matrices_match_the_table():
@@ -252,3 +246,121 @@ def test_level_window_on_torus_tokens():
     assert e.value.code == "level-window"
     B = UniversalAlgebra(max_level=4)
     assert evaluate_diagram(parse_diagram("tor(4)"), B).shape == (2, 2)
+
+
+# -- evaluation against an independent Kronecker reference ----------------------------
+
+REFERENCE_ALGEBRAS = {
+    "universal": (UniversalAlgebra, 4),
+    "C3": (lambda: DWAlgebra(cyclic(3), 7), 4),
+    "C9": (lambda: DWAlgebra(cyclic(9), 19), 3),
+    "Heis3": (lambda: DWAlgebra(heisenberg(3), 61), 3),
+    # ℓ > 2²⁸: the counit entry 1/3 mod ℓ times a reduced entry can pass 2⁵³,
+    # so the evaluator must leave float64 for exact integers
+    "C3 exact": (lambda: DWAlgebra(cyclic(3), 268435459), 4),
+}
+KINDS_BY_INPUTS = {0: ("cap",), 1: ("id", "tw", "tor", "d", "cup"), 2: ("m", "swap")}
+REFERENCE_UNITS = [u for r in (1, 2, INF) for u in sample_units(3, 4, r)]
+REFERENCE_COST = 10**7  # multiply-adds the reference may spend on one diagram
+
+
+def _kron_reference(D, A):
+    """The product of np.kron-assembled slice matrices, exact, as tuples of rows."""
+    # int64 stays exact: k^width·(ℓ−1)² < 2⁶³ for every reduced product below
+    l = getattr(A, "l", None)
+    dtype, reduce = (object, lambda M: M) if l is None else (np.int64, lambda M: M % l)
+    total = np.eye(A.dim**D.in_arity, dtype=dtype)
+    for sl in D.slices:
+        S = np.ones((1, 1), dtype=dtype)
+        for tok in sl:
+            S = reduce(np.kron(S, np.array(A.token_matrix(tok).rows, dtype=dtype)))
+        total = reduce(S @ total)
+    return tuple(map(tuple, total.tolist()))
+
+
+@pytest.mark.parametrize("text", ["d, cup", "cap, m", "m, cap; m", "m, d; m, id"])
+@pytest.mark.parametrize("make", [UniversalAlgebra, lambda: DWAlgebra(cyclic(3), 7)])
+def test_state_never_outgrows_the_slice_boundaries(make, text, monkeypatch):
+    # a widening token applied before a narrowing one in the same slice would
+    # make the state k times wider than either boundary of that slice
+    A, D = make(), parse_diagram(text)
+    ensure_prechecked(A)
+    sizes, matmul = [], np.matmul
+
+    def recording_matmul(*args):
+        out = matmul(*args)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(np, "matmul", recording_matmul)
+    got = evaluate_diagram(D, A)
+    monkeypatch.undo()
+    widths = [D.in_arity] + [sum(t.arity[1] for t in sl) for sl in D.slices]
+    columns = A.dim ** min(D.in_arity, D.out_arity)
+    assert sizes and max(sizes) <= A.dim ** max(widths) * columns
+    assert got.rows == _kron_reference(D, A)
+
+
+@pytest.mark.parametrize("entries", [1, 50])
+def test_column_blocks_give_the_same_matrix(entries, monkeypatch):
+    monkeypatch.setattr(frobenius, "_STATE_ENTRIES", entries)
+    for A in (UniversalAlgebra(), DWAlgebra(cyclic(3), 7)):
+        ensure_prechecked(A)
+        for text in ("m, d; m, id", "d; d, id", "cap, id; swap; m; cup", "cap"):
+            D = parse_diagram(text)
+            assert evaluate_diagram(D, A).rows == _kron_reference(D, A), text
+
+
+def _random_token(rng, kind):
+    if kind == "tw":
+        return TWIST(rng.choice(REFERENCE_UNITS))
+    if kind == "tor":
+        return TORUS(rng.choice((1, 2, INF)))
+    return Token(kind)
+
+
+def _random_slice(rng, width, max_width):
+    while True:
+        toks, left = [], width
+        while left or rng.random() < 0.3:
+            kind = rng.choice([k for a, kinds in KINDS_BY_INPUTS.items() if a <= left for k in kinds])
+            toks.append(_random_token(rng, kind))
+            left -= toks[-1].arity[0]
+        if toks and sum(t.arity[1] for t in toks) <= max_width:
+            return toks
+
+
+def _random_diagram(rng, k, max_width):
+    while True:
+        width = rng.randint(0, max_width)
+        slices, cost = [], 0
+        for _ in range(rng.randint(1, 4)):
+            slices.append(_random_slice(rng, width, max_width))
+            out = sum(t.arity[1] for t in slices[-1])
+            cost += k ** (width + out)
+            width = out
+        D = Diagram(slices)
+        if cost * k**D.in_arity <= REFERENCE_COST:
+            return D
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_ALGEBRAS))
+def test_evaluation_matches_a_kronecker_reference(name):
+    make, max_width = REFERENCE_ALGEBRAS[name]
+    A = make()
+    rng = random.Random(20251018)
+    fixed = [
+        "m, id; m",  # out < in: evaluated top-down
+        "d; d, id",  # in < out
+        "cap, id; swap; m; cup",
+        "tw(4 mod 3^2), cap; id, d; m, id; cup, cup",
+        "; ".join(["d; m"] * 20),  # long enough to force a reduction mod ℓ
+    ]
+    diagrams = [parse_diagram(text) for text in fixed]
+    diagrams += [_random_diagram(rng, A.dim, max_width) for _ in range(30)]
+    kinds = {t.kind for D in diagrams for sl in D.slices for t in sl}
+    assert {"cup", "cap", "swap", "tw", "m", "d", "tor"} <= kinds
+    assert any(D.out_arity < D.in_arity for D in diagrams)
+    assert any(D.in_arity < D.out_arity for D in diagrams)
+    for D in diagrams:
+        assert evaluate_diagram(D, A).rows == _kron_reference(D, A), str(D)

@@ -7,9 +7,6 @@ import pytest
 from arith_tqft.errors import ValidationError
 from arith_tqft.pgroup import (
     FiniteGroup,
-    all_subgroups,
-    automorphism_count,
-    conjugacy_classes,
     cyclic,
     direct_product,
     elementary_abelian,
@@ -19,9 +16,6 @@ from arith_tqft.pgroup import (
     group_from_spec,
     heisenberg,
     is_p_group,
-    power_map,
-    subgroup_lattice,
-    sylow_p_subgroups,
 )
 from arith_tqft.units import INF, p_power_minus_one
 
@@ -32,7 +26,7 @@ def test_cyclic_basics():
     assert g.identity == 0
     assert g.mul(1, 2) == 0
     assert g.inv(2) == 1
-    assert len(conjugacy_classes(g)) == 3  # abelian: singleton classes
+    assert len(g.conjugacy_classes()) == 3  # abelian: singleton classes
     assert g.exponent() == 3
 
 
@@ -40,7 +34,7 @@ def test_heisenberg_class_equation():
     g = heisenberg(3)
     assert g.order == 27
     assert g.exponent() == 3
-    conj = conjugacy_classes(g)
+    conj = g.conjugacy_classes()
     assert len(conj) == 11
     assert sorted(conj.sizes) == [1, 1, 1] + [3] * 8
     assert sum(conj.sizes) == 27
@@ -52,7 +46,7 @@ def test_extraspecial_exp_p2():
     g = extraspecial_exp_p2(3)
     assert g.order == 27
     assert g.exponent() == 9
-    assert len(conjugacy_classes(g)) == 11
+    assert len(g.conjugacy_classes()) == 11
     assert not g.is_abelian()
 
 
@@ -65,20 +59,20 @@ def test_gl2_order_and_exponent():
 
 def test_power_map_conventions():
     g = cyclic(9)
-    assert power_map(g, 2, 3) == 6
-    assert power_map(g, 2, 0) == 0
+    assert g.power(2, 3) == 6
+    assert g.power(2, 0) == 0
     # negative exponents reduce mod the element order
-    assert power_map(g, 2, -1) == g.inv(2) == 7
+    assert g.power(2, -1) == g.inv(2) == 7
     # the infinite level enters through exponent p^r − 1 → −1
     assert p_power_minus_one(3, INF) == -1
     h = heisenberg(3)
     for x in range(h.order):
-        assert power_map(h, x, p_power_minus_one(3, INF)) == h.inv(x)
+        assert h.power(x, p_power_minus_one(3, INF)) == h.inv(x)
 
 
 def test_class_power_well_defined():
     g = heisenberg(3)
-    conj = conjugacy_classes(g)
+    conj = g.conjugacy_classes()
     for j in range(len(conj)):
         assert g.class_power(j, -1) == conj.inverse_class[j]
         assert g.class_power(j, 1) == j
@@ -91,7 +85,7 @@ def test_class_power_well_defined():
 
 def test_cyclic9_subgroups():
     g = cyclic(9)
-    subs = all_subgroups(g)
+    subs = g.all_subgroups()
     assert sorted(len(s) for s in subs) == [1, 3, 9]
 
 
@@ -99,7 +93,7 @@ def test_elementary_abelian_lattice():
     g = elementary_abelian(3, 2)
     assert g.order == 9
     assert g.is_abelian()
-    subs, contains = subgroup_lattice(g)
+    subs, contains = g.subgroup_lattice()
     assert sorted(len(s) for s in subs) == [1, 3, 3, 3, 3, 9]
     trivial_idx = next(i for i, s in enumerate(subs) if len(s) == 1)
     whole_idx = next(i for i, s in enumerate(subs) if len(s) == 9)
@@ -114,7 +108,7 @@ def test_elementary_abelian_lattice():
 
 def test_heisenberg_subgroup_list():
     g = heisenberg(3)
-    subs = all_subgroups(g)
+    subs = g.all_subgroups()
     # trivial + 13 C_3's + four order-9 planes above the centre + G itself
     assert sorted(len(s) for s in subs) == [1] + [3] * 13 + [9] * 4 + [27]
     assert all(27 % len(s) == 0 for s in subs)  # Lagrange
@@ -122,7 +116,7 @@ def test_heisenberg_subgroup_list():
 
 def test_sylow_gl2():
     g = gl2(3)
-    sylows = sylow_p_subgroups(g, 3)
+    sylows = g.sylow_p_subgroups(3)
     assert len(sylows) == 4
     assert all(len(s) == 3 for s in sylows)
     for i, a in enumerate(sylows):
@@ -136,30 +130,30 @@ def test_sylow_gl2():
 
 def test_sylow_degenerate_cases():
     h = heisenberg(3)
-    assert sylow_p_subgroups(h, 3) == [frozenset(range(27))]
+    assert h.sylow_p_subgroups(3) == [frozenset(range(27))]
     assert is_p_group(h, 3)
     assert not is_p_group(gl2(3), 3)
-    assert sylow_p_subgroups(cyclic(9), 2) == [frozenset({0})]
+    assert cyclic(9).sylow_p_subgroups(2) == [frozenset({0})]
 
 
 def test_automorphism_counts():
-    assert automorphism_count(cyclic(3)) == 2
-    assert automorphism_count(cyclic(9)) == 6
+    assert cyclic(3).automorphism_count() == 2
+    assert cyclic(9).automorphism_count() == 6
     # Aut((Z/3)²) = GL_2(F_3)
-    assert automorphism_count(elementary_abelian(3, 2)) == 48
-    assert automorphism_count(heisenberg(3)) == 432
-    assert automorphism_count(heisenberg(5)) == 12000
+    assert elementary_abelian(3, 2).automorphism_count() == 48
+    assert heisenberg(3).automorphism_count() == 432
+    assert heisenberg(5).automorphism_count() == 12000
     # three generators: the candidate grid of 26³ images spans several chunks
-    assert automorphism_count(elementary_abelian(3, 3)) == 11232  # |GL_3(F_3)|
-    assert automorphism_count(elementary_abelian(5, 2)) == 480  # |GL_2(F_5)|
+    assert elementary_abelian(3, 3).automorphism_count() == 11232  # |GL_3(F_3)|
+    assert elementary_abelian(5, 2).automorphism_count() == 480  # |GL_2(F_5)|
 
 
 def test_subgroup_as_group():
     g = cyclic(9)
-    sub = next(s for s in all_subgroups(g) if len(s) == 3)
+    sub = next(s for s in g.all_subgroups() if len(s) == 3)
     h, ambient = sub and g.subgroup_as_group(sub)
     assert h.order == 3
-    assert len(conjugacy_classes(h)) == 3
+    assert len(h.conjugacy_classes()) == 3
     assert sorted(ambient) == sorted(sub)
 
 
@@ -167,7 +161,7 @@ def test_direct_product_matches_elementary_abelian():
     g = direct_product(cyclic(3), cyclic(3))
     assert g.order == 9
     assert g.is_abelian()
-    assert len(all_subgroups(g)) == 6
+    assert len(g.all_subgroups()) == 6
     assert g.exponent() == 3
 
 
@@ -175,8 +169,8 @@ def test_permutation_closure():
     # S_3 from a transposition and a 3-cycle
     g = from_permutations([(1, 0, 2), (1, 2, 0)], degree=3)
     assert g.order == 6
-    assert len(conjugacy_classes(g)) == 3
-    assert sorted(conjugacy_classes(g).sizes) == [1, 2, 3]
+    assert len(g.conjugacy_classes()) == 3
+    assert sorted(g.conjugacy_classes().sizes) == [1, 2, 3]
 
 
 def test_group_from_spec_strings():
