@@ -14,6 +14,7 @@ reproducible artifact.  Tables never retry a seed, so the seed is always 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -310,6 +311,10 @@ def build_parser() -> _Parser:
     return parser
 
 
+# argparse setup costs a few milliseconds per call, so one process builds it once
+_parser = functools.cache(build_parser)
+
+
 def _print_pretty(obj, stream):
     width = max((len(str(k)) for k in obj), default=0)
     for key, value in obj.items():
@@ -322,7 +327,7 @@ def _print_pretty(obj, stream):
 def run(argv=None) -> int:
     """Parse argv, run one command, print its output; returns the exit code."""
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         lines = args.handler(args)
     except ValidationError as e:
         print(json.dumps({"error": e.code, "message": e.message}), file=sys.stderr)

@@ -221,9 +221,12 @@ class DWAlgebra:
             key = (tok.kind,)
         if key not in self._matrices:
             exact = _exact_generator(self.group, tok)
-            self._matrices[key] = ModMatrix(
-                [[_mod_scalar(x, self.l) for x in row] for row in exact.rows], self.l
-            )
+            if tok.kind == "cup":  # the only non-integer row: 1/|Γ| at the identity class
+                N = self.group.order
+                scaled = np.array([[int(x * N) for x in row] for row in exact.rows], dtype=np.int64)
+                self._matrices[key] = ModMatrix(scaled * pow(N, -1, self.l), self.l)
+            else:
+                self._matrices[key] = ModMatrix(exact.rows, self.l)
         return self._matrices[key]
 
     def default_levels(self):
@@ -237,12 +240,6 @@ class DWAlgebra:
         for r in levels:
             out.extend(sample_units(self.p, prec, r, count=3) if r != INF else [one(self.p, prec)])
         return out
-
-
-def _mod_scalar(x, l: int) -> int:
-    if isinstance(x, Fraction):
-        return x.numerator * pow(x.denominator, -1, l) % l
-    return int(x) % l
 
 
 def _algebra(G, l: int) -> DWAlgebra:

@@ -14,6 +14,13 @@ boundary class, the generated subgroup's order, and surjectivity, so the
 quotient is count-preserving.  `raw=True` turns it off (useful for timing the
 honest full scan).
 
+The epi and p-image tests need the order of the subgroup a tuple generates.
+The scan carries the id of the subgroup generated by the letters chosen so
+far and extends it one letter at a time, ⟨H, x⟩, through a memo that runs
+`FiniteGroup.closure` once per (subgroup, element) pair.  This is not a
+second shortcut on the tuple space: every tuple is still visited and tested,
+and the memo only saves recomputing a closure already computed.
+
 Budgets are enforced on the predicted loop count before any work starts; the
 reported "scanned" figure is the logical search space the run accounts for,
 which is the same with or without the conjugation quotient.
@@ -26,6 +33,8 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+
+import numpy as np
 
 from .dw import FREE, RelatorSpec
 from .errors import ValidationError
@@ -96,9 +105,10 @@ def _mul_tables(G: FiniteGroup):
     key = ("oracle-tables",)
     if key not in G._cache:
         n = G.order
-        rows = [[G.mul(a, b) for b in range(n)] for a in range(n)]
-        comm = [[G.commutator(a, b) for b in range(n)] for a in range(n)]
-        G._cache[key] = (rows, comm)
+        t = np.array(G._t, dtype=np.int64).reshape(n, n)
+        inv = np.array(G.inverse, dtype=np.int64)
+        comm = t[t, t[inv][:, inv]]  # [a, b] = (ab)·(a⁻¹b⁻¹)
+        G._cache[key] = (t.tolist(), comm.tolist())
     return G._cache[key]
 
 
@@ -109,12 +119,41 @@ def _power_table(G: FiniteGroup, exponent: int):
     return G._cache[key]
 
 
-def _closure_size(G: FiniteGroup, elements) -> int:
-    cache = G._cache.setdefault(("closure-sizes",), {})
-    key = frozenset(elements)
-    if key not in cache:
-        cache[key] = len(G.closure(key))
-    return cache[key]
+class _Joins:
+    """Subgroups met by one scan, as integer ids, with a memo of ⟨H, x⟩.
+
+    `join(h, x)` is the id of the subgroup generated by subgroup `h` and
+    element `x`.  It runs `G.closure` the first time a (h, x) pair comes up,
+    on the generators that first produced `h` plus `x`, and reads the memo
+    after that.  `good[h]` says whether subgroup `h` passes the scan's accept
+    test.  Id 0 is the trivial subgroup.
+    """
+
+    def __init__(self, G: FiniteGroup, accept_size):
+        self.G = G
+        self.accept_size = accept_size
+        self.ids: dict = {}
+        self.gens: list = []
+        self.good: list = []
+        self.rows: list = []  # rows[h][x]: the id of ⟨h, x⟩, or None until asked for
+        self._register(frozenset((G.identity,)), ())
+
+    def _register(self, elements: frozenset, gens: tuple) -> int:
+        h = self.ids.get(elements)
+        if h is None:
+            h = self.ids[elements] = len(self.gens)
+            self.gens.append(gens)
+            self.good.append(self.accept_size(len(elements)))
+            self.rows.append([None] * self.G.order)
+        return h
+
+    def join(self, h: int, x: int) -> int:
+        row = self.rows[h]
+        j = row[x]
+        if j is None:
+            gens = self.gens[h] + (x,)
+            j = row[x] = self._register(self.G.closure(gens), gens)
+        return j
 
 
 def _scan(task: EnumerationTask, need_epi: bool):
@@ -122,6 +161,12 @@ def _scan(task: EnumerationTask, need_epi: bool):
 
     `scanned` is the number of tuples the run accounts for: the product of the
     candidate-set sizes, independent of the conjugation quotient.
+
+    When the tuple must generate Γ (`need_epi`) or a p-group (`p_image`), the
+    scan carries the id of the subgroup its prefix generates and extends it
+    one letter at a time through a `_Joins` memo.  Every tuple is still
+    visited and checked; the memo only keeps the scan from recomputing a
+    closure it has already seen, and skips nothing.
     """
     G, spec = task.group, task.spec
     N, ident = G.order, G.identity
@@ -166,15 +211,16 @@ def _scan(task: EnumerationTask, need_epi: bool):
             f"scan needs {predicted} loop steps; raise the budget to at least {predicted} (configured {budget})",
         )
 
-    def accept(chosen) -> int:
-        if task.p_image and not is_power_of(_closure_size(G, chosen), p):
-            return 0
-        if need_epi and _closure_size(G, chosen) != N:
-            return 0
-        return 1
+    def accept_size(size: int) -> bool:
+        if task.p_image and not is_power_of(size, p):
+            return False
+        return not need_epi or size == N
 
+    if need_tuple:
+        subgroups = _Joins(G, accept_size)
+        join, good = subgroups.join, subgroups.good
     if letters == 0:
-        return accept(()) , scanned
+        return (int(good[0]) if need_tuple else 1), scanned
 
     rows, comm = _mul_tables(G)
     total = 0
@@ -182,8 +228,12 @@ def _scan(task: EnumerationTask, need_epi: bool):
     if spec.is_free:
         # constraint-only scan: every tuple satisfies the (absent) relator
         for x1, mult in outer:
+            h1 = join(0, x1)
             for rest in product(*cand[1:]):
-                total += mult * accept((x1, *rest))
+                h = h1
+                for x in rest:
+                    h = join(h, x)
+                total += mult * good[h]
         return total, scanned
 
     xp = _power_table(G, p_power(p, spec.r)) if spec.r != INF else None
@@ -195,39 +245,46 @@ def _scan(task: EnumerationTask, need_epi: bool):
             head = rows[xp[x1]] if xp is not None else rows[ident]
             cx = comm[x1]
             if need_tuple:
+                h = join(0, x1)
                 for y1 in y_cands:
                     if head[cx[y1]] == ident:
-                        total += mult * accept((x1, y1))
+                        total += mult * good[join(h, y1)]
             else:
                 total += mult * sum(1 for y1 in y_cands if head[cx[y1]] == ident)
         return total, scanned
 
-    def descend(pair: int, prefix: int, chosen: tuple, mult: int):
+    def descend(pair: int, prefix: int, h, mult: int):
         nonlocal total
         xs, ys = cand[2 * pair], cand[2 * pair + 1]
+        prow = rows[prefix]
         if pair == n - 1:
-            prow = rows[prefix]
             for x in xs:
                 cx = comm[x]
                 if need_tuple:
+                    hx = join(h, x)
                     for y in ys:
                         if prow[cx[y]] == ident:
-                            total += mult * accept(chosen + (x, y))
+                            total += mult * good[join(hx, y)]
                 else:
                     total += mult * sum(1 for y in ys if prow[cx[y]] == ident)
             return
-        prow = rows[prefix]
         for x in xs:
             cx = comm[x]
-            for y in ys:
-                descend(pair + 1, prow[cx[y]], chosen + (x, y), mult)
+            if need_tuple:
+                hx = join(h, x)
+                for y in ys:
+                    descend(pair + 1, prow[cx[y]], join(hx, y), mult)
+            else:
+                for y in ys:
+                    descend(pair + 1, prow[cx[y]], None, mult)
 
     for x1, mult in outer:
         start = xp[x1] if xp is not None else ident
         cx = comm[x1]
         srow = rows[start]
+        h = join(0, x1) if need_tuple else None
         for y1 in cand[1]:
-            descend(1, srow[cx[y1]], (x1, y1), mult)
+            descend(1, srow[cx[y1]], join(h, y1) if need_tuple else None, mult)
     return total, scanned
 
 
@@ -286,14 +343,10 @@ def _pants_table(G: FiniteGroup):
     if key not in G._cache:
         conj = G.conjugacy_classes()
         k, N = len(conj), G.order
-        cls = conj.class_of
-        rows, _ = _mul_tables(G)
-        table = [[[0] * k for _ in range(k)] for _ in range(k)]
-        for x in range(N):
-            ci, row = cls[x], rows[x]
-            for y in range(N):
-                table[ci][cls[y]][cls[row[y]]] += 1
-        G._cache[key] = table
+        cls = np.array(conj.class_of, dtype=np.int64)
+        t = np.array(G._t, dtype=np.int64).reshape(N, N)
+        cell = (cls[:, None] * k + cls[None, :]) * k + cls[t]  # the (i, j, m) of every pair (x, y)
+        G._cache[key] = np.bincount(cell.ravel(), minlength=k**3).reshape(k, k, k).tolist()
     return G._cache[key]
 
 
@@ -307,17 +360,15 @@ def _torus_table(G: FiniteGroup, r):
     if key not in G._cache:
         conj = G.conjugacy_classes()
         k, N = len(conj), G.order
-        cls = conj.class_of
+        cls = np.array(conj.class_of, dtype=np.int64)
         rows, comm = _mul_tables(G)
+        t = np.array(rows, dtype=np.int64)
         xq = _power_table(G, q)
-        table = [[0] * k for _ in range(k)]
+        table = np.zeros(k * k, dtype=np.int64)
         for a in range(N):
-            qa_row, ca = rows[xq[a]], comm[a]
-            for b in range(N):
-                core = qa_row[ca[b]]
-                for x in range(N):
-                    table[cls[x]][cls[rows[x][core]]] += 1
-        G._cache[key] = table
+            core = t[xq[a], comm[a]]  # a^q·[a, b] for every b
+            table += np.bincount((cls[:, None] * k + cls[t[:, core]]).ravel(), minlength=k * k)
+        G._cache[key] = table.reshape(k, k).tolist()
     return G._cache[key]
 
 

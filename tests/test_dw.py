@@ -206,6 +206,19 @@ def test_algebra_validation():
         DWAlgebra(cyclic(1), 7)
 
 
+def test_token_matrices_reduce_the_exact_generators():
+    for G, l in ((C3, 7), (C9, 19), (HEIS, 61), (heisenberg(5), 251), (C3, 268435459)):
+        A = DWAlgebra(G, l)
+        p = A.p
+        for text in ("m", "d", "cup", "cap", "id", "swap", "tor(1)", "tor(inf)", f"tw({1 + p} mod {p}^3)"):
+            tok = parse_diagram(text).slices[0][0]
+            want = [
+                [x.numerator * pow(x.denominator, -1, l) % l if isinstance(x, Fraction) else x % l for x in row]
+                for row in dw_generator_map_exact(G, tok).rows
+            ]
+            assert np.array_equal(A.token_matrix(tok).a, np.array(want, dtype=np.int64)), (G.order, l, text)
+
+
 def test_algebra_shape():
     A = DWAlgebra(HEIS, 61)
     assert (A.dim, A.p, len(A.basis_names)) == (11, 3, 11)

@@ -1,5 +1,8 @@
 """Brute-force enumeration cross-checks for every closed-form count in the package."""
 
+from collections import Counter
+from itertools import product
+
 import pytest
 
 from arith_tqft.cobordism import P12, P21, TORUS, Token
@@ -13,6 +16,8 @@ from arith_tqft.dw import (
 from arith_tqft.errors import ValidationError
 from arith_tqft.oracle import (
     EnumerationTask,
+    _pants_table,
+    _torus_table,
     count_epis,
     count_solutions,
     decorated_generator_count,
@@ -20,9 +25,11 @@ from arith_tqft.oracle import (
     task_from_json,
 )
 from arith_tqft.pgroup import (
+    FiniteGroup,
     cyclic,
     elementary_abelian,
     extraspecial_exp_p2,
+    from_permutations,
     gl2,
     heisenberg,
 )
@@ -33,6 +40,7 @@ C9 = cyclic(9)
 E9 = elementary_abelian(3, 2)
 HEIS = heisenberg(3)
 XSP = extraspecial_exp_p2(3)
+D8 = from_permutations([[1, 2, 3, 0], [3, 2, 1, 0]], degree=4)
 GRID_GROUPS = (C3, C9, E9, HEIS, XSP)
 
 
@@ -76,6 +84,74 @@ def test_scan_agrees_with_character_formula_on_a_grid():
                     n,
                     str(r),
                 )
+
+
+def _is_p_power(size: int, p: int) -> bool:
+    while size % p == 0:
+        size //= p
+    return size == 1
+
+
+def _tuple_reference(task: EnumerationTask, epis: bool) -> int:
+    """The count by a closure of every tuple from itertools.product, with no memo or quotient."""
+    G, spec = task.group, task.spec
+    p = task.p or next(q for q in range(2, G.order + 1) if G.order % q == 0)
+    classes = G.conjugacy_classes().class_of
+    bound = dict(task.boundary)
+    letters = [
+        [x for x in range(G.order) if classes[x] == classes[bound[i]]] if i in bound else range(G.order)
+        for i in range(spec.letters())
+    ]
+    total = 0
+    for xs in product(*letters):
+        if not spec.is_free:
+            word = G.identity if spec.r == INF else G.power(xs[0], p**spec.r)
+            for i in range(spec.n):
+                word = G.mul(word, G.commutator(xs[2 * i], xs[2 * i + 1]))
+            if word != G.identity:
+                continue
+        size = len(G.closure(xs))
+        if epis and size != G.order:
+            continue
+        if task.p_image and not _is_p_power(size, p):
+            continue
+        total += 1
+    return total
+
+
+def test_join_tracked_scans_match_a_closure_per_tuple():
+    tasks = [EnumerationTask(C3, RelatorSpec(3, r)) for r in (1, 2, INF)]  # the middle level of descend
+    tasks += [EnumerationTask(G, RelatorSpec(2, r)) for G in (E9, D8) for r in (1, 2, INF)]
+    tasks += [EnumerationTask(HEIS, RelatorSpec(1, r)) for r in (1, 2, INF)]
+    tasks += [
+        EnumerationTask(HEIS, RelatorSpec(1, 1), boundary={1: HEIS.conjugacy_classes().reps[3]}),
+        EnumerationTask(E9, RelatorSpec(2, 1), boundary={0: 1, 3: 2}),
+        EnumerationTask(D8, RelatorSpec(2, INF), raw=True),
+        EnumerationTask(E9, FREE(2)),
+        EnumerationTask(D8, FREE(2), boundary={1: 1}),
+        EnumerationTask(gl2(3), RelatorSpec(1, 1), p=3, p_image=True),
+        EnumerationTask(gl2(3), RelatorSpec(1, INF), p=3, p_image=True),
+        EnumerationTask(gl2(3), FREE(2), p=3, p_image=True),
+    ]
+    for task in tasks:
+        label = (task.group.order, str(task.spec), task.boundary, task.raw, task.p_image)
+        assert count_epis(task) == _tuple_reference(task, epis=True), label
+        if task.p_image or task.spec.is_free:
+            assert count_solutions(task) == _tuple_reference(task, epis=False), label
+
+
+def test_a_scan_closes_each_subgroup_element_pair_once():
+    G = FiniteGroup(HEIS._t)  # a fresh group: no memo carried over from other tests
+    calls = Counter()
+
+    def closure(gens):
+        gens = tuple(gens)
+        calls[FiniteGroup.closure(G, gens[:-1]), gens[-1]] += 1
+        return FiniteGroup.closure(G, gens)
+
+    G.closure = closure
+    assert count_epis(EnumerationTask(G, RelatorSpec(2, 1))) == epi_count(RelatorSpec(2, 1), HEIS)
+    assert calls and max(calls.values()) == 1
 
 
 def test_scan_agrees_with_moebius_epi_formula():
@@ -206,6 +282,26 @@ def test_decorated_entries_match_the_gauge_theory_matrices():
             for i in range(k):
                 for o in range(k):
                     assert t.rows[o][i] == decorated_generator_count(G, TORUS(r), i, o)
+
+
+def test_decorated_tables_match_plain_loops():
+    for G in (C9, HEIS, XSP):
+        classes, N = G.conjugacy_classes().class_of, G.order
+        k = max(classes) + 1
+        pants = [[[0] * k for _ in range(k)] for _ in range(k)]
+        for x in range(N):
+            for y in range(N):
+                pants[classes[x]][classes[y]][classes[G.mul(x, y)]] += 1
+        assert _pants_table(G) == pants
+        for r in (1, 2, INF):
+            torus = [[0] * k for _ in range(k)]
+            for a in range(N):
+                head = G.identity if r == INF else G.power(a, 3**r)
+                for b in range(N):
+                    core = G.mul(head, G.commutator(a, b))
+                    for x in range(N):
+                        torus[classes[x]][classes[G.mul(x, core)]] += 1
+            assert _torus_table(G, r) == torus, (N, str(r))
 
 
 def test_decorated_validation():
