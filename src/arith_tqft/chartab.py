@@ -190,7 +190,7 @@ def character_table_mod(G: FiniteGroup, l: int, seed: int = 0) -> CharacterTable
     k, n = len(conj), G.order
     if k * (l - 1) ** 2 >= 2**63:
         raise ValidationError("bound-exceeded", f"k·(ℓ−1)² ≥ 2⁶³ for k = {k}, ℓ = {l}: int64 dot products would wrap")
-    a = np.array(G.structure_constants(), dtype=np.int64)
+    a = G.structure_constants()
     cls_e = conj.class_of[G.identity]
 
     # e = Σ_χ (χ(1)²/|Γ|)·ω_χ meets every eigenspace; split it by a seeded combination, then by each M_i
@@ -272,27 +272,7 @@ def char_sum(table: CharacterTableMod, r, p: int | None = None) -> tuple:
     )
 
 
-def recover_integer(pairs, bound: int) -> int:
-    """Centered Chinese-remainder lift of residue/modulus pairs, |result| ≤ bound.
-
-    A single pair (r, ℓ) gives the centered lift of r mod ℓ, which is exact once ℓ > 2·bound.
-    """
-    modulus = 1
-    x = 0
-    for res, m in pairs:
-        res %= m
-        try:
-            g = pow(modulus, -1, m)
-        except ValueError:
-            raise ValidationError("bad-spec", "recovery moduli must be pairwise coprime") from None
-        x = x + modulus * ((res - x) * g % m)
-        modulus *= m
-    if modulus <= 2 * bound:
-        raise ComputationError(
-            "need-more-primes",
-            f"CRT modulus {modulus} cannot separate values up to ±{bound}; supply more primes",
-        )
-    x %= modulus
-    if x > modulus // 2:
-        x -= modulus
-    return x
+def recover_integer(res: int, l: int) -> int:
+    """The centered lift of res mod ℓ: the integer in (−ℓ/2, ℓ/2] it stands for, exact once ℓ > 2·|value|."""
+    res %= l
+    return res - l if res > l // 2 else res

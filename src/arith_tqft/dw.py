@@ -4,10 +4,11 @@ For a finite p-group Γ the class functions on Γ — the center of the group
 algebra under convolution — form a 𝕌_p-extended Frobenius algebra: the counit
 evaluates at the identity and divides by |Γ|, the unit is the indicator of the
 identity class, and the unit group acts by the power maps g ↦ g^α (reduced
-mod exponent Γ), which permute conjugacy classes.  `DWAlgebra` builds the
-structural matrices of this algebra in the class-indicator basis, exactly over
-ℚ and reduced mod split primes ℓ, and plugs into the generic evaluator and
-axiom checker in `frobenius`.
+mod exponent Γ), which permute conjugacy classes.  In the class-indicator
+basis every generator is an int64 array read from the group's one
+structure-constant array (the counit scaled by |Γ|); `DWAlgebra` reduces these
+mod a split prime ℓ and plugs into the generic evaluator and axiom checker in
+`frobenius`, and `dw_generator_map_exact` gives them over ℚ.
 
 On top of the algebra sit the counting formulas: `hom_count` recovers the
 number of homomorphisms from a one-relator surface group into Γ from integer
@@ -27,9 +28,9 @@ import numpy as np
 from .chartab import char_sum, character_table_mod, recover_integer, split_primes
 from .cobordism import Diagram, Token
 from .errors import ComputationError, ValidationError
-from .frobenius import GenericMatrix, ModMatrix, evaluate_diagram
+from .frobenius import STRUCTURAL_AXIOMS, GenericMatrix, ModMatrix, evaluate_diagram
 from .pgroup import FiniteGroup, group_from_spec, group_prime, is_prime
-from .units import INF, PadicUnit, is_valid_level, level_to_json, one, p_power, sample_units
+from .units import INF, PadicUnit, is_valid_level, level_to_json, p_power
 
 
 # -- relator specs -------------------------------------------------------------------
@@ -92,8 +93,7 @@ def _exponent_val(G: FiniteGroup, p: int) -> int:
     return e
 
 
-def _twist_exponent(G: FiniteGroup, u: PadicUnit) -> int:
-    p = group_prime(G)
+def _twist_exponent(G: FiniteGroup, p: int, u: PadicUnit) -> int:
     if u.p != p:
         raise ValidationError("incompatible-units", f"{u} twists a {u.p}-adic theory, the group is a {p}-group")
     e = _exponent_val(G, p)
@@ -112,68 +112,63 @@ def _torus_exponent(G: FiniteGroup, p: int, r) -> int:
     return (1 - p_power(p, r)) % G.exponent()
 
 
-def _exact_generator(G: FiniteGroup, tok: Token) -> GenericMatrix:
-    """The matrix of one generator token in the class-indicator basis, over ℚ.
-
-    Entries are integers except for the counit row, which carries 1/|Γ|.
-    Columns of a k²-legged token are indexed row-major, leftmost strand first,
-    matching the strand order of the generic evaluator.
-    """
+def _generator_key(G: FiniteGroup, p: int, tok: Token) -> tuple:
+    """What a generator's matrix depends on: its kind, and the power-map exponent of a tw or tor."""
     kind = tok.kind
     if kind == "tw":
-        key = ("dw-exact", "tw", _twist_exponent(G, tok.unit))
-    elif kind == "tor":
-        key = ("dw-exact", "tor", _torus_exponent(G, group_prime(G), tok.level))
-    elif kind in ("m", "d", "cup", "cap", "id", "swap"):
-        key = ("dw-exact", kind)
-    else:
-        raise ValidationError("unknown-token", f"no gauge-theory image for token kind {tok.kind!r}")
-    if key in G._cache:
-        return G._cache[key]
+        return ("tw", _twist_exponent(G, p, tok.unit))
+    if kind == "tor":
+        return ("tor", _torus_exponent(G, p, tok.level))
+    if kind in ("m", "d", "cup", "cap", "id", "swap"):
+        return (kind,)
+    raise ValidationError("unknown-token", f"no gauge-theory image for token kind {tok.kind!r}")
 
+
+def _generator(G: FiniteGroup, key: tuple) -> np.ndarray:
+    """The int64 matrix of one generator in the class-indicator basis, cup scaled by |Γ|.
+
+    Every entry is an integer except the counit's 1/|Γ| at the identity
+    class, so `cup` is stored as |Γ|·ε.  Columns of a k²-legged token are
+    indexed row-major, leftmost strand first, matching the strand order of
+    the generic evaluator.  Built from one structure-constant array; cached,
+    read-only, in the group.
+    """
+    cache_key = ("dw-exact",) + key
+    if cache_key in G._cache:
+        return G._cache[cache_key]
     conj = G.conjugacy_classes()
-    k, N = len(conj), G.order
+    k, kind = len(conj), key[0]
     if kind == "id":
-        mat = GenericMatrix.identity(k)
+        mat = np.eye(k, dtype=np.int64)
     elif kind == "swap":  # the basis tensor (c, d) goes to (d, c)
-        eye = np.eye(k * k, dtype=np.int64).reshape(k, k, k, k)
-        mat = GenericMatrix(eye.transpose(0, 1, 3, 2).reshape(k * k, -1).tolist())
-    elif kind == "cup":
-        e_class = conj.class_of[G.identity]
-        mat = GenericMatrix((tuple(Fraction(1, N) if j == e_class else 0 for j in range(k)),))
-    elif kind == "cap":
-        e_class = conj.class_of[G.identity]
-        mat = GenericMatrix(tuple((int(j == e_class),) for j in range(k)))
-    elif kind == "m":
-        sc = G.structure_constants()
-        mat = GenericMatrix(
-            tuple(tuple(sc[i][j][m] for i in range(k) for j in range(k)) for m in range(k))
-        )
-    elif kind == "d":
-        sc = G.structure_constants()
-        mat = GenericMatrix(
-            tuple(
-                tuple(conj.centralizers[a] * sc[conj.inverse_class[a]][j][c] for j in range(k))
-                for a in range(k)
-                for c in range(k)
-            )
-        )
-    elif kind == "tw":  # the class permutation K ↦ K^c
-        mat = GenericMatrix(np.eye(k, dtype=np.int64)[:, [G.class_power(i, key[2]) for i in range(k)]].tolist())
-    else:  # tor = m∘(tw⊗id)∘d, and tw permutes the classes
-        perm = [G.class_power(i, key[2]) for i in range(k)]
-        m_ = np.array(_exact_generator(G, Token("m")).rows, dtype=np.int64).reshape(k, k, k)
-        d_ = np.array(_exact_generator(G, Token("d")).rows, dtype=np.int64)
-        mat = GenericMatrix((m_[:, perm, :].reshape(k, k * k) @ d_).tolist())
-    G._cache[key] = mat
+        mat = np.eye(k * k, dtype=np.int64).reshape(k, k, k, k).transpose(0, 1, 3, 2).reshape(k * k, -1)
+    elif kind in ("cup", "cap"):  # the identity-class indicator, as a row or a column
+        mat = np.eye(1, k, conj.class_of[G.identity], dtype=np.int64)
+        mat = mat.T if kind == "cap" else mat
+    elif kind == "m":  # m[c, (a, b)] = a_{abc}
+        mat = G.structure_constants().transpose(2, 0, 1).reshape(k, k * k)
+    elif kind == "d":  # d[(a, c), b] = |C(g_a)|·a_{a⁻¹, b, c}
+        sc = G.structure_constants()[list(conj.inverse_class)]
+        mat = (np.array(conj.centralizers)[:, None, None] * sc).transpose(0, 2, 1).reshape(k * k, k)
+    else:  # tw is the class permutation K ↦ K^c, and tor = m∘(tw⊗id)∘d
+        perm = [G.class_power(i, key[1]) for i in range(k)]
+        mat = np.eye(k, dtype=np.int64)[:, perm]
+        if kind == "tor":
+            m = _generator(G, ("m",)).reshape(k, k, k)
+            mat = m[:, perm, :].reshape(k, k * k) @ _generator(G, ("d",))
+    mat = np.ascontiguousarray(mat)
+    mat.flags.writeable = False
+    G._cache[cache_key] = mat
     return mat
 
 
 def dw_generator_map_exact(G, token: Token) -> GenericMatrix:
-    """Exact rational matrix of a generator token on the class functions of Γ."""
+    """Exact rational matrix of a generator token on the class functions of Γ (cup carries 1/|Γ|)."""
     G = group_from_spec(G)
-    group_prime(G)
-    return _exact_generator(G, token)
+    mat = _generator(G, _generator_key(G, group_prime(G), token)).tolist()
+    if token.kind == "cup":
+        mat = [[Fraction(x, G.order) if x else 0 for x in row] for row in mat]
+    return GenericMatrix(mat)
 
 
 def dw_generator_map(G, l: int, token: Token) -> ModMatrix:
@@ -188,7 +183,7 @@ class DWAlgebra:
     """Class functions on a finite p-group Γ, with scalars in 𝔽_ℓ.
 
     Satisfies the same protocol as the universal algebra (`dim`, `max_dim`,
-    `basis_names`, `token_matrix`, `default_levels`, `default_unit_samples`),
+    `basis_names`, `token_matrix`, `default_levels`, `p`, `precheck`),
     so `frobenius.evaluate_diagram` and `frobenius.check_axioms` drive it
     unchanged: their contraction keeps the state in float64 BLAS products,
     reduced mod ℓ only when exactness needs it.
@@ -196,8 +191,9 @@ class DWAlgebra:
     """
 
     max_dim = 4096
+    precheck = STRUCTURAL_AXIOMS
 
-    def __init__(self, G, l: int, precheck=("F1", "F2", "F3", "F4", "F5", "FS")):
+    def __init__(self, G, l: int):
         self.group = group_from_spec(G)
         self.p = group_prime(self.group)
         if not is_prime(l):
@@ -209,37 +205,20 @@ class DWAlgebra:
         self.dim = len(conj)
         self.basis_names = tuple(f"K({self.group.names[rep]})" for rep in conj.reps)
         self.name = f"dw(order-{self.group.order} group, ℓ={l})"
-        self.precheck = tuple(precheck)
         self._matrices: dict = {}
 
     def token_matrix(self, tok: Token) -> ModMatrix:
-        if tok.kind == "tw":
-            key = ("tw", _twist_exponent(self.group, tok.unit))
-        elif tok.kind == "tor":
-            key = ("tor", _torus_exponent(self.group, self.p, tok.level))
-        else:
-            key = (tok.kind,)
+        key = _generator_key(self.group, self.p, tok)
         if key not in self._matrices:
-            exact = _exact_generator(self.group, tok)
-            if tok.kind == "cup":  # the only non-integer row: 1/|Γ| at the identity class
-                N = self.group.order
-                scaled = np.array([[int(x * N) for x in row] for row in exact.rows], dtype=np.int64)
-                self._matrices[key] = ModMatrix(scaled * pow(N, -1, self.l), self.l)
-            else:
-                self._matrices[key] = ModMatrix(exact.rows, self.l)
+            mat = _generator(self.group, key)
+            if key == ("cup",):  # stored as |Γ|·ε
+                mat = mat * pow(self.group.order, -1, self.l)
+            self._matrices[key] = ModMatrix(mat, self.l)
         return self._matrices[key]
 
     def default_levels(self):
         e = _exponent_val(self.group, self.p)
         return tuple(range(1, e + 1)) + (INF,)
-
-    def default_unit_samples(self, levels):
-        out = []
-        finite = [r for r in levels if r != INF]
-        prec = (max(finite) if finite else 1) + 2
-        for r in levels:
-            out.extend(sample_units(self.p, prec, r, count=3) if r != INF else [one(self.p, prec)])
-        return out
 
 
 def _algebra(G, l: int) -> DWAlgebra:
@@ -280,7 +259,7 @@ def _surface_hom_count(G: FiniteGroup, n: int, r) -> tuple[int, list[int]]:
     table = character_table_mod(G, l)
     sums = char_sum(table, r, p=group_prime(G))
     value = sum(
-        (G.order // deg) ** (2 * n - 2) * recover_integer([(s_rho, l)], bound)
+        (G.order // deg) ** (2 * n - 2) * recover_integer(s_rho, l)
         for deg, s_rho in zip(table.degrees, sums)
     )
     if value < 0:

@@ -6,8 +6,11 @@ to
 
     2·[r] = 0,      [r]·[r'] = h·([r] + [r'] - [min(r, r')]),      [inf] = 0.
 
-A scalar is therefore "an integer polynomial plus an 𝔽₂[h, t]-combination of
-brackets".  The algebra itself has basis (1, x) with
+Mod 2 the second relation reads [r]·[r'] = h·[max(r, r')], so the scalars are
+ℤ[h, t] graded by the max-semilattice of levels, with level 0 (where [0] = 1)
+the free part over ℤ and every level r ≥ 1 over 𝔽₂.  A `UniversalScalar` is
+one sorted map of terms ((r, i, j), c) for Σ c·h^i·t^j·[r], and the product of
+two terms is one term.  The algebra itself has basis (1, x) with
 
     x² = t + h·x,        Δ(1) = 1⊗x + x⊗1 - h·1⊗1,      Δ(x) = t·1⊗1 + x⊗x,
     ε(1) = 0, ε(x) = 1,  φ_α(x) = [level(α)] + x.
@@ -16,15 +19,17 @@ Every identity that holds here holds in any specialization, which is what makes
 this the universal target for symbolic evaluation of cobordism diagrams.
 
 `evaluate_diagram` and `check_axioms` are generic: they drive any algebra
-object exposing `dim`, `max_dim`, `basis_names` and `token_matrix` (see
-dw.DWAlgebra for the finite-group specialization); `ModMatrix` token matrices
-mark scalars in 𝔽_ℓ.  Both go through one contraction, `_contract`,
-in which every generator acts on its own strands of a single state.
+object exposing `dim`, `max_dim`, `basis_names`, `token_matrix`, `p`,
+`default_levels` and `precheck` (see dw.DWAlgebra for the finite-group
+specialization); `ModMatrix` token matrices mark scalars in 𝔽_ℓ.  Both go
+through one contraction, `_contract`, in which every generator acts on its
+own strands of a single state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -33,34 +38,10 @@ from .errors import ComputationError, ValidationError
 from .units import INF, PadicUnit, format_unit, level, one, sample_units
 
 DEFAULT_MAX_LEVEL = 6
+AXIOMS = ("F1", "F2", "F3", "F4", "F5", "FS", "F6", "F7", "F8", "F9", "F10", "F11", "F12")
+STRUCTURAL_AXIOMS = AXIOMS[:6]  # need no units; every algebra checks them once before it evaluates
 
-# -- sparse bivariate polynomials ----------------------------------------------------
-# Terms are {(i, j): c} standing for Σ c · h^i · t^j; mod 0 means over ℤ.
-
-
-def _pnorm(terms, mod):
-    out = {}
-    for key, c in terms.items():
-        c = c % mod if mod else c
-        if c:
-            out[key] = c
-    return out
-
-
-def _padd(a, b, mod):
-    out = dict(a)
-    for key, c in b.items():
-        out[key] = out.get(key, 0) + c
-    return _pnorm(out, mod)
-
-
-def _pmul(a, b, mod):
-    out = {}
-    for (i1, j1), c1 in a.items():
-        for (i2, j2), c2 in b.items():
-            key = (i1 + i2, j1 + j2)
-            out[key] = out.get(key, 0) + c1 * c2
-    return _pnorm(out, mod)
+# -- scalars -------------------------------------------------------------------------
 
 
 def _fmt_monomial(i, j):
@@ -73,10 +54,11 @@ def _fmt_monomial(i, j):
 
 
 def _fmt_poly(terms):
+    """Σ c·h^i·t^j from ((i, j), c) pairs, highest total degree first."""
     if not terms:
         return "0"
     chunks = []
-    for (i, j), c in sorted(terms.items(), key=lambda kv: (-(kv[0][0] + kv[0][1]), -kv[0][0])):
+    for (i, j), c in sorted(terms, key=lambda kv: (-(kv[0][0] + kv[0][1]), -kv[0][0])):
         mono = _fmt_monomial(i, j)
         if not mono:
             text = str(abs(c))
@@ -89,88 +71,67 @@ def _fmt_poly(terms):
     return " ".join([first] + chunks[1:])
 
 
-# -- scalars -------------------------------------------------------------------------
+def _scalar(acc: dict) -> "UniversalScalar":
+    """The scalar of a {(r, i, j): c} accumulator: level-r ≥ 1 coefficients taken mod 2, zeros dropped."""
+    terms = ((key, c % 2 if key[0] else c) for key, c in acc.items())
+    return UniversalScalar(tuple(sorted(term for term in terms if term[1])))
 
 
 @dataclass(frozen=True)
 class UniversalScalar:
-    """free + Σ_r poly_r·[r]: `free` over ℤ, bracket coefficients over 𝔽₂."""
+    """Σ c·h^i·t^j·[r] as sorted terms ((r, i, j), c); level 0 is the free part over ℤ.
 
-    free: tuple = ()  # sorted (((i, j), c), ...)
-    brackets: tuple = ()  # sorted ((r, (((i, j), 1), ...)), ...), finite r only
+    A term of level r ≥ 1 has c = 1, its coefficients living in 𝔽₂.  An int
+    operand of + or * is taken as c·[0]; anything else is a `bad-spec` error.
+    """
 
-    @staticmethod
-    def _make(free_dict, bracket_dicts):
-        free = tuple(sorted(_pnorm(free_dict, 0).items()))
-        brs = []
-        for r, poly in bracket_dicts.items():
-            poly = _pnorm(poly, 2)
-            if poly:
-                brs.append((r, tuple(sorted(poly.items()))))
-        return UniversalScalar(free, tuple(sorted(brs)))
+    terms: tuple = ()
 
     @staticmethod
     def from_int(c: int) -> "UniversalScalar":
-        return UniversalScalar((((0, 0), c),) if c else ())
+        return UniversalScalar((((0, 0, 0), c),) if c else ())
 
     @staticmethod
     def monomial(i: int, j: int, c: int = 1) -> "UniversalScalar":
-        return UniversalScalar._make({(i, j): c}, {})
-
-    def _parts(self):
-        return dict(self.free), {r: dict(poly) for r, poly in self.brackets}
+        return UniversalScalar((((0, i, j), c),) if c else ())
 
     def __add__(self, other):
         other = as_scalar(other)
-        if not other:
+        if not other.terms:
             return self
-        if not self:
+        if not self.terms:
             return other
-        f1, b1 = self._parts()
-        f2, b2 = other._parts()
-        for r, poly in b2.items():
-            b1[r] = _padd(b1.get(r, {}), poly, 2)
-        return UniversalScalar._make(_padd(f1, f2, 0), b1)
+        acc = dict(self.terms)
+        for key, c in other.terms:
+            acc[key] = acc.get(key, 0) + c
+        return _scalar(acc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        f, b = self._parts()
-        return UniversalScalar._make({k: -c for k, c in f.items()}, b)
+        return self * -1
 
     def __sub__(self, other):
-        return self + (-as_scalar(other))
+        return self + as_scalar(other) * -1
 
     def __rsub__(self, other):
-        return as_scalar(other) + (-self)
+        return self * -1 + other
 
     def __mul__(self, other):
+        if isinstance(other, int):  # scaled term by term, so the terms stay sorted
+            if not other:
+                return UniversalScalar()
+            odd = other % 2
+            return UniversalScalar(tuple((key, c if key[0] else c * other) for key, c in self.terms if odd or not key[0]))
         other = as_scalar(other)
-        if not (self and other):
+        if not (self.terms and other.terms):
             return UniversalScalar()
-        f1, b1 = self._parts()
-        f2, b2 = other._parts()
-        free = _pmul(f1, f2, 0)
-        brackets = {}
-
-        def put(r, poly):
-            brackets[r] = _padd(brackets.get(r, {}), poly, 2)
-
-        for r, poly in b2.items():
-            put(r, _pmul(f1, poly, 2))
-        for r, poly in b1.items():
-            put(r, _pmul(poly, f2, 2))
-        h = {(1, 0): 1}
-        for r, pr in b1.items():
-            for s, ps in b2.items():
-                cross = _pmul(_pmul(pr, ps, 2), h, 2)
-                if r == s:
-                    put(r, cross)  # [r]² = h·[r]
-                else:  # [r][s] = h([r] + [s] - [min]); -1 ≡ 1 on brackets
-                    put(r, cross)
-                    put(s, cross)
-                    put(min(r, s), cross)
-        return UniversalScalar._make(free, brackets)
+        acc = {}
+        for (r1, i1, j1), c1 in self.terms:
+            for (r2, i2, j2), c2 in other.terms:
+                key = (max(r1, r2), i1 + i2 + 1, j1 + j2) if r1 and r2 else (r1 or r2, i1 + i2, j1 + j2)
+                acc[key] = acc.get(key, 0) + c1 * c2
+        return _scalar(acc)
 
     __rmul__ = __mul__
 
@@ -187,39 +148,44 @@ class UniversalScalar:
             other = UniversalScalar.from_int(other)
         if not isinstance(other, UniversalScalar):
             return NotImplemented
-        return self.free == other.free and self.brackets == other.brackets
+        return self.terms == other.terms
 
     def __hash__(self):
-        if not self.brackets and len(self.free) <= 1:
-            if not self.free:
-                return hash(0)
-            (key, c) = self.free[0]
-            if key == (0, 0):
-                return hash(c)
-        return hash((self.free, self.brackets))
+        if not self.terms:
+            return hash(0)
+        if len(self.terms) == 1 and self.terms[0][0] == (0, 0, 0):
+            return hash(self.terms[0][1])
+        return hash(self.terms)
 
     def __bool__(self):
-        return bool(self.free or self.brackets)
+        return bool(self.terms)
+
+    def _levels(self):
+        """[((i, j), c), …] of the free part, then (r, [((i, j), c), …]) per bracket level."""
+        free = [((i, j), c) for (r, i, j), c in self.terms if not r]
+        levels = [
+            (r, [((i, j), c) for (_, i, j), c in group])
+            for r, group in groupby(self.terms[len(free):], key=lambda kv: kv[0][0])
+        ]
+        return free, levels
 
     def __str__(self):
+        free, levels = self._levels()
         pieces = []
-        if self.free or not self.brackets:
-            pieces.append(_fmt_poly(dict(self.free)))
-        for r, poly in self.brackets:
-            poly = dict(poly)
-            if poly == {(0, 0): 1}:
-                pieces.append(f"[{r}]")
-            elif len(poly) == 1 and next(iter(poly.values())) == 1:
-                (i, j) = next(iter(poly))
-                pieces.append(f"{_fmt_monomial(i, j)}[{r}]")
+        if free or not levels:
+            pieces.append(_fmt_poly(free))
+        for r, poly in levels:
+            if len(poly) == 1:
+                pieces.append(f"{_fmt_monomial(*poly[0][0])}[{r}]")
             else:
                 pieces.append(f"({_fmt_poly(poly)})[{r}]")
         return " + ".join(pieces)
 
     def to_json(self):
+        free, levels = self._levels()
         return {
-            "free": [[i, j, c] for (i, j), c in self.free],
-            "brackets": [[r, [[i, j, c] for (i, j), c in poly]] for r, poly in self.brackets],
+            "free": [[i, j, c] for (i, j), c in free],
+            "brackets": [[r, [[i, j, c] for (i, j), c in poly]] for r, poly in levels],
         }
 
 
@@ -243,7 +209,7 @@ def bracket(r, max_level: int = DEFAULT_MAX_LEVEL) -> UniversalScalar:
         raise ValidationError(
             "level-window", f"bracket level {r!r} outside the window 1..{max_level}, inf"
         )
-    return UniversalScalar((), ((r, (((0, 0), 1),)),))
+    return UniversalScalar((((r, 0, 0), 1),))
 
 
 # -- elements ------------------------------------------------------------------------
@@ -392,10 +358,10 @@ class UniversalAlgebra:
     dim = 2
     max_dim = 64
     basis_names = ("1", "x")
+    precheck = STRUCTURAL_AXIOMS
 
-    def __init__(self, max_level: int = DEFAULT_MAX_LEVEL, precheck=("F1", "F2", "F3", "F4", "F5", "FS"), overrides=None):
+    def __init__(self, max_level: int = DEFAULT_MAX_LEVEL, overrides=None):
         self.max_level = max_level
-        self.precheck = tuple(precheck)
         self._overrides = dict(overrides or {})
         self._matrices = {}
         self._kappa = {}
@@ -473,18 +439,18 @@ class UniversalAlgebra:
     def default_levels(self):
         return (1, 2, INF)
 
-    def default_unit_samples(self, levels):
-        out = []
-        finite = [r for r in levels if r != INF]
-        prec = (max(finite) if finite else 1) + 2
-        for r in levels:
-            out.extend(sample_units(self.p, prec, r, count=3) if r != INF else [one(self.p, prec)])
-        return out
-
 
 # -- axioms --------------------------------------------------------------------------
 
-AXIOMS = ("F1", "F2", "F3", "F4", "F5", "FS", "F6", "F7", "F8", "F9", "F10", "F11", "F12")
+
+def default_unit_samples(p: int, levels) -> list:
+    """Three sampled p-adic units per finite level, and 1 for the infinite level."""
+    finite = [r for r in levels if r != INF]
+    prec = (max(finite) if finite else 1) + 2
+    out = []
+    for r in levels:
+        out.extend(sample_units(p, prec, r, count=3) if r != INF else [one(p, prec)])
+    return out
 
 
 def _first_diff(m1, m2, names, width):
@@ -510,7 +476,7 @@ def check_axioms(A, levels=None, sample_units=None, axioms=None):
     if INF not in levels:
         levels = levels + (INF,)
     if sample_units is None:
-        sample_units = A.default_unit_samples(levels)
+        sample_units = default_unit_samples(A.p, levels)
     by_level = {}
     for u in sample_units:
         by_level.setdefault(level(u), []).append(u)
@@ -549,7 +515,7 @@ def check_axioms(A, levels=None, sample_units=None, axioms=None):
     report = {}
     for name in wanted:
         witness = None
-        if name in ("F1", "F2", "F3", "F4", "F5", "FS"):
+        if name in STRUCTURAL_AXIOMS:
             witness = structural(name)
         elif name == "F6":
             for u in sample_units:
@@ -589,8 +555,8 @@ def check_axioms(A, levels=None, sample_units=None, axioms=None):
 
 
 def ensure_prechecked(A):
-    """Run the algebra's configured axiom subset once; abort evaluation on failure."""
-    if getattr(A, "_precheck_ok", False) or not A.precheck:
+    """Run the algebra's `precheck` axioms once; abort evaluation on failure."""
+    if getattr(A, "_precheck_ok", False):
         return
     report = check_axioms(A, axioms=A.precheck)
     for name in A.precheck:

@@ -19,6 +19,7 @@ from .errors import ValidationError
 MAX_ORDER = 10_000
 MAX_SUBGROUP_ORDER = 200
 MAX_AUT_ORDER = 128
+MAX_AUT_CANDIDATES = 10**6  # tuples of generator images an automorphism search may test
 CHUNK_ENTRIES = 1 << 14  # array entries per vectorized step of a scan: keeps temporaries small
 
 
@@ -179,21 +180,20 @@ class FiniteGroup:
         conj = self.conjugacy_classes()
         return conj.class_of[self.power(conj.reps[j], k)]
 
-    def structure_constants(self):
-        """a[i][j][m] = #{(x,y) ∈ K_i×K_j : xy = rep_m}, the class-algebra constants.
+    def structure_constants(self) -> np.ndarray:
+        """a[i, j, m] = #{(x, y) ∈ K_i×K_j : xy = rep_m}, the class-algebra constants.
 
-        Computed in O(|G|·#classes): for each class representative rep_m, every
-        x ∈ G pairs with the unique y = x⁻¹·rep_m.
+        One read-only (k, k, k) int64 array, counted by one bincount over the
+        |G|·k pairs (x, rep_m): each x ∈ G pairs with the unique y = x⁻¹·rep_m.
         """
         if "structure" in self._cache:
             return self._cache["structure"]
         conj = self.conjugacy_classes()
-        k = len(conj)
-        a = [[[0] * k for _ in range(k)] for _ in range(k)]
-        for m, rep in enumerate(conj.reps):
-            for x in range(self.order):
-                y = self.mul(self.inverse[x], rep)
-                a[conj.class_of[x]][conj.class_of[y]][m] += 1
+        k, n = len(conj), self.order
+        cls = np.array(conj.class_of, dtype=np.int64)
+        y = np.array(self._t, dtype=np.int64)[np.array(self.inverse)[:, None] * n + np.array(conj.reps)]
+        a = np.bincount(((cls[:, None] * k + cls[y]) * k + np.arange(k)).ravel(), minlength=k**3).reshape(k, k, k)
+        a.flags.writeable = False
         self._cache["structure"] = a
         return a
 
@@ -307,6 +307,15 @@ class FiniteGroup:
         if not gens:
             self._cache["aut"] = 1
             return 1
+        orders = [self.element_order(h) for h in range(n)]
+        candidates = [np.array([h for h in range(n) if orders[h] == orders[g]], dtype=np.int32) for g in gens]
+        grid = tuple(len(c) for c in candidates)
+        total, count = math.prod(grid), 0
+        if total > MAX_AUT_CANDIDATES:
+            raise ValidationError(
+                "bound-exceeded",
+                f"automorphism search over {total:,} candidate generator images exceeds the limit {MAX_AUT_CANDIDATES:,}",
+            )
         # BFS word table by layers: each y = x·g_i reached by a tree edge (x, i)
         tree = {self.identity: None}
         layers, layer = [], [self.identity]
@@ -326,10 +335,6 @@ class FiniteGroup:
             [(self.mul(x, g), x, i) for x in range(n) for i, g in enumerate(gens) if tree[self.mul(x, g)] != (x, i)]
         ).T
         tn = np.array(self._t, dtype=np.int32) * n  # tn[a·n + b] = (a·b)·n: elements are stored times n
-        orders = [self.element_order(h) for h in range(n)]
-        candidates = [np.array([h for h in range(n) if orders[h] == orders[g]], dtype=np.int32) for g in gens]
-        grid = tuple(len(c) for c in candidates)
-        total, count = math.prod(grid), 0
         step = max(1, CHUNK_ENTRIES // max(n, len(ex)))
         for lo in range(0, total, step):
             picks = np.unravel_index(np.arange(lo, min(lo + step, total)), grid)

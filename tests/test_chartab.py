@@ -8,7 +8,7 @@ from arith_tqft.chartab import (
     recover_integer,
     split_primes,
 )
-from arith_tqft.errors import ComputationError, ValidationError
+from arith_tqft.errors import ValidationError
 from arith_tqft.pgroup import (
     cyclic,
     elementary_abelian,
@@ -97,14 +97,14 @@ def test_char_sum_needs_p_for_mixed_order():
 
 
 def test_recover_integer():
-    assert recover_integer([(3, 7), (3, 13)], 40) == 3
-    assert recover_integer([(2, 7), (8, 13)], 40) == -5  # 86 ≡ −5 (mod 91)
-    assert recover_integer([(81 % 19, 19), (81 % 37, 37)], 100) == 81
-    with pytest.raises(ComputationError) as exc:
-        recover_integer([(3, 7), (3, 13)], 50)  # 91 ≤ 100: not enough headroom
-    assert exc.value.code == "need-more-primes"
-    with pytest.raises(ValidationError):
-        recover_integer([(3, 7), (3, 7)], 2)
+    # the centered lift of a residue mod ℓ: the representative in (−ℓ/2, ℓ/2]
+    assert recover_integer(3, 7) == 3
+    assert recover_integer(4, 7) == -3
+    assert recover_integer(-5, 13) == -5
+    assert recover_integer(6, 13) == 6 and recover_integer(7, 13) == -6
+    assert recover_integer(0, 61) == 0
+    assert recover_integer(81 % 163, 163) == 81 and recover_integer(-81 % 163, 163) == -81
+    assert recover_integer(10**12 + 5, 10**12 + 39) == -34  # residues are reduced first
 
 
 def test_bad_modulus_rejected():

@@ -37,7 +37,7 @@ from arith_tqft.dw import (
     yamagishi_count,
 )
 from arith_tqft.errors import ComputationError, ValidationError
-from arith_tqft.frobenius import check_axioms
+from arith_tqft.frobenius import check_axioms, default_unit_samples
 from arith_tqft.pgroup import (
     cyclic,
     direct_product,
@@ -225,7 +225,7 @@ def test_algebra_shape():
     assert A.max_dim == 4096
     assert A.default_levels() == (1, INF)
     assert DWAlgebra(C9, 19).default_levels() == (1, 2, INF)
-    samples = A.default_unit_samples(A.default_levels())
+    samples = default_unit_samples(A.p, A.default_levels())
     assert len([u for u in samples if u.residue != 1]) >= 3
 
 

@@ -77,6 +77,103 @@ def test_scalar_json_round_trip_fields():
     assert js["brackets"] == [[1, [[0, 1, 1]]]]
 
 
+def test_scalar_strings_and_json_are_stable():
+    # recorded from the earlier free-part-plus-bracket-polynomials representation
+    cases = [
+        ((H - 2 * T) ** 2 + 3, "h^2 - 4ht + 4t^2 + 3",
+         {"free": [[0, 0, 3], [0, 2, 4], [1, 1, -4], [2, 0, 1]], "brackets": []}),
+        ((1 + bracket(3)) * (T + bracket(1)), "t + [1] + (h + t)[3]",
+         {"free": [[0, 1, 1]], "brackets": [[1, [[0, 0, 1]]], [3, [[0, 1, 1], [1, 0, 1]]]]}),
+        ((H + T * bracket(2)) * (H * T - bracket(5) + bracket(2)), "h^2t + (ht^2 + ht + h)[2] + (ht + h)[5]",
+         {"free": [[2, 1, 1]], "brackets": [[2, [[1, 0, 1], [1, 1, 1], [1, 2, 1]]], [5, [[1, 0, 1], [1, 1, 1]]]]}),
+        (-3 * H * T**2 + 5 * bracket(4) - T, "-3ht^2 - t + [4]",
+         {"free": [[0, 1, -1], [1, 2, -3]], "brackets": [[4, [[0, 0, 1]]]]}),
+        (7 - (bracket(1) + bracket(6)) * (bracket(2) + T), "7 + t[1] + h[2] + (h + t)[6]",
+         {"free": [[0, 0, 7]], "brackets": [[1, [[0, 1, 1]]], [2, [[1, 0, 1]]], [6, [[0, 1, 1], [1, 0, 1]]]]}),
+        (H * bracket(2) - 1, "-1 + h[2]", {"free": [[0, 0, -1]], "brackets": [[2, [[1, 0, 1]]]]}),
+        (2 * bracket(1), "0", {"free": [], "brackets": []}),
+    ]
+    for s, text, js in cases:
+        assert (str(s), s.to_json()) == (text, js)
+
+
+def test_bracket_products_follow_the_level_maximum():
+    for r in range(1, 7):
+        for s in range(1, 7):
+            prod = bracket(r) * bracket(s)
+            assert prod == H * (bracket(r) + bracket(s) - bracket(min(r, s)))  # the defining relation
+            assert prod == H * bracket(max(r, s))
+            assert str(prod) == f"h[{max(r, s)}]"
+            assert prod.to_json() == {"free": [], "brackets": [[max(r, s), [[1, 0, 1]]]]}
+
+
+def _model_mul(a, b):
+    """Test-side product of {level: {(i, j): c}} scalars by the relation [r][s] = h([r] + [s] − [min])."""
+    out = {}
+
+    def put(r, key, c):
+        out.setdefault(r, {})[key] = out.get(r, {}).get(key, 0) + c
+
+    for r, pa in a.items():
+        for s, pb in b.items():
+            for (i1, j1), c1 in pa.items():
+                for (i2, j2), c2 in pb.items():
+                    key, c = (i1 + i2, j1 + j2), c1 * c2
+                    if not (r and s):
+                        put(r or s, key, c)
+                    else:
+                        hkey = (key[0] + 1, key[1])
+                        put(r, hkey, c)
+                        put(s, hkey, c)
+                        put(min(r, s), hkey, -c)
+    return out
+
+
+def _model_json(a):
+    norm = {r: {key: c % 2 if r else c for key, c in poly.items()} for r, poly in a.items()}
+    return {
+        "free": [[i, j, c] for (i, j), c in sorted(norm.get(0, {}).items()) if c],
+        "brackets": [
+            [r, [[i, j, c] for (i, j), c in sorted(poly.items()) if c]]
+            for r, poly in sorted(norm.items())
+            if r and any(poly.values())
+        ],
+    }
+
+
+def test_scalar_ring_laws_on_random_scalars():
+    rng = random.Random(20)
+
+    def draw():
+        model, s = {}, UniversalScalar()
+        for _ in range(rng.randrange(0, 5)):
+            c, i, j = rng.randrange(-5, 6), rng.randrange(3), rng.randrange(3)
+            r = rng.choice((0, 0, 1, 2, 3, 6))
+            model.setdefault(r, {})[(i, j)] = model.get(r, {}).get((i, j), 0) + c
+            s = s + c * H**i * T**j * (bracket(r) if r else 1)
+        return model, s
+
+    for _ in range(60):
+        (ma, a), (mb, b), (_, c) = draw(), draw(), draw()
+        assert a.to_json() == _model_json(ma)
+        assert (a * b).to_json() == _model_json(_model_mul(ma, mb))
+        assert a * b == b * a and a + b == b + a
+        assert (a * b) * c == a * (b * c) and (a + b) + c == a + (b + c)
+        assert a * (b + c) == a * b + a * c
+        assert a - a == 0 and a + (-a) == 0 and -(-a) == a
+        for k in (0, 1, -1, rng.randrange(2, 9), -rng.randrange(2, 9)):
+            assert a * k == k * a == a * UniversalScalar.from_int(k)
+            assert (a * k).to_json() == _model_json(_model_mul(ma, {0: {(0, 0): k}}))
+            assert a + k == k + a == a + UniversalScalar.from_int(k)
+            assert a - k == -(k - a)
+        assert a * 0 == 0 and 0 * a == 0 and a * 1 == a and a * -1 == -a
+        assert a * 2 == a + a and -3 * a == -(a + a + a)
+    assert hash(UniversalScalar.from_int(-4)) == hash(-4) and hash(UniversalScalar()) == hash(0)
+    with pytest.raises(ValidationError) as e:
+        H * 1.5
+    assert e.value.code == "bad-spec"
+
+
 # -- element operations ----------------------------------------------------------------
 
 

@@ -1,11 +1,14 @@
 """Finite-group core: constructors, conjugacy, subgroups, automorphisms."""
 
 import json
+import time
 
+import numpy as np
 import pytest
 
 from arith_tqft.errors import ValidationError
 from arith_tqft.pgroup import (
+    MAX_AUT_CANDIDATES,
     FiniteGroup,
     cyclic,
     direct_product,
@@ -146,6 +149,34 @@ def test_automorphism_counts():
     # three generators: the candidate grid of 26³ images spans several chunks
     assert elementary_abelian(3, 3).automorphism_count() == 11232  # |GL_3(F_3)|
     assert elementary_abelian(5, 2).automorphism_count() == 480  # |GL_2(F_5)|
+
+
+def test_automorphism_search_refuses_a_grid_past_its_limit():
+    # (Z/2)^5 has 31^5 candidate generator images, (Z/3)^4 has 80^4; both used to run for minutes
+    for G, grid in ((elementary_abelian(2, 5), 28_629_151), (elementary_abelian(3, 4), 40_960_000)):
+        start = time.perf_counter()
+        with pytest.raises(ValidationError) as e:
+            G.automorphism_count()
+        assert time.perf_counter() - start < 1
+        assert e.value.code == "bound-exceeded"
+        assert f"{grid:,}" in e.value.message and f"{MAX_AUT_CANDIDATES:,}" in e.value.message
+    assert elementary_abelian(2, 4).automorphism_count() == 20160  # |GL_4(F_2)|: a grid of 15^4
+
+
+def test_structure_constants_count_class_products():
+    d8 = from_permutations([[1, 2, 3, 0], [3, 2, 1, 0]], degree=4)
+    for G in (cyclic(9), d8, heisenberg(3), gl2(3)):  # GL_2(3): tables are built for non-p-groups too
+        conj = G.conjugacy_classes()
+        k = len(conj)
+        want = np.zeros((k, k, k), dtype=np.int64)
+        for x in range(G.order):
+            for y in range(G.order):
+                z = G.mul(x, y)
+                if z in conj.reps:
+                    want[conj.class_of[x], conj.class_of[y], conj.reps.index(z)] += 1
+        a = G.structure_constants()
+        assert a.dtype == np.int64 and np.array_equal(a, want)
+        assert G.structure_constants() is a and not a.flags.writeable
 
 
 def test_subgroup_as_group():
