@@ -28,7 +28,7 @@ import numpy as np
 from .chartab import char_sum, character_table_mod, recover_integer, split_primes
 from .cobordism import Diagram, Token
 from .errors import ComputationError, ValidationError
-from .frobenius import STRUCTURAL_AXIOMS, GenericMatrix, ModMatrix, evaluate_diagram
+from .frobenius import STRUCTURAL_AXIOMS, GenericMatrix, ModMatrix, TokenTerms, evaluate_diagram
 from .pgroup import FiniteGroup, group_from_spec, group_prime, is_prime
 from .units import INF, PadicUnit, is_valid_level, level_to_json, p_power
 
@@ -183,10 +183,11 @@ class DWAlgebra:
     """Class functions on a finite p-group Γ, with scalars in 𝔽_ℓ.
 
     Satisfies the same protocol as the universal algebra (`dim`, `max_dim`,
-    `basis_names`, `token_matrix`, `default_levels`, `p`, `precheck`),
-    so `frobenius.evaluate_diagram` and `frobenius.check_axioms` drive it
-    unchanged: their contraction keeps the state in float64 BLAS products,
-    reduced mod ℓ only when exactness needs it.
+    `basis_names`, `token_matrix`, `token_terms`, `default_levels`, `p`,
+    `precheck`), so `frobenius.evaluate_diagram` and `frobenius.check_axioms`
+    drive it unchanged: every token is the one monomial 1, and the
+    contraction keeps the state in float64 BLAS products, reduced mod ℓ only
+    when exactness needs it.
     Basis: indicator functions of conjugacy classes, in the group's class order.
     """
 
@@ -206,6 +207,7 @@ class DWAlgebra:
         self.basis_names = tuple(f"K({self.group.names[rep]})" for rep in conj.reps)
         self.name = f"dw(order-{self.group.order} group, ℓ={l})"
         self._matrices: dict = {}
+        self._terms: dict = {}
 
     def token_matrix(self, tok: Token) -> ModMatrix:
         key = _generator_key(self.group, self.p, tok)
@@ -215,6 +217,12 @@ class DWAlgebra:
                 mat = mat * pow(self.group.order, -1, self.l)
             self._matrices[key] = ModMatrix(mat, self.l)
         return self._matrices[key]
+
+    def token_terms(self, tok: Token) -> TokenTerms:
+        key = _generator_key(self.group, self.p, tok)
+        if key not in self._terms:
+            self._terms[key] = TokenTerms.of(self.token_matrix(tok))
+        return self._terms[key]
 
     def default_levels(self):
         e = _exponent_val(self.group, self.p)
@@ -327,10 +335,13 @@ def epi_count(spec: RelatorSpec, G) -> int:
 def extension_count(spec: RelatorSpec, G) -> Fraction:
     """Epimorphisms counted up to target automorphisms: epi_count/|Aut Γ|."""
     G = group_from_spec(G)
-    e = epi_count(spec, G)
-    if e < 0:
-        raise ComputationError("invariant", f"negative epimorphism count {e}")
-    return Fraction(e, G.automorphism_count())
+    return _extensions(G, epi_count(spec, G))
+
+
+def _extensions(G: FiniteGroup, epis: int) -> Fraction:
+    if epis < 0:
+        raise ComputationError("invariant", f"negative epimorphism count {epis}")
+    return Fraction(epis, G.automorphism_count())
 
 
 def yamagishi_count(N: int, r, G) -> int:
@@ -380,9 +391,5 @@ def counting_summary(spec: RelatorSpec, G) -> dict:
         hom, primes = G.order**spec.free_rank, []
     else:
         hom, primes = _surface_hom_count(G, spec.n, spec.r)
-    return {
-        "hom_count": hom,
-        "epi_count": epi_count(spec, G),
-        "extensions": str(extension_count(spec, G)),
-        "primes_used": primes,
-    }
+    epis = epi_count(spec, G)
+    return {"hom_count": hom, "epi_count": epis, "extensions": str(_extensions(G, epis)), "primes_used": primes}

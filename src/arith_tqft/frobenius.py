@@ -19,17 +19,22 @@ Every identity that holds here holds in any specialization, which is what makes
 this the universal target for symbolic evaluation of cobordism diagrams.
 
 `evaluate_diagram` and `check_axioms` are generic: they drive any algebra
-object exposing `dim`, `max_dim`, `basis_names`, `token_matrix`, `p`,
-`default_levels` and `precheck` (see dw.DWAlgebra for the finite-group
-specialization); `ModMatrix` token matrices mark scalars in 𝔽_ℓ.  Both go
-through one contraction, `_contract`, in which every generator acts on its
-own strands of a single state.
+object exposing `dim`, `max_dim`, `basis_names`, `token_matrix`,
+`token_terms`, `p`, `default_levels` and `precheck` (see dw.DWAlgebra for the
+finite-group specialization); `ModMatrix` token matrices mark scalars in 𝔽_ℓ.
+Both go through one contraction, `_contract`, in which every generator acts
+on its own strands of a single state.  The state is integer arithmetic
+throughout: one array per monomial h^i·t^j·[r] that occurs, and each token
+written once per algebra as a few (monomial, int64 matrix) pairs
+(`TokenTerms`); a DW token is the one monomial 1.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import groupby
+from typing import NamedTuple
 
 import numpy as np
 
@@ -364,6 +369,7 @@ class UniversalAlgebra:
         self.max_level = max_level
         self._overrides = dict(overrides or {})
         self._matrices = {}
+        self._terms = {}
         self._kappa = {}
         self._precheck_ok = False
 
@@ -435,6 +441,11 @@ class UniversalAlgebra:
             raise ValidationError("bad-spec", f"unknown token kind {tok.kind!r}")
         self._matrices[tok] = mat
         return mat
+
+    def token_terms(self, tok: Token) -> "TokenTerms":
+        if tok not in self._terms:
+            self._terms[tok] = TokenTerms.of(self.token_matrix(tok))
+        return self._terms[tok]
 
     def default_levels(self):
         return (1, 2, INF)
@@ -569,7 +580,105 @@ def ensure_prechecked(A):
 # -- evaluation ----------------------------------------------------------------------
 
 _FLOAT_EXACT = 2**53  # float64 holds every integer below this exactly
+_INT_EXACT = 2**63  # int64 holds every integer below this
 _STATE_ENTRIES = 2**22  # input columns are contracted in blocks of at most this many entries
+_LEVEL = 1 << 42  # a monomial h^i·t^j·[r] is packed as r·2⁴² + i·2²¹ + j
+_DEGREE = 1 << 21
+_ZERO = UniversalScalar()
+_UNIT = np.zeros(1, dtype=np.int64)  # the monomial codes of a state that starts at 1
+_UNIT.flags.writeable = False
+
+
+class TokenTerms(NamedTuple):
+    """A token's matrix as Σ_μ T_μ·μ over monomials μ = h^i·t^j·[r], for `_contract`.
+
+    `codes` are the packed μ in increasing order.  `mats` holds the int64
+    matrix of the monomial 1 when `unit`, else the T_μ stacked as (n, 1, 1, b, a)
+    for one batched product, then the same transposed; `grow` bounds the factor
+    by which one application can raise a state entry, per orientation.  A
+    state monomial ν goes to the one monomial μ·ν: level max(r_μ, r_ν), one
+    more h when both levels are ≥ 1.  `col`, `level`, `low` and `bump` are the
+    columns of codes that product reads.
+    """
+
+    codes: np.ndarray
+    mats: tuple
+    grow: tuple
+    unit: bool  # the single monomial 1: states keep their monomials
+    col: np.ndarray
+    level: np.ndarray | None  # None when every μ has level 0
+    low: np.ndarray
+    bump: np.ndarray
+
+    @staticmethod
+    def of(M) -> "TokenTerms":
+        """The terms of a `ModMatrix` (the one monomial 1) or of a matrix of universal scalars."""
+        if isinstance(M, ModMatrix):
+            codes, stack = _UNIT, M.a[None]
+        else:
+            parts = {}
+            for row, entries in enumerate(M.rows):
+                for col, v in enumerate(entries):
+                    for (r, i, j), c in as_scalar(v).terms:
+                        code = r * _LEVEL + i * _DEGREE + j
+                        parts.setdefault(code, np.zeros(M.shape, dtype=np.int64))[row, col] = c
+            codes = np.array(sorted(parts) or [0], dtype=np.int64)
+            stack = np.stack([parts.get(code, np.zeros(M.shape, dtype=np.int64)) for code in codes.tolist()])
+        # for one μ of level r, at most 1 + r state monomials ν give the same μ·ν
+        mags, weight = np.abs(stack), 1 + codes // _LEVEL
+        grow = tuple(int((mags.sum(axis=axis).max(axis=1, initial=0) * weight).sum()) for axis in (2, 1))
+        col = codes[:, None]
+        low = col % _LEVEL
+        level = col - low if (codes >= _LEVEL).any() else None
+        unit = bool(len(codes) == 1 and not codes[0])
+        mats = (stack[0], stack[0].T) if unit else (stack[:, None, None], stack.transpose(0, 2, 1)[:, None, None])
+        return TokenTerms(codes, mats, grow, unit, col, level, low, (col >= _LEVEL) * _DEGREE)
+
+
+def _merge(terms: TokenTerms, codes, out):
+    """Fold out[μ, ν] = T_μ·S_ν onto the monomials μ·ν: summed, level ≥ 1 taken mod 2, zeros dropped.
+
+    A state that cancels to zero keeps one zero component, so no state is empty.
+    """
+    if terms.level is None:  # μ·ν adds the packed codes
+        keys = codes + terms.col
+    else:
+        low = codes % _LEVEL
+        keys = np.maximum(codes - low, terms.level)
+        keys += low + terms.low
+        keys += (codes >= _LEVEL) * terms.bump
+    keys = keys.ravel()
+    order = keys.argsort(kind="stable")
+    keys = keys[order]
+    new = np.empty(len(keys), dtype=bool)
+    new[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    first = new.nonzero()[0]
+    S = np.add.reduceat(out.reshape(len(keys), -1)[order], first, axis=0)
+    codes = keys[first]
+    free = codes.searchsorted(_LEVEL)
+    if free < len(codes):
+        S[free:] %= 2
+    keep = S.any(axis=1)
+    kept = np.count_nonzero(keep)
+    if kept < len(codes):
+        keep[0] |= not kept
+        S, codes = S[keep], codes[keep]
+    return S, codes
+
+
+def _scalars(codes, S):
+    """The matrix of `UniversalScalar`s of a state S[monomial, row, column] with sorted monomial codes."""
+    keys = [(code // _LEVEL, code % _LEVEL // _DEGREE, code % _DEGREE) for code in codes.tolist()]
+    flat = S.reshape(len(codes), -1)
+    mono, entry = flat.nonzero()  # monomial-major, so each entry meets its terms in sorted order
+    terms = {}
+    for m, e, v in zip(mono.tolist(), entry.tolist(), flat[mono, entry].tolist()):
+        terms.setdefault(e, []).append((keys[m], v))
+    out = np.full(flat.shape[1], _ZERO, dtype=object)
+    for e, entry_terms in terms.items():
+        out[e] = UniversalScalar(tuple(entry_terms))
+    return out.reshape(S.shape[1:])
 
 
 def _modulus(A):
@@ -580,56 +689,84 @@ def _modulus(A):
 def _contract(D: Diagram, A, l):
     """The matrix of D in A as an array, each token acting on its own strands.
 
-    The state has one row per basis tensor of the current strands and one
-    column per input basis tensor.  A token a → b at strand offset o is one
-    batched product T @ S.reshape(k^o, k^a, -1); `id` only moves the offset.
-    Tokens of one slice act on disjoint strands and commute, so the narrowing
-    ones go first: the state is never wider than the slice's wider boundary.
-    A diagram with fewer outputs than inputs runs top-down with transposed
-    tokens, so the state starts at the narrower boundary, and is transposed back.
-    Columns are independent, so they go through in blocks that keep the state
-    within `_STATE_ENTRIES` entries.
+    The state is a stack of integer arrays, one per monomial h^i·t^j·[r] that
+    occurs, each with one row per basis tensor of the current strands and one
+    column per input basis tensor.  A token a → b at strand offset o, with
+    terms Σ_μ T_μ·μ (`TokenTerms`), is one batched product of every T_μ with
+    every S_ν reshaped to (k^o, k^a, …), landing on μ·ν (`_merge`); when the
+    token is the one monomial 1 the monomials stay put.  `id` only moves the
+    offset.  Tokens of one slice act on disjoint strands and commute, so the
+    narrowing ones go first: no component is wider than the slice's wider
+    boundary.  A diagram with fewer outputs than inputs runs top-down with
+    transposed tokens, so the state starts at the narrower boundary, and is
+    transposed back.  Columns are independent, so they go through in blocks
+    that keep the whole stack within `_STATE_ENTRIES` entries, a block halved
+    when its monomials multiply past that.
 
-    Over 𝔽_ℓ (l from `_modulus`, else None) the state is float64, reduced mod ℓ
-    only when its entry bound would reach 2⁵³; when even reduced entries could
-    overflow a k²-term dot product, it is exact object dtype instead.
+    Exact scalars (l is None) are int64 while an entry bound, grown by each
+    token's `grow`, stays below 2⁶³; a bound that would pass it is first
+    replaced by the state's real maximum, and the state turns exact object
+    dtype only when that too is too close.  `UniversalScalar`s are built only
+    for the nonzero output entries.  Over 𝔽_ℓ (l from `_modulus`) every token
+    is the monomial 1 and the state is float64, reduced mod ℓ only when its
+    bound would reach 2⁵³; when even reduced entries could overflow a k²-term
+    dot product, it is object dtype instead.
     """
     k = A.dim
     reverse = D.out_arity < D.in_arity
-    dtype = np.float64 if l is not None and k * k * (l - 1) ** 2 < _FLOAT_EXACT else object
+    if l is None:
+        dtype, limit = np.int64, _INT_EXACT
+    else:
+        dtype, limit = np.float64 if k * k * (l - 1) ** 2 < _FLOAT_EXACT else object, _FLOAT_EXACT
     start = D.out_arity if reverse else D.in_arity
-    ops, bound, peak = [], 1, start  # bound: every entry of the state is at most this
+    ops, width, peak = [], start, start
     for sl in reversed(D.slices) if reverse else D.slices:
         arities = [tok.arity[::-1] if reverse else tok.arity for tok in sl]
         for narrowing in (True, False):
             offset = 0  # strands left of tok in the state, some already mapped a → b
             for tok, (a, b) in zip(sl, arities):
                 if tok.kind != "id" and (b < a) == narrowing:
-                    M = A.token_matrix(tok)
-                    T = np.array(M.rows, dtype=object) if l is None else M.a.astype(dtype)
-                    if reverse:
-                        T = T.T
-                    reduce = False
-                    if l is not None:
-                        grow = (l - 1) * T.shape[1]  # bounds a row sum of T
-                        if bound * grow >= _FLOAT_EXACT:
-                            reduce, bound = True, l - 1
-                        bound *= grow
-                    ops.append((T, k**offset, k**a, reduce))
+                    terms = A.token_terms(tok)
+                    T = terms.mats[reverse]
+                    width += b - a
+                    T = T if dtype is np.int64 else T.astype(dtype)
+                    span = len(terms.codes) * k**width  # output entries per state monomial and column
+                    ops.append((None if terms.unit else terms, T, terms.grow[reverse], k**offset, k**a, span))
                 offset += b if b < a or not narrowing else a
         peak = max(peak, sum(b for _, b in arities))
     n = k**start
     step = max(1, _STATE_ENTRIES // k**peak)
-    blocks = []
-    for j in range(0, n, step):
-        c = min(step, n - j)
-        S = np.eye(n, c, -j, dtype=dtype)  # input columns j, …, j + c − 1
-        for T, before, a, reduce in ops:
-            if reduce:
-                S = S % l
-            S = np.matmul(T, S.reshape(before, a, -1)).reshape(-1, c)
-        blocks.append(S % l if l is not None else S)
-    S = np.hstack(blocks) if len(blocks) > 1 else blocks[0]
+    # a block: first column, width, next op, monomial codes, state, entry bound, the bound's limit
+    todo = [
+        (j, min(step, n - j), 0, _UNIT, np.eye(n, min(step, n - j), -j, dtype=dtype), 1, limit)
+        for j in range(0, n, step)
+    ]
+    blocks = {}
+    while todo:
+        j, c, first, codes, S, bound, limit = todo.pop()
+        for q in range(first, len(ops)):
+            terms, T, grow, before, a, span = ops[q]  # terms: None for the monomial 1
+            m = len(codes)
+            if m * span * c > _STATE_ENTRIES and c > 1:
+                h, S = c // 2, S.reshape(m, -1, c)
+                todo.append((j + h, c - h, q, codes, S[:, :, h:], bound, limit))
+                todo.append((j, h, q, codes, S[:, :, :h], bound, limit))
+                break
+            if bound * grow >= limit:
+                if l is not None:
+                    S, bound = S % l, l - 1
+                else:  # the bound was loose, or int64 is too narrow from here on
+                    bound = int(np.abs(S).max(initial=0))
+                    if bound * grow >= limit:
+                        S, limit = S.astype(object), math.inf
+            bound *= grow
+            if terms is None:
+                S = np.matmul(T, S.reshape(m * before, a, -1))
+            else:
+                S, codes = _merge(terms, codes, np.matmul(T, S.reshape(1, m, before, a, -1)))
+        else:
+            blocks[j] = S.reshape(-1, c) % l if l is not None else _scalars(codes, S.reshape(len(codes), -1, c))
+    S = np.hstack([blocks[j] for j in sorted(blocks)]) if len(blocks) > 1 else blocks[0]
     return S.T if reverse else S
 
 
@@ -638,7 +775,9 @@ def evaluate_diagram(D: Diagram, A):
 
     Every generator acts on its own strands of one state (`_contract`), never
     through a matrix of its whole slice; the leftmost strand is the most
-    significant tensor index.  A closed diagram yields a 1×1 matrix.
+    significant tensor index.  A closed diagram yields a 1×1 matrix.  Universal
+    results are `GenericMatrix`es of `UniversalScalar`s (a shared zero where an
+    entry vanishes), DW results `ModMatrix`es.
     """
     ensure_prechecked(A)
     for width in (D.in_arity, *(sum(t.arity[1] for t in sl) for sl in D.slices)):

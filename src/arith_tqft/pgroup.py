@@ -355,15 +355,37 @@ class FiniteGroup:
 # -- prime and prime-power helpers ------------------------------------------------
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_PRIME_TEST = 3_317_044_064_679_887_385_961_981  # the 13 bases above decide every n below this
+
+
 def is_prime(n: int) -> bool:
-    """Primality by trial division."""
+    """Primality by Miller–Rabin on the first 13 prime bases, exact for n < `MAX_PRIME_TEST`.
+
+    (J. Sorenson and J. Webster, Math. Comp. 86 (2017): no composite below the
+    bound is a strong pseudoprime to all of them.)  A larger n with no factor
+    among the bases is refused with `bound-exceeded`.
+    """
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n >= MAX_PRIME_TEST:
+        raise ValidationError("bound-exceeded", f"primality is decided only below {MAX_PRIME_TEST}, got {n}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -1,0 +1,20 @@
+"""The deterministic demos print exactly their recorded transcripts."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("name", ["02_universal_invariants", "03_gauge_theories"])
+def test_demo_prints_its_transcript(name):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / f"{name}.py")], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == (ROOT / "tests" / "transcripts" / f"{name}.txt").read_text()

@@ -1,5 +1,6 @@
 """Gauge-theory matrices and counting formulas: structure, axioms, known values."""
 
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -382,3 +383,30 @@ def test_counting_summary():
     free = counting_summary(FREE(2), C3)
     assert free["hom_count"] == 9 and free["primes_used"] == []
     assert len(counting_summary(RelatorSpec(14, INF), HEIS)["primes_used"]) == 1
+
+
+def test_counting_summary_counts_epimorphisms_once(monkeypatch, capsys):
+    from arith_tqft import dw
+    from arith_tqft.cli import run
+
+    calls, epi = [], dw.epi_count
+
+    def counted(spec, G):
+        calls.append(spec)
+        return epi(spec, G)
+
+    monkeypatch.setattr(dw, "epi_count", counted)
+    out = counting_summary(RelatorSpec(1, 1), cyclic(9))
+    assert len(calls) == 1
+    assert out["extensions"] == str(extension_count(RelatorSpec(1, 1), cyclic(9)))
+    calls.clear()
+    assert run(["homcount", "--group", "named:heisenberg:3", "--n", "2", "--r", "1"]) == 0
+    assert len(calls) == 1
+    capsys.readouterr()
+
+
+def test_a_large_prime_modulus_answers_at_once():
+    t0 = time.perf_counter()
+    M = evaluate_dw(parse_diagram("d; m"), cyclic(3), 2**61 - 1)
+    assert time.perf_counter() - t0 < 1.0
+    assert M.rows == ((9, 0, 0), (0, 9, 0), (0, 0, 9))

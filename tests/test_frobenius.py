@@ -30,7 +30,7 @@ from arith_tqft.frobenius import (
     universal_phi,
 )
 from arith_tqft.pgroup import cyclic, heisenberg
-from arith_tqft.units import INF, one, sample_units, unit
+from arith_tqft.units import INF, level, one, sample_units, unit
 
 
 # -- scalar ring ---------------------------------------------------------------------
@@ -347,18 +347,32 @@ def test_level_window_on_torus_tokens():
 
 # -- evaluation against an independent Kronecker reference ----------------------------
 
-REFERENCE_ALGEBRAS = {
-    "universal": (UniversalAlgebra, 4),
-    "C3": (lambda: DWAlgebra(cyclic(3), 7), 4),
-    "C9": (lambda: DWAlgebra(cyclic(9), 19), 3),
-    "Heis3": (lambda: DWAlgebra(heisenberg(3), 61), 3),
-    # ℓ > 2²⁸: the counit entry 1/3 mod ℓ times a reduced entry can pass 2⁵³,
-    # so the evaluator must leave float64 for exact integers
-    "C3 exact": (lambda: DWAlgebra(cyclic(3), 268435459), 4),
-}
 KINDS_BY_INPUTS = {0: ("cap",), 1: ("id", "tw", "tor", "d", "cup"), 2: ("m", "swap")}
 REFERENCE_UNITS = [u for r in (1, 2, INF) for u in sample_units(3, 4, r)]
 REFERENCE_COST = 10**7  # multiply-adds the reference may spend on one diagram
+# the universal algebra draws handles at every level of its window and twists
+# at levels 1–3; its reference multiplies symbolic scalars, so it gets less cost
+UNIVERSAL_POOLS = {
+    "units": [u for r in (1, 2, 3, INF) for u in sample_units(3, 5, r, count=2)],
+    "levels": (1, 2, 3, 4, 5, 6, INF),
+    "cost_limit": 2**14,
+}
+UNIVERSAL_FIXED = [
+    "; ".join(f"tor({r})" for r in ("1", "2", "3", "4", "5", "6", "inf")),
+    "m, m, id; m, id; m; tor(5)",  # 5 → 1, top-down
+    "d; d, id; tor(6), d, id; id, id, id, d",  # 1 → 5
+    "tw(28 mod 3^5), tw(10 mod 3^5), tw(4 mod 3^5), tor(3), id; swap, m, id",
+    "tor(1), tor(2), tor(3), tor(4), tor(inf); m, m, id; m, id; m",
+]
+REFERENCE_ALGEBRAS = {
+    "universal": (UniversalAlgebra, 5, UNIVERSAL_POOLS),
+    "C3": (lambda: DWAlgebra(cyclic(3), 7), 4, {}),
+    "C9": (lambda: DWAlgebra(cyclic(9), 19), 3, {}),
+    "Heis3": (lambda: DWAlgebra(heisenberg(3), 61), 3, {}),
+    # ℓ > 2²⁸: the counit entry 1/3 mod ℓ times a reduced entry can pass 2⁵³,
+    # so the evaluator must leave float64 for exact integers
+    "C3 exact": (lambda: DWAlgebra(cyclic(3), 268435459), 4, {}),
+}
 
 
 def _kron_reference(D, A):
@@ -379,16 +393,24 @@ def _kron_reference(D, A):
 @pytest.mark.parametrize("make", [UniversalAlgebra, lambda: DWAlgebra(cyclic(3), 7)])
 def test_state_never_outgrows_the_slice_boundaries(make, text, monkeypatch):
     # a widening token applied before a narrowing one in the same slice would
-    # make the state k times wider than either boundary of that slice
+    # make the state k times wider than either boundary of that slice.  Sizes
+    # are per monomial component: out[μ, ν] of a batched product, or a product
+    # by the monomial 1 shared among the state's components
     A, D = make(), parse_diagram(text)
     ensure_prechecked(A)
-    sizes, matmul = [], np.matmul
+    sizes, components, matmul, merge = [], [1], np.matmul, frobenius._merge
+
+    def recording_merge(*args):
+        S, codes = merge(*args)
+        components[0] = len(codes)
+        return S, codes
 
     def recording_matmul(*args):
         out = matmul(*args)
-        sizes.append(out.size)
+        sizes.append(out[0, 0].size if out.ndim == 5 else out.size // components[0])
         return out
 
+    monkeypatch.setattr(frobenius, "_merge", recording_merge)
     monkeypatch.setattr(np, "matmul", recording_matmul)
     got = evaluate_diagram(D, A)
     monkeypatch.undo()
@@ -403,47 +425,47 @@ def test_column_blocks_give_the_same_matrix(entries, monkeypatch):
     monkeypatch.setattr(frobenius, "_STATE_ENTRIES", entries)
     for A in (UniversalAlgebra(), DWAlgebra(cyclic(3), 7)):
         ensure_prechecked(A)
-        for text in ("m, d; m, id", "d; d, id", "cap, id; swap; m; cup", "cap"):
+        for text in ("m, d; m, id", "d; d, id", "cap, id; swap; m; cup", "cap", "tor(1), tor(3); tor(inf), tor(2); m"):
             D = parse_diagram(text)
             assert evaluate_diagram(D, A).rows == _kron_reference(D, A), text
 
 
-def _random_token(rng, kind):
+def _random_token(rng, kind, units=REFERENCE_UNITS, levels=(1, 2, INF)):
     if kind == "tw":
-        return TWIST(rng.choice(REFERENCE_UNITS))
+        return TWIST(rng.choice(units))
     if kind == "tor":
-        return TORUS(rng.choice((1, 2, INF)))
+        return TORUS(rng.choice(levels))
     return Token(kind)
 
 
-def _random_slice(rng, width, max_width):
+def _random_slice(rng, width, max_width, **pools):
     while True:
         toks, left = [], width
         while left or rng.random() < 0.3:
             kind = rng.choice([k for a, kinds in KINDS_BY_INPUTS.items() if a <= left for k in kinds])
-            toks.append(_random_token(rng, kind))
+            toks.append(_random_token(rng, kind, **pools))
             left -= toks[-1].arity[0]
         if toks and sum(t.arity[1] for t in toks) <= max_width:
             return toks
 
 
-def _random_diagram(rng, k, max_width):
+def _random_diagram(rng, k, max_width, cost_limit=REFERENCE_COST, **pools):
     while True:
         width = rng.randint(0, max_width)
         slices, cost = [], 0
         for _ in range(rng.randint(1, 4)):
-            slices.append(_random_slice(rng, width, max_width))
+            slices.append(_random_slice(rng, width, max_width, **pools))
             out = sum(t.arity[1] for t in slices[-1])
             cost += k ** (width + out)
             width = out
         D = Diagram(slices)
-        if cost * k**D.in_arity <= REFERENCE_COST:
+        if cost * k**D.in_arity <= cost_limit:
             return D
 
 
 @pytest.mark.parametrize("name", list(REFERENCE_ALGEBRAS))
 def test_evaluation_matches_a_kronecker_reference(name):
-    make, max_width = REFERENCE_ALGEBRAS[name]
+    make, max_width, pools = REFERENCE_ALGEBRAS[name]
     A = make()
     rng = random.Random(20251018)
     fixed = [
@@ -452,12 +474,43 @@ def test_evaluation_matches_a_kronecker_reference(name):
         "cap, id; swap; m; cup",
         "tw(4 mod 3^2), cap; id, d; m, id; cup, cup",
         "; ".join(["d; m"] * 20),  # long enough to force a reduction mod ℓ
-    ]
+    ] + (UNIVERSAL_FIXED if pools else [])
     diagrams = [parse_diagram(text) for text in fixed]
-    diagrams += [_random_diagram(rng, A.dim, max_width) for _ in range(30)]
-    kinds = {t.kind for D in diagrams for sl in D.slices for t in sl}
-    assert {"cup", "cap", "swap", "tw", "m", "d", "tor"} <= kinds
+    diagrams += [_random_diagram(rng, A.dim, max_width, **pools) for _ in range(30)]
+    toks = [t for D in diagrams for sl in D.slices for t in sl]
+    assert {"cup", "cap", "swap", "tw", "m", "d", "tor"} <= {t.kind for t in toks}
+    assert {t.level for t in toks if t.kind == "tor"} == set(pools.get("levels", (1, 2, INF)))
+    assert {level(t.unit) for t in toks if t.kind == "tw"} == {level(u) for u in pools.get("units", REFERENCE_UNITS)}
     assert any(D.out_arity < D.in_arity for D in diagrams)
     assert any(D.in_arity < D.out_arity for D in diagrams)
+    assert max(max(D.in_arity, *(sum(t.arity[1] for t in sl) for sl in D.slices)) for D in diagrams) == max_width
     for D in diagrams:
         assert evaluate_diagram(D, A).rows == _kron_reference(D, A), str(D)
+
+
+@pytest.mark.parametrize("g", [63, 65, 101])
+def test_closed_surfaces_past_int64_are_exact(g):
+    # ε(κ^g) with κ = 2x − h; its coefficients pass 2⁶³ from genus 63 on
+    A = UniversalAlgebra()
+    power = ONE
+    for _ in range(g):
+        power = universal_mul(power, A.kappa(INF))
+    want = universal_eps(power)
+    assert max(abs(c) for _, c in want.terms) >= 2**63
+    got = evaluate_diagram(parse_diagram("cap; " + "tor(inf); " * g + "cup"), A)
+    assert got.shape == (1, 1) and got.rows[0][0] == want
+    assert str(got.rows[0][0]) == str(want) and got.rows[0][0].to_json() == want.to_json()
+
+
+@pytest.mark.parametrize(
+    "text, shape",
+    [
+        ("cap; tor(inf); tor(inf); cup", (1, 1)),  # ε(κ²) = ε(h² + 4t) = 0
+        ("cap; tor(1); tor(inf); cup", (1, 1)),
+        ("cap, id; tor(1), id; tor(inf), id; cup, id", (2, 2)),
+    ],
+)
+def test_zero_results_keep_their_shape(text, shape):
+    M = evaluate_diagram(parse_diagram(text), UniversalAlgebra())
+    assert M.shape == shape
+    assert all(v == 0 and str(v) == "0" for row in M.rows for v in row)

@@ -9,6 +9,7 @@ import pytest
 from arith_tqft.errors import ValidationError
 from arith_tqft.pgroup import (
     MAX_AUT_CANDIDATES,
+    MAX_PRIME_TEST,
     FiniteGroup,
     cyclic,
     direct_product,
@@ -19,6 +20,7 @@ from arith_tqft.pgroup import (
     group_from_spec,
     heisenberg,
     is_p_group,
+    is_prime,
 )
 from arith_tqft.units import INF, p_power_minus_one
 
@@ -264,3 +266,22 @@ def test_closure_and_generators():
     assert len(gens) == 2  # extraspecial p^{1+2} needs exactly two generators
     assert len(g.closure(gens)) == 27
     assert g.closure([]) == {g.identity}
+
+
+def test_is_prime_agrees_with_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(10**5) if is_prime(n) != trial(n)] == []
+
+
+def test_is_prime_is_deterministic_up_to_its_limit():
+    # a strong pseudoprime to every prime base up to 37: only the base 41 rejects it
+    assert not is_prime(318665857834031151167461)
+    assert not is_prime(3215031751) and not is_prime(561)  # strong pseudoprime to 2, 3, 5, 7; Carmichael
+    assert is_prime(2**61 - 1) and is_prime(2**31 - 1) and not is_prime((2**31 - 1) * 1000003)
+    assert not is_prime(3 * MAX_PRIME_TEST)  # a factor among the bases answers at any size
+    for n in (MAX_PRIME_TEST, 2**89 - 1):  # the bound is itself a strong pseudoprime to all 13 bases
+        with pytest.raises(ValidationError) as e:
+            is_prime(n)
+        assert e.value.code == "bound-exceeded" and str(MAX_PRIME_TEST) in e.value.message
