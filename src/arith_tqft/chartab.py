@@ -34,7 +34,7 @@ from math import isqrt
 import numpy as np
 
 from .errors import ComputationError, ValidationError
-from .pgroup import CHUNK_ENTRIES, FiniteGroup, is_prime, unique_prime_factor
+from .pgroup import CHUNK_ENTRIES, FiniteGroup, factorize, is_prime, unique_prime_factor
 from .units import p_power_minus_one
 
 
@@ -153,16 +153,7 @@ class CharacterTableMod:
 
 
 def _least_primitive_residue(order: int, l: int) -> int:
-    prime_factors = []
-    n, d = order, 2
-    while d * d <= n:
-        if n % d == 0:
-            prime_factors.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        prime_factors.append(n)
+    prime_factors = factorize(order)
     for g in range(1, l):
         if pow(g, order, l) == 1 and all(pow(g, order // q, l) != 1 for q in prime_factors):
             return g

@@ -475,10 +475,6 @@ def _tor(v):
     return ("tor", v)
 
 
-def _pattern_arity(item):
-    return _ARITY[item[1] if item[0] == "lit" else item[0]]
-
-
 def instantiate(rows, bindings) -> Diagram:
     """Materialize pattern rows into a Diagram using `bindings` for tw/tor variables."""
     out = []

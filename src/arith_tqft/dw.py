@@ -29,7 +29,7 @@ from .chartab import char_sum, character_table_mod, recover_integer, split_prime
 from .cobordism import Diagram, Token
 from .errors import ComputationError, ValidationError
 from .frobenius import STRUCTURAL_AXIOMS, GenericMatrix, ModMatrix, TokenTerms, evaluate_diagram
-from .pgroup import FiniteGroup, group_from_spec, group_prime, is_prime
+from .pgroup import FiniteGroup, factorize, group_from_spec, group_prime, is_power_of, is_prime
 from .units import INF, PadicUnit, is_valid_level, level_to_json, p_power
 
 
@@ -86,11 +86,7 @@ def FREE(rank: int) -> RelatorSpec:
 
 def _exponent_val(G: FiniteGroup, p: int) -> int:
     """e with exponent(Γ) = p^e."""
-    e, m = 0, G.exponent()
-    while m % p == 0:
-        m //= p
-        e += 1
-    return e
+    return factorize(G.exponent()).get(p, 0)
 
 
 def _twist_exponent(G: FiniteGroup, p: int, u: PadicUnit) -> int:
@@ -365,10 +361,7 @@ def general_gauge_count(H, p: int, spec: RelatorSpec) -> tuple[int, Fraction]:
         raise ValidationError("bad-spec", f"{p} is not prime")
     total = 0
     for sub in H.all_subgroups():
-        size = len(sub)
-        while size % p == 0:
-            size //= p
-        if size == 1:
+        if is_power_of(len(sub), p):
             total += epi_count(spec, _subgroup_group(H, sub)) if len(sub) > 1 else 1
     sylows = H.sylow_p_subgroups(p)
     if all(

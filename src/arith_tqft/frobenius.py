@@ -375,9 +375,6 @@ class UniversalAlgebra:
 
     p = 3  # canonical odd prime for default unit sampling; φ only sees levels
 
-    def basis_elem(self, i: int) -> UniversalElem:
-        return (ONE, X)[i]
-
     def _columns(self, images, out_dim):
         def coords(v: UniversalElem):
             return (v.a, v.b)

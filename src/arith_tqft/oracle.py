@@ -104,9 +104,7 @@ def _mul_tables(G: FiniteGroup):
     """(mul rows, commutator rows) as plain nested lists, cached per group."""
     key = ("oracle-tables",)
     if key not in G._cache:
-        n = G.order
-        t = np.array(G._t, dtype=np.int64).reshape(n, n)
-        inv = np.array(G.inverse, dtype=np.int64)
+        t, inv = G.table, np.array(G.inverse)
         comm = t[t, t[inv][:, inv]]  # [a, b] = (ab)·(a⁻¹b⁻¹)
         G._cache[key] = (t.tolist(), comm.tolist())
     return G._cache[key]
@@ -342,10 +340,9 @@ def _pants_table(G: FiniteGroup):
     key = ("oracle-pants",)
     if key not in G._cache:
         conj = G.conjugacy_classes()
-        k, N = len(conj), G.order
+        k = len(conj)
         cls = np.array(conj.class_of, dtype=np.int64)
-        t = np.array(G._t, dtype=np.int64).reshape(N, N)
-        cell = (cls[:, None] * k + cls[None, :]) * k + cls[t]  # the (i, j, m) of every pair (x, y)
+        cell = (cls[:, None] * k + cls[None, :]) * k + cls[G.table]  # the (i, j, m) of every pair (x, y)
         G._cache[key] = np.bincount(cell.ravel(), minlength=k**3).reshape(k, k, k).tolist()
     return G._cache[key]
 
@@ -361,8 +358,7 @@ def _torus_table(G: FiniteGroup, r):
         conj = G.conjugacy_classes()
         k, N = len(conj), G.order
         cls = np.array(conj.class_of, dtype=np.int64)
-        rows, comm = _mul_tables(G)
-        t = np.array(rows, dtype=np.int64)
+        t, comm = G.table, _mul_tables(G)[1]
         xq = _power_table(G, q)
         table = np.zeros(k * k, dtype=np.int64)
         for a in range(N):

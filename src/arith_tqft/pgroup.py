@@ -1,9 +1,12 @@
 """Finite group core: Cayley tables, conjugacy data, subgroup lattices, automorphisms.
 
-Groups are dense multiplication tables over element indices 0..N-1.  Everything
-downstream (character tables, counting, enumeration) is table-driven, so this
-stays self-contained: named constructors for the standard small families, plus
-permutation-generator and raw-table input.
+A group is one read-only (N, N) int64 numpy array `G.table` over element
+indices 0..N-1, converted once from whatever input built it; identity,
+inverses, element orders and conjugacy classes are derived from it here, and
+every numpy consumer downstream (character tables, counting, enumeration)
+reads it.  Named constructors tabulate the standard small families by
+broadcasting over mixed-radix element codes; permutation generators and raw
+tables are the other inputs.
 """
 
 from __future__ import annotations
@@ -38,29 +41,55 @@ class ConjugacyData:
 
 
 class FiniteGroup:
-    """A finite group given by its N×N multiplication table of element indices."""
+    """A finite group given by its N×N multiplication table of element indices.
+
+    `table` is the group's one representation: a read-only (N, N) int64 array
+    with table[a, b] = a·b.  Identity, inverses, element orders and conjugacy
+    classes are derived from it; `_t`, the same table as a flat list, serves
+    the scalar `mul`/`closure`/`power` loops, where list indexing is faster.
+    """
 
     def __init__(self, table, names=None, check=True, max_order=MAX_ORDER):
-        if table and isinstance(table[0], (list, tuple)):
-            n = len(table)
-            flat = [int(x) for row in table for x in row]
-        else:
-            flat = [int(x) for x in table]
-            n = int(round(len(flat) ** 0.5))
-        if n == 0 or len(flat) != n * n:
+        try:
+            t = np.asarray(table)
+        except ValueError:  # ragged rows
+            raise ValidationError("bad-spec", "multiplication table is not square") from None
+        if t.ndim == 1 and math.isqrt(t.size) ** 2 == t.size:
+            t = t.reshape(math.isqrt(t.size), -1)
+        n = len(t) if t.ndim == 2 else 0
+        if n == 0 or t.shape != (n, n):
             raise ValidationError("bad-spec", "multiplication table is not square")
         if n > max_order:
             raise ValidationError("bound-exceeded", f"group order {n} exceeds limit {max_order}")
+        if t.dtype.kind not in "iu":
+            raise ValidationError("bad-spec", f"multiplication table entries must be integers, got {t.dtype}")
+        t = t.astype(np.int64)
+        if t.min() < 0 or t.max() >= n:  # refused before any indexing: a negative entry would wrap
+            raise ValidationError("bad-spec", f"multiplication table entries must lie in 0..{n - 1}")
+        t.flags.writeable = False
         self.order = n
-        self._t = flat
+        self.table = t
+        self._t = t.ravel().tolist()
         self.names = list(names) if names is not None else [str(i) for i in range(n)]
         if len(self.names) != n:
             raise ValidationError("bad-spec", "names length does not match order")
-        self.identity = self._find_identity()
-        self.inverse = self._build_inverses()
+        ar = np.arange(n)
+        # e·x = x = x·e for every x; an identity e has 0·e = 0, so only those columns are tried
+        ids = [e for e in np.flatnonzero(t[0] == 0).tolist() if (t[e] == ar).all() and (t[:, e] == ar).all()]
+        if not ids:
+            raise ValidationError("bad-spec", "table has no identity element")
+        self.identity = e = ids[0]
+        hit = t == e
+        inv = hit.argmax(axis=1)  # the least b with a·b = e, or 0 when there is none
+        ok = hit[ar, inv] & (t[inv, ar] == e)
+        if not ok.all():  # reported for the least failing a, as a scan in element order would
+            a = int(ok.argmin())
+            message = "one-sided inverse found" if hit[a, inv[a]] else f"element {a} has no inverse"
+            raise ValidationError("bad-spec", message)
+        self.inverse = inv.tolist()
+        self._cache: dict = {}
         if check:
             self._check_associativity()
-        self._cache: dict = {}
 
     # -- raw table access ------------------------------------------------
 
@@ -78,37 +107,13 @@ class FiniteGroup:
         """x · y · x⁻¹ · y⁻¹."""
         return self.mul(self.mul(x, y), self.mul(self.inverse[x], self.inverse[y]))
 
-    def _find_identity(self) -> int:
-        n = self.order
-        for e in range(n):
-            if all(self._t[e * n + x] == x and self._t[x * n + e] == x for x in range(n)):
-                return e
-        raise ValidationError("bad-spec", "table has no identity element")
-
-    def _build_inverses(self):
-        n = self.order
-        inv = [-1] * n
-        for a in range(n):
-            for b in range(n):
-                if self._t[a * n + b] == self.identity:
-                    if self._t[b * n + a] != self.identity:
-                        raise ValidationError("bad-spec", "one-sided inverse found")
-                    inv[a] = b
-                    break
-            if inv[a] < 0:
-                raise ValidationError("bad-spec", f"element {a} has no inverse")
-        return inv
-
     def _check_associativity(self):
-        n = self.order
-        # rows and columns must be permutations
-        full = set(range(n))
-        for a in range(n):
-            if set(self._t[a * n : (a + 1) * n]) != full or {self._t[b * n + a] for b in range(n)} != full:
-                raise ValidationError("bad-spec", "table is not a Latin square")
+        t, n = self.table, self.order
+        ar = np.arange(n)
+        if (np.sort(t, axis=1) != ar).any() or (np.sort(t, axis=0) != ar[:, None]).any():
+            raise ValidationError("bad-spec", "table is not a Latin square")
         # Light's test: the g with (a·g)·b = a·(g·b) for all a, b are closed under products,
         # so checking a generating set checks every element
-        t = np.array(self._t, dtype=np.int64).reshape(n, n)
         step = max(1, CHUNK_ENTRIES // n)
         for g in self.generating_set():
             for lo in range(0, n, step):
@@ -119,16 +124,34 @@ class FiniteGroup:
 
     # -- element-level structure ------------------------------------------
 
+    def element_orders(self) -> np.ndarray:
+        """Read-only int64 array of the order of every element, by powering all of them at once.
+
+        Every order divides |G|, so x^k = e is tested only at the divisors k of |G|,
+        and the powering stops at the first k that sends every element to e.
+        """
+        if "orders" not in self._cache:
+            t, n, e = self.table, self.order, self.identity
+            x = ar = np.arange(n)  # x[a] = a^k
+            hits, divisors = [], []
+            for k in range(1, n + 1):
+                if n % k == 0:
+                    hits.append(x == e)
+                    divisors.append(k)
+                    if hits[-1].all():
+                        break
+                x = t[x, ar]
+            orders = np.array(divisors)[np.argmax(hits, axis=0)]  # the first divisor that sends a to e
+            orders.flags.writeable = False
+            self._cache["orders"] = orders
+        return self._cache["orders"]
+
     def element_order(self, a: int) -> int:
-        k, x = 1, a
-        while x != self.identity:
-            x = self.mul(x, a)
-            k += 1
-        return k
+        return int(self.element_orders()[a])
 
     def exponent(self) -> int:
         if "exponent" not in self._cache:
-            self._cache["exponent"] = math.lcm(*(self.element_order(a) for a in range(self.order)))
+            self._cache["exponent"] = int(np.lcm.reduce(self.element_orders()))
         return self._cache["exponent"]
 
     def power(self, a: int, k: int) -> int:
@@ -143,34 +166,30 @@ class FiniteGroup:
         return result
 
     def is_abelian(self) -> bool:
-        return all(
-            self.mul(a, b) == self.mul(b, a) for a in range(self.order) for b in range(a + 1, self.order)
-        )
+        return bool((self.table == self.table.T).all())
 
     # -- conjugacy ---------------------------------------------------------
 
     def conjugacy_classes(self) -> ConjugacyData:
+        """Classes numbered by their least element, each found by one gather of its orbit g·x·g⁻¹."""
         if "conj" in self._cache:
             return self._cache["conj"]
-        n = self.order
-        class_of = [-1] * n
-        reps, sizes = [], []
+        t, n = self.table, self.order
+        inv = np.array(self.inverse)
+        class_of = np.full(n, -1)
+        reps = []
         for x in range(n):
-            if class_of[x] >= 0:
-                continue
-            cid = len(reps)
-            orbit = {self.conj(g, x) for g in range(n)}
-            for y in orbit:
-                class_of[y] = cid
-            reps.append(min(orbit))
-            sizes.append(len(orbit))
-        inverse_class = tuple(class_of[self.inverse[r]] for r in reps)
+            if class_of[x] < 0:  # x is the least element of its class: every smaller one has a class
+                class_of[t[t[:, x], inv]] = len(reps)
+                reps.append(x)
+        sizes = np.bincount(class_of).tolist()
+        class_of = class_of.tolist()
         data = ConjugacyData(
             class_of=tuple(class_of),
             reps=tuple(reps),
             sizes=tuple(sizes),
             centralizers=tuple(n // s for s in sizes),
-            inverse_class=inverse_class,
+            inverse_class=tuple(class_of[self.inverse[r]] for r in reps),
         )
         self._cache["conj"] = data
         return data
@@ -189,9 +208,9 @@ class FiniteGroup:
         if "structure" in self._cache:
             return self._cache["structure"]
         conj = self.conjugacy_classes()
-        k, n = len(conj), self.order
+        k = len(conj)
         cls = np.array(conj.class_of, dtype=np.int64)
-        y = np.array(self._t, dtype=np.int64)[np.array(self.inverse)[:, None] * n + np.array(conj.reps)]
+        y = self.table[np.array(self.inverse)[:, None], conj.reps]
         a = np.bincount(((cls[:, None] * k + cls[y]) * k + np.arange(k)).ravel(), minlength=k**3).reshape(k, k, k)
         a.flags.writeable = False
         self._cache["structure"] = a
@@ -245,9 +264,6 @@ class FiniteGroup:
         contains = [[a <= b for b in subs] for a in subs]
         return subs, contains
 
-    def is_p_group(self, p: int) -> bool:
-        return is_power_of(self.order, p)
-
     def sylow_p_subgroups(self, p: int) -> list[frozenset]:
         """All Sylow p-subgroups (conjugates of a greedily grown maximal p-subgroup)."""
         n = self.order
@@ -256,7 +272,7 @@ class FiniteGroup:
             target *= p
         if target == 1:
             return [frozenset({self.identity})]
-        p_elements = [x for x in range(n) if is_power_of(self.element_order(x), p) or x == self.identity]
+        p_elements = [x for x, o in enumerate(self.element_orders().tolist()) if is_power_of(o, p)]
         h = frozenset({self.identity})
         grown = True
         while len(h) < target and grown:
@@ -276,10 +292,16 @@ class FiniteGroup:
     def subgroup_as_group(self, elements) -> tuple["FiniteGroup", list[int]]:
         """Relabel a subgroup as its own FiniteGroup; returns (group, ambient indices)."""
         elems = sorted(elements)
-        index = {g: i for i, g in enumerate(elems)}
-        table = [[index[self.mul(a, b)] for b in elems] for a in elems]
-        names = [self.names[g] for g in elems]
-        return FiniteGroup(table, names=names, check=False), elems
+        members = np.array(elems)
+        products = self.table[members[:, None], members]
+        table = members.searchsorted(products)
+        if (members.take(table, mode="clip") != products).any():
+            raise ValidationError("bad-spec", "the elements are not closed under the group product")
+        group = FiniteGroup(table, names=[self.names[g] for g in elems], check=False)
+        orders = self.element_orders()[members]  # an element has the same order in every subgroup
+        orders.flags.writeable = False
+        group._cache["orders"] = orders
+        return group, elems
 
     # -- generators and automorphisms -----------------------------------------
 
@@ -307,8 +329,8 @@ class FiniteGroup:
         if not gens:
             self._cache["aut"] = 1
             return 1
-        orders = [self.element_order(h) for h in range(n)]
-        candidates = [np.array([h for h in range(n) if orders[h] == orders[g]], dtype=np.int32) for g in gens]
+        orders = self.element_orders()
+        candidates = [np.flatnonzero(orders == orders[g]).astype(np.int32) for g in gens]
         grid = tuple(len(c) for c in candidates)
         total, count = math.prod(grid), 0
         if total > MAX_AUT_CANDIDATES:
@@ -334,7 +356,7 @@ class FiniteGroup:
         ey, ex, ei = np.array(
             [(self.mul(x, g), x, i) for x in range(n) for i, g in enumerate(gens) if tree[self.mul(x, g)] != (x, i)]
         ).T
-        tn = np.array(self._t, dtype=np.int32) * n  # tn[a·n + b] = (a·b)·n: elements are stored times n
+        tn = (self.table.ravel() * n).astype(np.int32)  # tn[a·n + b] = (a·b)·n: elements are stored times n
         step = max(1, CHUNK_ENTRIES // max(n, len(ex)))
         for lo in range(0, total, step):
             picks = np.unravel_index(np.arange(lo, min(lo + step, total)), grid)
@@ -398,10 +420,23 @@ def is_power_of(n: int, p: int) -> bool:
     return n == 1
 
 
+def factorize(n: int) -> dict[int, int]:
+    """{p: e} with n = Π p^e, by trial division (n is a group order or exponent here)."""
+    out, d = {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
 def unique_prime_factor(n: int) -> int | None:
     """The prime p with n = p^k for some k ≥ 1, or None (n = 1, or two prime factors)."""
-    p = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
-    return p if n > 1 and is_power_of(n, p) else None
+    primes = list(factorize(n))
+    return primes[0] if len(primes) == 1 else None
 
 
 def group_prime(G: FiniteGroup) -> int:
@@ -415,101 +450,82 @@ def group_prime(G: FiniteGroup) -> int:
 # -- named constructors ---------------------------------------------------------
 
 
+def _tabulate(radices, product, name, keep=None) -> FiniteGroup:
+    """The group on digit vectors x ∈ Π_i ℤ/radices[i], in lexicographic order, tabulated by broadcasting.
+
+    `product(x, y)` maps the digit arrays of x (as a column) and y (as a row)
+    to the digits of x·y, each reduced mod its radix here; `keep(*digits)`,
+    when given, masks the vectors that are group elements (the rest must not
+    appear in products of kept ones); `name(*digits)` names one element.
+    """
+    size = math.prod(radices)
+    if size > MAX_ORDER:  # refused before anything is enumerated
+        raise ValidationError("bound-exceeded", f"{size} element codes exceed the group order limit {MAX_ORDER}")
+    digits = np.unravel_index(np.arange(size), radices)
+    if keep is not None:
+        digits = tuple(d[keep(*digits)] for d in digits)
+    n = len(digits[0])
+    codes = np.zeros((n, n), dtype=np.int64)
+    for v, r in zip(product([d[:, None] for d in digits], [d[None, :] for d in digits]), radices):
+        codes *= r  # Horner over the digits of x·y, one digit array alive at a time
+        codes += v % r
+    if keep is not None:  # number the kept codes 0..n−1
+        index = np.zeros(size, dtype=np.int64)
+        index[np.ravel_multi_index(digits, radices)] = np.arange(n)
+        codes = index[codes]
+    names = [name(*v) for v in zip(*(d.tolist() for d in digits))]
+    return FiniteGroup(codes, names=names, check=False)
+
+
 def cyclic(m: int) -> FiniteGroup:
     """Z/m."""
     if m < 1:
         raise ValidationError("bad-spec", "cyclic order must be ≥ 1")
-    table = [[(a + b) % m for b in range(m)] for a in range(m)]
-    return FiniteGroup(table, names=[str(i) for i in range(m)], check=False)
+    return _tabulate((m,), lambda x, y: (x[0] + y[0],), str)
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """G × H with pairs ordered (g-index, h-index)."""
     ng, nh = g.order, h.order
-    n = ng * nh
-    table = [[0] * n for _ in range(n)]
-    for a1 in range(ng):
-        for a2 in range(nh):
-            a = a1 * nh + a2
-            for b1 in range(ng):
-                for b2 in range(nh):
-                    table[a][b1 * nh + b2] = g.mul(a1, b1) * nh + h.mul(a2, b2)
+    table = g.table[:, None, :, None] * nh + h.table[None, :, None, :]  # [a1, a2, b1, b2] ↦ (a1·b1, a2·b2)
     names = [f"({g.names[a1]},{h.names[a2]})" for a1 in range(ng) for a2 in range(nh)]
-    return FiniteGroup(table, names=names, check=False)
+    return FiniteGroup(table.reshape(ng * nh, ng * nh), names=names, check=False)
 
 
 def elementary_abelian(p: int, k: int) -> FiniteGroup:
     """(Z/p)^k with vectors ordered lexicographically."""
     if k < 1:
         raise ValidationError("bad-spec", "rank must be ≥ 1")
-    n = p**k
-    if n > MAX_ORDER:
-        raise ValidationError("bound-exceeded", f"order {n} exceeds limit")
-
-    def vec(i):
-        return [(i // p**(k - 1 - j)) % p for j in range(k)]
-
-    def idx(v):
-        x = 0
-        for c in v:
-            x = x * p + c
-        return x
-
-    table = [[idx([(a + b) % p for a, b in zip(vec(i), vec(j))]) for j in range(n)] for i in range(n)]
-    names = ["(" + ",".join(str(c) for c in vec(i)) + ")" for i in range(n)]
-    return FiniteGroup(table, names=names, check=False)
+    if p**k > MAX_ORDER:
+        raise ValidationError("bound-exceeded", f"order {p**k} exceeds limit")
+    return _tabulate((p,) * k, lambda x, y: (a + b for a, b in zip(x, y)), lambda *v: f"({','.join(map(str, v))})")
 
 
 def heisenberg(p: int) -> FiniteGroup:
     """Upper unitriangular 3×3 matrices over F_p (extraspecial p^{1+2}, exponent p for odd p)."""
-    triples = [(a, b, c) for a in range(p) for b in range(p) for c in range(p)]
-    index = {t: i for i, t in enumerate(triples)}
-    table = []
-    for a, b, c in triples:
-        row = []
-        for x, y, z in triples:
-            row.append(index[((a + x) % p, (b + y) % p, (c + z + a * y) % p)])
-        table.append(row)
-    names = [f"({a},{b},{c})" for a, b, c in triples]
-    return FiniteGroup(table, names=names, check=False)
+    return _tabulate(
+        (p, p, p), lambda x, y: (x[0] + y[0], x[1] + y[1], x[2] + y[2] + x[0] * y[1]), lambda a, b, c: f"({a},{b},{c})"
+    )
 
 
 def extraspecial_exp_p2(p: int) -> FiniteGroup:
     """The extraspecial group of order p³ and exponent p²: ⟨a,b | a^{p²}, b^p, bab⁻¹ = a^{1+p}⟩."""
-    pp = p * p
-    pairs = [(i, j) for i in range(pp) for j in range(p)]
-    index = {t: k for k, t in enumerate(pairs)}
-    table = []
-    for i, j in pairs:
-        row = []
-        for k, l in pairs:
-            row.append(index[((i + k * pow(1 + p, j, pp)) % pp, (j + l) % p)])
-        table.append(row)
-    names = [f"a^{i}b^{j}" for i, j in pairs]
-    return FiniteGroup(table, names=names, check=False)
+    # a^i·b^j·a^k·b^l = a^{i + k(1+p)^j}·b^{j+l}, and (1+p)^j ≡ 1 + jp mod p²
+    return _tabulate(
+        (p * p, p), lambda x, y: (x[0] + y[0] * (1 + p * x[1]), x[1] + y[1]), lambda i, j: f"a^{i}b^{j}"
+    )
 
 
 def gl2(p: int) -> FiniteGroup:
     """GL_2(F_p) as 2×2 invertible matrices."""
-    mats = [
-        (a, b, c, d)
-        for a in range(p)
-        for b in range(p)
-        for c in range(p)
-        for d in range(p)
-        if (a * d - b * c) % p != 0
-    ]
-    if len(mats) > MAX_ORDER:
-        raise ValidationError("bound-exceeded", f"order {len(mats)} exceeds limit")
-    index = {m: i for i, m in enumerate(mats)}
-    table = []
-    for a, b, c, d in mats:
-        row = []
-        for e, f, g, h in mats:
-            row.append(index[((a * e + b * g) % p, (a * f + b * h) % p, (c * e + d * g) % p, (c * f + d * h) % p)])
-        table.append(row)
-    names = [f"[[{a},{b}],[{c},{d}]]" for a, b, c, d in mats]
-    return FiniteGroup(table, names=names, check=False)
+    return _tabulate(
+        (p,) * 4,
+        lambda x, y: (
+            x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3], x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3]
+        ),
+        lambda a, b, c, d: f"[[{a},{b}],[{c},{d}]]",
+        keep=lambda a, b, c, d: (a * d - b * c) % p != 0,
+    )
 
 
 def from_permutations(gens, degree: int, max_order: int = MAX_ORDER) -> FiniteGroup:

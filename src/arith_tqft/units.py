@@ -15,8 +15,6 @@ from .pgroup import is_prime
 
 INF = float("inf")
 
-Level = "int | float"  # positive int or INF
-
 
 def is_valid_level(r) -> bool:
     """True for a positive integer or INF."""

@@ -10,7 +10,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("name", ["02_universal_invariants", "03_gauge_theories"])
+@pytest.mark.parametrize(
+    "name", ["01_surfaces_and_counts", "02_universal_invariants", "03_gauge_theories", "04_counting_extensions"]
+)
 def test_demo_prints_its_transcript(name):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     run = subprocess.run(

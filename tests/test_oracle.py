@@ -141,7 +141,7 @@ def test_join_tracked_scans_match_a_closure_per_tuple():
 
 
 def test_a_scan_closes_each_subgroup_element_pair_once():
-    G = FiniteGroup(HEIS._t)  # a fresh group: no memo carried over from other tests
+    G = FiniteGroup(HEIS.table)  # a fresh group: no memo carried over from other tests
     calls = Counter()
 
     def closure(gens):

@@ -1,6 +1,9 @@
 """Finite-group core: constructors, conjugacy, subgroups, automorphisms."""
 
+import dataclasses
+import itertools
 import json
+import math
 import time
 
 import numpy as np
@@ -9,7 +12,9 @@ import pytest
 from arith_tqft.errors import ValidationError
 from arith_tqft.pgroup import (
     MAX_AUT_CANDIDATES,
+    MAX_ORDER,
     MAX_PRIME_TEST,
+    ConjugacyData,
     FiniteGroup,
     cyclic,
     direct_product,
@@ -188,6 +193,17 @@ def test_subgroup_as_group():
     assert h.order == 3
     assert len(h.conjugacy_classes()) == 3
     assert sorted(ambient) == sorted(sub)
+    with pytest.raises(ValidationError) as exc:  # 1 + 1 = 2 is not among the elements
+        cyclic(4).subgroup_as_group({0, 1, 3})
+    assert exc.value.code == "bad-spec"
+
+
+def test_constructors_refuse_past_the_order_limit_before_tabulating():
+    for make in (lambda: cyclic(MAX_ORDER + 1), lambda: heisenberg(23), lambda: gl2(11)):
+        start = time.perf_counter()
+        with pytest.raises(ValidationError) as exc:
+            make()
+        assert exc.value.code == "bound-exceeded" and time.perf_counter() - start < 1
 
 
 def test_direct_product_matches_elementary_abelian():
@@ -258,6 +274,131 @@ def test_non_latin_table_rejected():
     with pytest.raises(ValidationError) as exc:
         FiniteGroup([[0, 1], [1, 1]])
     assert exc.value.code == "bad-spec"
+    # entries outside 0..n−1 are refused before any indexing: −2 would wrap to the identity as a
+    # numpy index; the ragged rows flatten to a valid table of Z/3
+    for table, words in (
+        ([[0, 1], [1, 2]], "0..1"),
+        ([[0, 1], [1, -2]], "0..1"),
+        ([[0, 1, 2, 1], [2, 0], [2, 0, 1]], "not square"),
+    ):
+        with pytest.raises(ValidationError) as exc:
+            FiniteGroup(table)
+        assert exc.value.code == "bad-spec" and words in exc.value.message
+
+
+def _reference_group(rows, names):
+    """The table-derived data by the original loops: identity, inverses, classes, element orders."""
+    n = len(rows)
+    e = next(e for e in range(n) if all(rows[e][x] == x and rows[x][e] == x for x in range(n)))
+    inv = [next(b for b in range(n) if rows[a][b] == e) for a in range(n)]
+    class_of, reps, sizes = [-1] * n, [], []
+    for x in range(n):
+        if class_of[x] < 0:
+            orbit = {rows[rows[g][x]][inv[g]] for g in range(n)}
+            for y in orbit:
+                class_of[y] = len(reps)
+            reps.append(min(orbit))
+            sizes.append(len(orbit))
+    conj = ConjugacyData(
+        tuple(class_of), tuple(reps), tuple(sizes), tuple(n // s for s in sizes), tuple(class_of[inv[r]] for r in reps)
+    )
+    orders = []
+    for a in range(n):
+        k, x = 1, a
+        while x != e:
+            k, x = k + 1, rows[x][a]
+        orders.append(k)
+    return rows, list(names), e, inv, conj, orders
+
+
+def _reference_tabulation(elements, product, name):
+    index = {x: i for i, x in enumerate(elements)}
+    return [[index[product(x, y)] for y in elements] for x in elements], [name(x) for x in elements]
+
+
+def test_constructors_match_the_loop_tabulation():
+    def cyclic_ref(m):
+        return _reference_tabulation(range(m), lambda a, b: (a + b) % m, str)
+
+    def vectors(p, k):
+        return list(itertools.product(range(p), repeat=k))
+
+    def elementary_ref(p, k):
+        return _reference_tabulation(
+            vectors(p, k), lambda x, y: tuple((a + b) % p for a, b in zip(x, y)), lambda v: f"({','.join(map(str, v))})"
+        )
+
+    def heisenberg_ref(p):
+        return _reference_tabulation(
+            vectors(p, 3),
+            lambda u, v: ((u[0] + v[0]) % p, (u[1] + v[1]) % p, (u[2] + v[2] + u[0] * v[1]) % p),
+            lambda t: f"({t[0]},{t[1]},{t[2]})",
+        )
+
+    def xsp_ref(p):
+        pp = p * p
+        return _reference_tabulation(
+            [(i, j) for i in range(pp) for j in range(p)],
+            lambda u, v: ((u[0] + v[0] * pow(1 + p, u[1], pp)) % pp, (u[1] + v[1]) % p),
+            lambda t: f"a^{t[0]}b^{t[1]}",
+        )
+
+    def gl2_ref(p):
+        def mul(m, w):
+            (a, b, c, d), (e, f, g, h) = m, w
+            return ((a * e + b * g) % p, (a * f + b * h) % p, (c * e + d * g) % p, (c * f + d * h) % p)
+
+        mats = [m for m in vectors(p, 4) if (m[0] * m[3] - m[1] * m[2]) % p]
+        return _reference_tabulation(mats, mul, lambda m: f"[[{m[0]},{m[1]}],[{m[2]},{m[3]}]]")
+
+    def perm_ref(gens, degree):
+        elems, frontier = [tuple(range(degree))], [tuple(range(degree))]
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                y = tuple(x[g[i]] for i in range(degree))
+                if y not in elems:
+                    elems.append(y)
+                    frontier.append(y)
+        return _reference_tabulation(elems, lambda x, y: tuple(x[i] for i in y), lambda _: "")[0]
+
+    heis = heisenberg(3)
+    rows, names = heisenberg_ref(3)
+    c3_rows, c3_names = cyclic_ref(3)
+    d8_gens = [[1, 2, 3, 0], [3, 2, 1, 0]]
+    cases = [(cyclic(m), *cyclic_ref(m)) for m in (1, 3, 27)]
+    cases += [(elementary_abelian(p, k), *elementary_ref(p, k)) for p, k in ((2, 5), (3, 3))]
+    cases += [(heisenberg(p), *heisenberg_ref(p)) for p in (3, 5)]
+    cases += [(extraspecial_exp_p2(p), *xsp_ref(p)) for p in (3, 5)]
+    cases += [(gl2(p), *gl2_ref(p)) for p in (2, 3)]
+    cases.append(
+        (
+            direct_product(heis, cyclic(3)),
+            [
+                [rows[a1][b1] * 3 + c3_rows[a2][b2] for b1 in range(27) for b2 in range(3)]
+                for a1 in range(27)
+                for a2 in range(3)
+            ],
+            [f"({x},{y})" for x in names for y in c3_names],
+        )
+    )
+    d8 = perm_ref(d8_gens, 4)
+    cases.append((group_from_spec({"kind": "perm", "degree": 4, "gens": d8_gens}), d8, [str(i) for i in range(8)]))
+    for sub in heis.all_subgroups():
+        elems = sorted(sub)
+        index = {g: i for i, g in enumerate(elems)}
+        sub_rows = [[index[rows[a][b]] for b in elems] for a in elems]
+        cases.append((heis.subgroup_as_group(sub)[0], sub_rows, [names[g] for g in elems]))
+    for G, ref_rows, ref_names in cases:
+        t = G.table
+        assert t.dtype == np.int64 and not t.flags.writeable
+        conj = G.conjugacy_classes()
+        got = (t.tolist(), G.names, G.identity, G.inverse, conj, [G.element_order(x) for x in range(G.order)])
+        ref = _reference_group(ref_rows, ref_names)
+        assert got == ref
+        assert type(G.identity) is int
+        assert json.dumps(dataclasses.asdict(conj)) == json.dumps(dataclasses.asdict(ref[4]))
+        assert G.exponent() == math.lcm(*ref[5])
 
 
 def test_closure_and_generators():
