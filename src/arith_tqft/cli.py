@@ -7,8 +7,12 @@ failures, so batch drivers can tell the two apart.  Flags that take a diagram
 or a task accept either a literal string or a path to a file holding one.
 
 `homcount` and `extensions` record the prime and the seed of the character
-table their count used (null when no table was needed), making each count a
-reproducible artifact.  Tables never retry a seed, so the seed is always 0.
+table their count used (null when no table was needed: an abelian group is
+counted through its dual group), making each count a reproducible artifact.
+Tables never retry a seed, so the seed is always 0.  When |Aut Γ| is refused
+at a limit, `homcount` still prints its hom and epi counts, with
+``"extensions": null`` and the refusal under ``extensions_refused``;
+`extensions` exits with the refusal.
 """
 
 from __future__ import annotations
@@ -121,6 +125,8 @@ def _cmd_extensions(args):
             raise ValidationError("odd-degree", f"no base field has odd degree {args.degree} here")
         spec = RelatorSpec(args.degree // 2 + 1, args.r)
     out = counting_summary(spec, G)
+    if out["extensions"] is None:
+        raise ValidationError(out["extensions_refused"]["error"], out["extensions_refused"]["message"])
     return [
         {
             "extensions": _fraction_json(Fraction(out["extensions"])),

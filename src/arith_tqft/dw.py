@@ -13,15 +13,19 @@ mod a split prime ℓ and plugs into the generic evaluator and axiom checker in
 On top of the algebra sit the counting formulas: `hom_count` recovers the
 number of homomorphisms from a one-relator surface group into Γ from integer
 character sums, each a centered lift from one character table mod one split
-prime; `epi_count` inverts it over the subgroup lattice with Möbius
-coefficients, and `extension_count`, `yamagishi_count` and
-`general_gauge_count` are the derived quantities.  Everything here has an independent brute-force twin in `oracle`.
+prime, and reads it off the element orders when Γ is abelian (its character
+table is its dual group).  `epi_count` inverts it by P. Hall's Möbius sum over
+the subgroups containing the Frattini subgroup Φ(Γ), enumerated as the
+subspaces of Γ/Φ(Γ) ≅ 𝔽_p^d; `extension_count`, `yamagishi_count` and
+`general_gauge_count` are the derived quantities.  Everything here has an
+independent brute-force twin in `oracle`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, product
 
 import numpy as np
 
@@ -29,7 +33,7 @@ from .chartab import char_sum, character_table_mod, recover_integer, split_prime
 from .cobordism import Diagram, Token
 from .errors import ComputationError, ValidationError
 from .frobenius import STRUCTURAL_AXIOMS, GenericMatrix, ModMatrix, TokenTerms, evaluate_diagram
-from .pgroup import FiniteGroup, factorize, group_from_spec, group_prime, is_power_of, is_prime
+from .pgroup import CHUNK_ENTRIES, FiniteGroup, factorize, group_from_spec, group_prime, is_power_of, is_prime
 from .units import INF, PadicUnit, is_valid_level, level_to_json, p_power
 
 
@@ -245,23 +249,46 @@ def evaluate_dw(D: Diagram, G, l: int) -> ModMatrix:
 # -- character-sum counting -------------------------------------------------------------
 
 
+def _abelian_hom_count(spec: RelatorSpec, orders: np.ndarray, p: int) -> int:
+    """#Hom(spec → A) for an abelian p-group A given by its element orders: the dual-group value.
+
+    Commutators vanish in A, so only x₁^{p^r} = 1 constrains: |A|^{2n−1}·|A[p^r]|,
+    which is |A|^{2n} at r = INF and |A|^k for FREE(k).  No character table is built.
+    """
+    size = len(orders)
+    if spec.is_free:
+        return size**spec.free_rank
+    if spec.n == 0:
+        return 1
+    if spec.r == INF:
+        return size ** (2 * spec.n)
+    torsion = int((orders <= p ** min(spec.r, size.bit_length())).sum())  # every order is ≤ |A| < p^bitlen
+    return size ** (2 * spec.n - 1) * torsion
+
+
 def _surface_hom_count(G: FiniteGroup, n: int, r) -> tuple[int, list[int]]:
     """(#Hom(G_{n,r} → Γ), [ℓ]): Σ_ρ (|Γ|/dim ρ)^{2n−2}·S_ρ(r), summed in ℤ.
 
     Each character sum S_ρ(r) is an integer with |S_ρ| ≤ |Γ|·|Γ:Z(Γ)|, so one
     table at the smallest split prime ℓ above 2|Γ|·|Γ:Z(Γ)| gives every S_ρ
-    exactly by a centered lift mod ℓ, whatever the genus n.
+    exactly by a centered lift mod ℓ, whatever the genus n.  An abelian Γ is
+    its own character group: its count is read from the element orders, with
+    no table and no prime ([]).
     """
     if G.order == 1 or n == 0:
         return 1, []
     cache_key = ("hom-count", n, r)
     if cache_key in G._cache:
         return G._cache[cache_key]
+    p = group_prime(G)
+    if G.is_abelian():
+        G._cache[cache_key] = (_abelian_hom_count(RelatorSpec(n, r), G.element_orders(), p), [])
+        return G._cache[cache_key]
     centre = G.conjugacy_classes().sizes.count(1)
     bound = G.order * (G.order // centre)
     l = split_primes(G, count=1, above=2 * bound)[0]
     table = character_table_mod(G, l)
-    sums = char_sum(table, r, p=group_prime(G))
+    sums = char_sum(table, r, p=p)
     value = sum(
         (G.order // deg) ** (2 * n - 2) * recover_integer(s_rho, l)
         for deg, s_rho in zip(table.degrees, sums)
@@ -296,35 +323,142 @@ def uncached_hom_count(spec: RelatorSpec, G) -> int:
     return hom_count(spec, G)
 
 
-# -- subgroup Möbius inversion -----------------------------------------------------------
+# -- Möbius inversion over the Frattini quotient ---------------------------------------
+
+MAX_FRATTINI_SUBSPACES = 100_000  # subgroups H ⊇ Φ(Γ) a Möbius sum may visit
+
+
+def _gaussian_binomial(d: int, m: int, p: int) -> int:
+    """The number of m-dimensional subspaces of 𝔽_p^d."""
+    num = den = 1
+    for i in range(m):
+        num *= p ** (d - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
+def _frattini_cosets(G: FiniteGroup, p: int) -> np.ndarray:
+    """The cosets of Φ(Γ) = Γ^p[Γ,Γ] as the rows of a (p^d, |Φ|) array, row c at coordinates c = Σ_i c_i·p^i.
+
+    An irredundant generating set b_1..b_d of a p-group is a Burnside basis:
+    it maps onto a basis of Γ/Φ(Γ) ≅ 𝔽_p^d.  Every element is labelled by a
+    walk of the Cayley graph from the identity, the step by b_i adding the
+    i-th unit vector, and the labelling is checked to be a homomorphism on
+    every edge; Φ(Γ) is its kernel, row 0.
+    """
+    if "frattini" in G._cache:
+        return G._cache["frattini"]
+    t, n, gens = G._t, G.order, G.generating_set()
+    weights = [p**i for i in range(len(gens))]  # the code of the i-th unit vector
+    code = [-1] * n
+    code[G.identity] = 0
+    walk = [G.identity]
+    while walk:
+        x = walk.pop()
+        c = code[x]
+        for g, w in zip(gens, weights):
+            y = t[x * n + g]
+            if code[y] < 0:
+                code[y] = c + w if c // w % p < p - 1 else c - (p - 1) * w
+                walk.append(y)
+    code = np.array(code)
+    digits = code[:, None] // weights % p
+    for i, g in enumerate(gens):
+        if ((digits[G.table[:, g]] - digits) % p != np.eye(1, len(gens), i)).any():
+            raise ComputationError("invariant", f"generators {gens} do not label Γ/Φ(Γ) by 𝔽_{p}-coordinates")
+    cosets = np.argsort(code, kind="stable").reshape(p ** len(gens), -1)
+    cosets.flags.writeable = False
+    G._cache["frattini"] = cosets
+    return cosets
+
+
+def _subspaces(p: int, d: int):
+    """Every subspace U of 𝔽_p^d once, as (codimension, codes Σ_i v_i·p^i of its vectors), 𝔽_p^d first.
+
+    Each U is generated from its reduced row echelon basis: pivots at chosen
+    columns, the entries right of a pivot outside the pivot columns free.
+    """
+    weights = p ** np.arange(d)
+    for m in range(d, -1, -1):
+        span = np.array(list(product(range(p), repeat=m)), dtype=np.int64).reshape(p**m, m)
+        for pivots in combinations(range(d), m):
+            free = [(i, j) for i, c in enumerate(pivots) for j in range(c + 1, d) if j not in pivots]
+            rows, cols = np.array(free, dtype=np.int64).reshape(-1, 2).T
+            basis = np.zeros((m, d), dtype=np.int64)
+            basis[range(m), pivots] = 1
+            for values in product(range(p), repeat=len(free)):
+                basis[rows, cols] = values
+                yield d - m, span @ basis % p @ weights
+
+
+def _frattini_subgroups(G: FiniteGroup):
+    """(elements of H, μ(H)) for every subgroup H ⊇ Φ(Γ) of a p-group Γ, Γ first.
+
+    By P. Hall (Q. J. Math. 7, 1936) these are the only H with μ(H) ≠ 0, and
+    μ(H) = (−1)^k·p^{k(k−1)/2} for |Γ:H| = p^k: the Möbius function of the
+    subspace lattice of Γ/Φ(Γ).  Their number is checked against
+    `MAX_FRATTINI_SUBSPACES` before any is enumerated.
+    """
+    if G.order == 1:
+        yield np.array([G.identity]), 1
+        return
+    p = group_prime(G)
+    cosets = _frattini_cosets(G, p)
+    d = factorize(len(cosets)).get(p, 0)
+    total = sum(_gaussian_binomial(d, m, p) for m in range(d + 1))
+    if total > MAX_FRATTINI_SUBSPACES:
+        raise ValidationError(
+            "bound-exceeded",
+            f"Γ/Φ(Γ) ≅ 𝔽_{p}^{d} has {total:,} subspaces, above MAX_FRATTINI_SUBSPACES = {MAX_FRATTINI_SUBSPACES:,}",
+        )
+    for k, codes in _subspaces(p, d):
+        yield cosets[codes].ravel(), (-1) ** k * p ** (k * (k - 1) // 2)
 
 
 def hall_mobius(G) -> dict:
-    """Möbius function of the subgroup lattice: μ(Γ) = 1, Σ_{K ≥ H} μ(K) = 0 for H < Γ."""
+    """{H: μ(H)} over the subgroups H ⊇ Φ(Γ) of a p-group, μ(Γ) = 1: every H with μ(H) ≠ 0.
+
+    Subgroups that do not contain Φ(Γ), such as the trivial subgroup of C₉,
+    have μ = 0 and are not listed.
+    """
     G = group_from_spec(G)
-    subs = sorted(G.all_subgroups(), key=len, reverse=True)
-    mu: dict = {subs[0]: 1}
-    for h in subs[1:]:
-        mu[h] = -sum(mu[k] for k in mu if k > h)
-    return mu
+    return {frozenset(h.tolist()): mu for h, mu in _frattini_subgroups(G)}
 
 
-def _subgroup_group(G: FiniteGroup, elements: frozenset) -> FiniteGroup:
-    if len(elements) == G.order:
-        return G  # Γ itself: reuse its table and counts
-    key = ("subgroup-group", elements)
-    if key not in G._cache:
-        G._cache[key] = G.subgroup_as_group(elements)[0]
-    return G._cache[key]
+def _commutative(G: FiniteGroup, elements: np.ndarray) -> bool:
+    """Whether the elements commute pairwise, compared a block of rows at a time."""
+    t, step = G.table, max(1, CHUNK_ENTRIES // len(elements))
+    return all(
+        (t[elements[lo : lo + step, None], elements] == t[elements, elements[lo : lo + step, None]]).all()
+        for lo in range(0, len(elements), step)
+    )
 
 
 def epi_count(spec: RelatorSpec, G) -> int:
-    """Number of SURJECTIVE homomorphisms onto Γ, by Möbius inversion over subgroups."""
+    """Number of SURJECTIVE homomorphisms onto Γ: Σ_{H ⊇ Φ(Γ)} μ(H)·#Hom(spec → H).
+
+    An abelian H takes the dual-group value from the element orders; only a
+    non-abelian H is relabelled as its own group and counted through its
+    character table.
+    """
+    if not isinstance(spec, RelatorSpec):
+        raise ValidationError("bad-spec", f"expected a RelatorSpec, got {type(spec).__name__}")
     G = group_from_spec(G)
+    if G.order == 1:
+        return 1
+    p, abelian, orders = group_prime(G), G.is_abelian(), G.element_orders()
     total = 0
-    for h, mu in hall_mobius(G).items():
-        if mu:
-            total += mu * hom_count(spec, _subgroup_group(G, h))
+    for h, mu in _frattini_subgroups(G):
+        if len(h) == G.order:
+            value = hom_count(spec, G)
+        elif abelian or _commutative(G, h):
+            value = _abelian_hom_count(spec, orders[h], p)
+        else:
+            key = ("frattini-subgroup", h.tobytes())
+            if key not in G._cache:
+                G._cache[key] = G.subgroup_as_group(h)[0]
+            value = hom_count(spec, G._cache[key])
+        total += mu * value
     return total
 
 
@@ -347,6 +481,15 @@ def yamagishi_count(N: int, r, G) -> int:
     if N % 2:
         raise ValidationError("odd-degree", f"degree {N} is odd; the count needs an even degree")
     return hom_count(RelatorSpec(N // 2 + 1, r), G)
+
+
+def _subgroup_group(G: FiniteGroup, elements: frozenset) -> FiniteGroup:
+    if len(elements) == G.order:
+        return G  # Γ itself: reuse its table and counts
+    key = ("subgroup-group", elements)
+    if key not in G._cache:
+        G._cache[key] = G.subgroup_as_group(elements)[0]
+    return G._cache[key]
 
 
 def general_gauge_count(H, p: int, spec: RelatorSpec) -> tuple[int, Fraction]:
@@ -378,11 +521,22 @@ def general_gauge_count(H, p: int, spec: RelatorSpec) -> tuple[int, Fraction]:
 
 
 def counting_summary(spec: RelatorSpec, G) -> dict:
-    """The batch-facing JSON bundle: hom count, epi count, extensions, primes used."""
+    """The batch-facing JSON bundle: hom count, epi count, extensions, primes used.
+
+    When |Aut Γ| is refused at a limit, the counts already made are kept:
+    `extensions` is None and `extensions_refused` holds the error code and message.
+    """
     G = group_from_spec(G)
     if spec.is_free:
         hom, primes = G.order**spec.free_rank, []
     else:
         hom, primes = _surface_hom_count(G, spec.n, spec.r)
     epis = epi_count(spec, G)
-    return {"hom_count": hom, "epi_count": epis, "extensions": str(_extensions(G, epis)), "primes_used": primes}
+    out = {"hom_count": hom, "epi_count": epis, "extensions": None, "primes_used": primes}
+    try:
+        out["extensions"] = str(_extensions(G, epis))
+    except ValidationError as e:
+        if e.code != "bound-exceeded":
+            raise
+        out["extensions_refused"] = {"error": e.code, "message": e.message}
+    return out

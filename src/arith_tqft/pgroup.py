@@ -529,32 +529,45 @@ def gl2(p: int) -> FiniteGroup:
 
 
 def from_permutations(gens, degree: int, max_order: int = MAX_ORDER) -> FiniteGroup:
-    """Closure of permutation generators (image arrays on 0..degree-1)."""
+    """Closure of permutation generators (image arrays on 0..degree-1).
+
+    The elements are numbered in the order a depth-first walk from the
+    identity finds them, x·g mapping i to x[g[i]].  The walk records each
+    element's product by every generator, and each element b other than the
+    identity was found as a·g_i for an earlier a; so the table is filled one
+    column at a time, x·b = (x·a)·g_i composing column a with the
+    product-by-g_i array.
+    """
     ident = tuple(range(degree))
     gens = [tuple(g) for g in gens]
     for g in gens:
         if sorted(g) != list(ident):
             raise ValidationError("bad-spec", f"not a permutation of 0..{degree - 1}: {g}")
     elems = {ident: 0}
-    order_list = [ident]
-    frontier = [ident]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = tuple(x[g[i]] for i in range(degree))
+    right = [[0] * len(gens)]  # right[x][i] = index of x·g_i
+    found = [None]  # found[b] = (a, i) with b = a·g_i
+    walk = [ident]
+    while walk:
+        x = walk.pop()
+        a = elems[x]
+        for i, g in enumerate(gens):
+            y = tuple(x[j] for j in g)
             if y not in elems:
                 if len(elems) >= max_order:
                     raise ValidationError("bound-exceeded", f"closure exceeds order limit {max_order}")
-                elems[y] = len(order_list)
-                order_list.append(y)
-                frontier.append(y)
-    table = []
-    for x in order_list:
-        row = []
-        for y in order_list:
-            row.append(elems[tuple(x[y[i]] for i in range(degree))])
-        table.append(row)
-    return FiniteGroup(table, check=False)
+                elems[y] = len(right)
+                right.append([0] * len(gens))
+                found.append((a, i))
+                walk.append(y)
+            right[a][i] = elems[y]
+    n = len(right)
+    right = np.array(right).T
+    cols = np.empty((n, n), dtype=np.int64)  # cols[b, x] = x·b
+    cols[0] = np.arange(n)
+    for b in range(1, n):
+        a, i = found[b]
+        cols[b] = right[i, cols[a]]
+    return FiniteGroup(cols.T.copy(), check=False)
 
 
 # -- module-level helpers -------------------------------------------------------------

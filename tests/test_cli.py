@@ -27,7 +27,11 @@ def test_homcount_with_verification(capsys):
     assert out["epi_count"] == 8
     assert out["extensions"] == "4"
     assert out["verified"] is True
-    assert out["primes_used"] == [7]
+    assert out["primes_used"] == [] and out["seed"] is None  # C_3 is its own dual group: no table
+    assert run(["homcount", "--group", "named:heisenberg:3", "--n", "1", "--r", "1", "--verify"]) == 0
+    out = _lines(capsys)[0][0]
+    assert (out["hom_count"], out["epi_count"], out["verified"]) == (297, 0, True)
+    assert out["primes_used"] == [487]
     assert out["seed"] == 0  # a table never retries: the count used seed 0
 
 
@@ -42,6 +46,19 @@ def test_extensions_command(capsys):
     assert _lines(capsys)[0][0]["extensions"] == 40
     assert run(["extensions", "--group", "named:cyclic:3", "--free", "2"]) == 0
     assert _lines(capsys)[0][0]["extensions"] == 4
+
+
+def test_homcount_keeps_its_counts_when_the_automorphism_count_refuses(capsys):
+    for group, n, counts in (
+        ("named:heisenberg:7", 2, (1982268001, 1936166400)),  # order 343 > MAX_AUT_ORDER
+        ("named:elementary_abelian:2:5", 3, (2**30, 629959680)),  # 31^5 candidate images > MAX_AUT_CANDIDATES
+    ):
+        assert run(["homcount", "--group", group, "--n", str(n), "--r", "1"]) == 0
+        out = _lines(capsys)[0][0]
+        assert (out["hom_count"], out["epi_count"], out["extensions"]) == counts + (None,)
+        assert out["extensions_refused"]["error"] == "bound-exceeded"
+        assert run(["extensions", "--group", group, "--degree", str(2 * n - 2), "--r", "1"]) == 1
+        assert _error(capsys) == out["extensions_refused"]
 
 
 def test_extensions_rejects_odd_degree(capsys):

@@ -1,12 +1,13 @@
 """Gauge-theory matrices and counting formulas: structure, axioms, known values."""
 
+import math
 import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from arith_tqft.chartab import character_table_mod
+from arith_tqft.chartab import char_sum, character_table_mod, recover_integer, split_primes
 from arith_tqft.cobordism import (
     CAP,
     CUP,
@@ -44,7 +45,9 @@ from arith_tqft.pgroup import (
     direct_product,
     elementary_abelian,
     extraspecial_exp_p2,
+    from_permutations,
     gl2,
+    group_prime,
     heisenberg,
 )
 from arith_tqft.units import INF, one, unit
@@ -379,10 +382,170 @@ def test_general_gauge_count_without_p_part():
 
 def test_counting_summary():
     out = counting_summary(RelatorSpec(1, 1), C3)
-    assert out == {"hom_count": 9, "epi_count": 8, "extensions": "4", "primes_used": [7]}
+    assert out == {"hom_count": 9, "epi_count": 8, "extensions": "4", "primes_used": []}
     free = counting_summary(FREE(2), C3)
     assert free["hom_count"] == 9 and free["primes_used"] == []
+    assert counting_summary(RelatorSpec(1, 1), HEIS)["primes_used"] == [487]
     assert len(counting_summary(RelatorSpec(14, INF), HEIS)["primes_used"]) == 1
+
+
+# -- Hall–Frattini Möbius sums and dual-group counts ------------------------------------
+
+D8 = from_permutations([[1, 2, 3, 0], [3, 2, 1, 0]], degree=4)
+# every group here has order ≤ 200, inside the old subgroup-lattice route, so the
+# lattice Möbius sum written below is a reference for the Hall–Frattini sum
+HALL_GROUPS = {
+    "C3": C3,
+    "C9": C9,
+    "C27": cyclic(27),
+    "E9": E9,
+    "E27": elementary_abelian(3, 3),
+    "C3xC9": direct_product(cyclic(3), C9),
+    "D8": D8,
+    "Q8": from_permutations([[1, 4, 3, 6, 5, 0, 7, 2], [2, 7, 4, 1, 6, 3, 0, 5]], degree=8),
+    "D16": from_permutations([[1, 2, 3, 4, 5, 6, 7, 0], [0, 7, 6, 5, 4, 3, 2, 1]], degree=8),
+    "D8xC2": direct_product(D8, cyclic(2)),
+    "Heis3": HEIS,
+    "XSP3": XSP,
+    "Heis3xC3": direct_product(HEIS, C3),
+    "E16": elementary_abelian(2, 4),
+}
+HALL_SPECS = [RelatorSpec(n, r) for n in (1, 2) for r in (1, 2, 3, INF)] + [FREE(k) for k in (1, 2, 3)]
+
+
+def _lattice_mobius(G):
+    """μ over the whole subgroup lattice: μ(Γ) = 1 and Σ_{K ⊇ H} μ(K) = 0 for every H < Γ."""
+    subs = sorted(G.all_subgroups(), key=len, reverse=True)
+    mu = {subs[0]: 1}
+    for h in subs[1:]:
+        mu[h] = -sum(mu[k] for k in mu if k > h)
+    return mu
+
+
+@pytest.mark.parametrize("name", HALL_GROUPS)
+def test_hall_frattini_sum_matches_the_lattice_mobius_sum(name):
+    # μ ≠ 0 exactly on the subgroups containing Φ(Γ), and both sums give the same #Epi
+    G = HALL_GROUPS[name]
+    mu = {h: m for h, m in _lattice_mobius(G).items() if m}
+    assert hall_mobius(G) == mu
+    groups = {h: G.subgroup_as_group(h)[0] for h in mu}
+    for spec in HALL_SPECS:
+        assert epi_count(spec, G) == sum(m * hom_count(spec, groups[h]) for h, m in mu.items()), (name, spec)
+
+
+@pytest.mark.parametrize("name", [k for k, G in HALL_GROUPS.items() if G.is_abelian()])
+def test_dual_group_hom_count_matches_the_character_sum(name):
+    # the element-order count of an abelian group against Σ_ρ (|Γ|/χ(1))^{2n−2}·S_ρ from a Dixon table
+    G = HALL_GROUPS[name]
+    p = group_prime(G)
+    l = split_primes(G, count=1, above=2 * G.order)[0]
+    table = character_table_mod(G, l)
+    for n in (1, 2, 3):
+        for r in (1, 2, 3, INF):
+            sums = char_sum(table, r, p=p)
+            want = sum((G.order // d) ** (2 * n - 2) * recover_integer(s, l) for d, s in zip(table.degrees, sums))
+            assert hom_count(RelatorSpec(n, r), G) == want, (name, n, r)
+
+
+def _mednykh(order, degrees, n):
+    """#Hom(surface of genus n → H) = |H|·Σ_ρ (|H|/dim ρ)^{2n−2}, with degrees as (dim ρ, multiplicity)."""
+    return order * sum(m * (order // d) ** (2 * n - 2) for d, m in degrees)
+
+
+def _surjections(q, d, k):
+    """Surjective linear maps 𝔽_q^k → 𝔽_q^d."""
+    return math.prod(q**k - q**i for i in range(d))
+
+
+def test_counts_past_the_old_subgroup_limit_match_closed_forms():
+    # the subgroup-lattice route refused every epi count here (order > 200), and
+    # its Dixon table made the (Z/3)^6 hom count take minutes
+    t0 = time.perf_counter()
+    heis7 = heisenberg(7)  # Hall: Γ, then p + 1 = 8 maximal C_7², then Φ = Z ≅ C_7 with μ = 7
+    for n in (1, 2):
+        want = _mednykh(343, ((1, 49), (7, 6)), n) - 8 * 49 ** (2 * n) + 7 * 7 ** (2 * n)
+        for r in (1, INF):  # exponent 7: the power factor x^{7^r} vanishes at every level
+            assert epi_count(RelatorSpec(n, r), heis7) == want
+    assert time.perf_counter() - t0 < 10
+
+    t0 = time.perf_counter()
+    g = direct_product(HEIS, C9)  # Φ = Z(Heis3)×⟨3⟩ ≅ C_3², Γ/Φ ≅ 𝔽_3³
+    terms = (  # (μ, how many, order, degrees) over H ⊇ Φ
+        (1, 1, 243, ((1, 81), (3, 18))),
+        (-1, 9, 81, ((1, 27), (3, 6))),  # the maximal H mapping onto Heis3/Φ(Heis3): non-abelian
+        (-1, 4, 81, ((1, 81),)),  # the maximal H containing C_9: abelian
+        (3, 13, 27, ((1, 27),)),
+        (-27, 1, 9, ((1, 9),)),
+    )
+    for n in (1, 2):
+        want = sum(mu * k * _mednykh(order, degrees, n) for mu, k, order, degrees in terms)
+        for r in (2, INF):  # exponent 9: Mednykh holds from level 2 on
+            assert epi_count(RelatorSpec(n, r), g) == want
+    assert time.perf_counter() - t0 < 10
+
+    t0 = time.perf_counter()
+    e243 = elementary_abelian(3, 5)  # an epimorphism onto 𝔽_3^5 is a surjective linear map
+    for n in (1, 2, 3):
+        for r in (1, INF):
+            assert epi_count(RelatorSpec(n, r), e243) == _surjections(3, 5, 2 * n)
+    assert epi_count(FREE(6), e243) == _surjections(3, 5, 6)
+    assert time.perf_counter() - t0 < 10
+
+    t0 = time.perf_counter()
+    e729 = elementary_abelian(3, 6)
+    for n in (1, 2):
+        for r in (1, INF):
+            assert hom_count(RelatorSpec(n, r), e729) == 3 ** (12 * n)
+    assert time.perf_counter() - t0 < 10
+
+
+def test_cold_homcount_builds_tables_only_for_non_abelian_groups(monkeypatch, capsys, tmp_path):
+    from arith_tqft import chartab, cli, dw
+    from arith_tqft.cli import run
+
+    built, original = [], chartab.character_table_mod
+
+    def counted(G, l, seed=0):
+        if ("chartab", l, seed) not in G._cache:
+            built.append(G.order)
+        return original(G, l, seed)
+
+    for module in (chartab, dw, cli):
+        monkeypatch.setattr(module, "character_table_mod", counted)
+    c3xc9 = tmp_path / "c3xc9.json"
+    c3xc9.write_text('{"kind": "product", "factors": ["named:cyclic:3", "named:cyclic:9"]}')
+    for group, tables in (
+        ("named:cyclic:3", []),
+        (f"file:{c3xc9}", []),  # the lattice route built four order-9 tables here
+        ("named:elementary_abelian:3:3", []),
+        ("named:heisenberg:3", [27]),  # Γ only: its maximal subgroups and Φ are abelian
+    ):
+        built.clear()
+        assert run(["homcount", "--group", group, "--n", "2", "--r", "1"]) == 0
+        assert built == tables, group
+    capsys.readouterr()
+
+
+def test_the_subspace_bound_refuses_before_enumerating(monkeypatch):
+    from arith_tqft import dw
+
+    monkeypatch.setattr(dw, "_subspaces", lambda p, d: pytest.fail("subspaces enumerated past the bound"))
+    G = elementary_abelian(2, 10)  # 𝔽_2^10 has 229,755,605 subspaces
+    for count in (lambda: epi_count(FREE(10), G), lambda: hall_mobius(G)):
+        with pytest.raises(ValidationError) as e:
+            count()
+        assert e.value.code == "bound-exceeded" and "MAX_FRATTINI_SUBSPACES" in e.value.message
+
+
+def test_epi_count_on_the_trivial_group_and_a_mixed_order_group():
+    assert epi_count(RelatorSpec(2, 1), cyclic(1)) == 1 == epi_count(FREE(3), cyclic(1))
+    for spec in (RelatorSpec(1, 1), FREE(2)):
+        with pytest.raises(ValidationError) as e:
+            epi_count(spec, cyclic(6))
+        assert e.value.code == "bad-spec"
+    with pytest.raises(ValidationError) as e:
+        hom_count(RelatorSpec(1, 1), cyclic(6))
+    assert e.value.code == "bad-spec"
 
 
 def test_counting_summary_counts_epimorphisms_once(monkeypatch, capsys):

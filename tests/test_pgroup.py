@@ -222,6 +222,53 @@ def test_permutation_closure():
     assert sorted(g.conjugacy_classes().sizes) == [1, 2, 3]
 
 
+def _dict_composed_table(gens, degree):
+    """The permutation-closure table by tuple composition through a dict, in the same walk order."""
+    ident = tuple(range(degree))
+    elems, order, walk = {ident: 0}, [ident], [ident]
+    while walk:
+        x = walk.pop()
+        for g in gens:
+            y = tuple(x[g[i]] for i in range(degree))
+            if y not in elems:
+                elems[y] = len(order)
+                order.append(y)
+                walk.append(y)
+    return [[elems[tuple(x[y[i]] for i in range(degree))] for y in order] for x in order]
+
+
+def _quaternion_generators():
+    """Left multiplication by i and j on Q_8 = {±1, ±i, ±j, ±k}, element s·u coded 4s + u (u = 1, i, j, k)."""
+    units = {(0, 0): (0, 0), (0, 1): (0, 1), (0, 2): (0, 2), (0, 3): (0, 3), (1, 0): (0, 1), (1, 1): (1, 0),
+             (1, 2): (0, 3), (1, 3): (1, 2), (2, 0): (0, 2), (2, 1): (1, 3), (2, 2): (1, 0), (2, 3): (0, 1)}
+    gens = []
+    for a in (1, 2):
+        image = []
+        for code in range(8):
+            sign, u = divmod(code, 4)
+            s, v = units[(a, u)]
+            image.append(4 * ((sign + s) % 2) + v)
+        gens.append(image)
+    return gens
+
+
+def test_permutation_closure_matches_dict_composition():
+    for gens, degree, order in (
+        ([[1, 2, 3, 0], [3, 2, 1, 0]], 4, 8),  # D_8
+        (_quaternion_generators(), 8, 8),  # Q_8, regular
+        ([[1, 2, 3, 0], [1, 0, 2, 3]], 4, 24),  # S_4
+        ([[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]], 5, 120),  # S_5
+    ):
+        G = from_permutations(gens, degree)
+        assert G.order == order
+        assert G.table.tolist() == _dict_composed_table(gens, degree)
+    assert not from_permutations(_quaternion_generators(), 8).is_abelian()
+    assert sorted(from_permutations(_quaternion_generators(), 8).element_orders().tolist()) == [1, 2] + [4] * 6
+    with pytest.raises(ValidationError) as e:
+        from_permutations([[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]], 5, max_order=60)
+    assert e.value.code == "bound-exceeded"
+
+
 def test_group_from_spec_strings():
     assert group_from_spec("named:cyclic:3").order == 3
     assert group_from_spec("named:elementary_abelian:3:2").order == 9
