@@ -187,7 +187,8 @@ class DWAlgebra:
     `precheck`), so `frobenius.evaluate_diagram` and `frobenius.check_axioms`
     drive it unchanged: every token is the one monomial 1, and the
     contraction keeps the state in float64 BLAS products, reduced mod ℓ only
-    when exactness needs it.
+    when exactness needs it.  `swap` is a strand flip there, so its k²×k²
+    matrix is built only when `token_matrix` is asked for it.
     Basis: indicator functions of conjugacy classes, in the group's class order.
     """
 

@@ -26,7 +26,9 @@ Both go through one contraction, `_contract`, in which every generator acts
 on its own strands of a single state.  The state is integer arithmetic
 throughout: one array per monomial h^i·t^j·[r] that occurs, and each token
 written once per algebra as a few (monomial, int64 matrix) pairs
-(`TokenTerms`); a DW token is the one monomial 1.
+(`TokenTerms`); a DW token is the one monomial 1.  `swap` is the symmetric
+structure, the same in every algebra: it exchanges two strand axes of the
+state and needs no token matrix to evaluate.
 """
 
 from __future__ import annotations
@@ -327,6 +329,13 @@ class ModMatrix:
         self._rows = None
         if self.a.ndim != 2:
             raise ValidationError("bad-spec", f"matrix must be 2-dimensional, got shape {self.a.shape}")
+
+    @classmethod
+    def reduced(cls, a: np.ndarray, l: int) -> "ModMatrix":
+        """Wrap a 2-dimensional int64 array whose entries already lie in [0, ℓ), without another pass."""
+        M = cls.__new__(cls)
+        M.a, M.l, M._rows = a, l, None
+        return M
 
     @property
     def shape(self):
@@ -683,6 +692,15 @@ def _modulus(A):
     return getattr(A.token_matrix(Token("id")), "l", None)
 
 
+def _reduce(S, l):
+    """S mod ℓ in C order, exactly: a float64 state holds integers below 2⁵³, so it reduces through int64."""
+    if S.dtype == object:
+        return S % l
+    R = S.astype(np.int64, order="C")
+    R %= l
+    return R
+
+
 def _contract(D: Diagram, A, l):
     """The matrix of D in A as an array, each token acting on its own strands.
 
@@ -705,9 +723,13 @@ def _contract(D: Diagram, A, l):
     replaced by the state's real maximum, and the state turns exact object
     dtype only when that too is too close.  `UniversalScalar`s are built only
     for the nonzero output entries.  Over 𝔽_ℓ (l from `_modulus`) every token
-    is the monomial 1 and the state is float64, reduced mod ℓ only when its
-    bound would reach 2⁵³; when even reduced entries could overflow a k²-term
-    dot product, it is object dtype instead.
+    is the monomial 1 and the state is float64 for BLAS products, reduced mod
+    ℓ only when its bound would reach 2⁵³, and once at the end unless the
+    bound is already below ℓ.  Its entries are exact integers below 2⁵³, so
+    they reduce through int64 (`_reduce`), and the result is int64 in [0, ℓ).
+    When even reduced entries could overflow a k²-term dot product, the state
+    is object dtype instead.  `swap` is no product: it exchanges two strand
+    axes of the state, whatever the algebra.
     """
     k = A.dim
     reverse = D.out_arity < D.in_arity
@@ -722,7 +744,10 @@ def _contract(D: Diagram, A, l):
         for narrowing in (True, False):
             offset = 0  # strands left of tok in the state, some already mapped a → b
             for tok, (a, b) in zip(sl, arities):
-                if tok.kind != "id" and (b < a) == narrowing:
+                if tok.kind == "swap":  # the symmetric structure: two strand axes trade places
+                    if not narrowing:
+                        ops.append((None, None, 1, k**offset, k, k**width))
+                elif tok.kind != "id" and (b < a) == narrowing:
                     terms = A.token_terms(tok)
                     T = terms.mats[reverse]
                     width += b - a
@@ -742,7 +767,7 @@ def _contract(D: Diagram, A, l):
     while todo:
         j, c, first, codes, S, bound, limit = todo.pop()
         for q in range(first, len(ops)):
-            terms, T, grow, before, a, span = ops[q]  # terms: None for the monomial 1
+            terms, T, grow, before, a, span = ops[q]  # terms: None for the monomial 1, T: None for swap
             m = len(codes)
             if m * span * c > _STATE_ENTRIES and c > 1:
                 h, S = c // 2, S.reshape(m, -1, c)
@@ -751,18 +776,24 @@ def _contract(D: Diagram, A, l):
                 break
             if bound * grow >= limit:
                 if l is not None:
-                    S, bound = S % l, l - 1
+                    S, bound = _reduce(S, l).astype(dtype, copy=False), l - 1
                 else:  # the bound was loose, or int64 is too narrow from here on
                     bound = int(np.abs(S).max(initial=0))
                     if bound * grow >= limit:
                         S, limit = S.astype(object), math.inf
             bound *= grow
-            if terms is None:
+            if T is None:
+                S = S.reshape(m * before, a, a, -1).swapaxes(1, 2)
+            elif terms is None:
                 S = np.matmul(T, S.reshape(m * before, a, -1))
             else:
                 S, codes = _merge(terms, codes, np.matmul(T, S.reshape(1, m, before, a, -1)))
         else:
-            blocks[j] = S.reshape(-1, c) % l if l is not None else _scalars(codes, S.reshape(len(codes), -1, c))
+            if l is None:
+                blocks[j] = _scalars(codes, S.reshape(len(codes), -1, c))
+            else:  # entries are nonnegative, so a bound below ℓ means reduced already
+                S = _reduce(S, l) if bound >= l else S
+                blocks[j] = S.astype(np.int64, order="C", copy=False).reshape(-1, c)
     S = np.hstack([blocks[j] for j in sorted(blocks)]) if len(blocks) > 1 else blocks[0]
     return S.T if reverse else S
 
@@ -774,7 +805,7 @@ def evaluate_diagram(D: Diagram, A):
     through a matrix of its whole slice; the leftmost strand is the most
     significant tensor index.  A closed diagram yields a 1×1 matrix.  Universal
     results are `GenericMatrix`es of `UniversalScalar`s (a shared zero where an
-    entry vanishes), DW results `ModMatrix`es.
+    entry vanishes), DW results `ModMatrix`es around the reduced int64 array.
     """
     ensure_prechecked(A)
     for width in (D.in_arity, *(sum(t.arity[1] for t in sl) for sl in D.slices)):
@@ -785,4 +816,4 @@ def evaluate_diagram(D: Diagram, A):
             )
     l = _modulus(A)
     M = _contract(D, A, l)
-    return GenericMatrix(M) if l is None else ModMatrix(M, l)
+    return GenericMatrix(M) if l is None else ModMatrix.reduced(M, l)

@@ -306,18 +306,20 @@ class FiniteGroup:
     # -- generators and automorphisms -----------------------------------------
 
     def generating_set(self) -> list[int]:
-        """A small generating set: grown greedily, then pruned of redundant picks."""
-        gens: list[int] = []
-        have = frozenset({self.identity})
-        while len(have) < self.order:
-            g = next(x for x in range(self.order) if x not in have)
-            gens.append(g)
-            have = self.closure(gens)
-        for g in list(gens):
-            rest = [h for h in gens if h != g]
-            if rest and len(self.closure(rest)) == self.order:
-                gens = rest
-        return gens
+        """A small generating set: grown greedily, then pruned of redundant picks (cached; a fresh list each call)."""
+        if "gens" not in self._cache:
+            gens: list[int] = []
+            have = frozenset({self.identity})
+            while len(have) < self.order:
+                g = next(x for x in range(self.order) if x not in have)
+                gens.append(g)
+                have = self.closure(gens)
+            for g in list(gens):
+                rest = [h for h in gens if h != g]
+                if rest and len(self.closure(rest)) == self.order:
+                    gens = rest
+            self._cache["gens"] = tuple(gens)
+        return list(self._cache["gens"])
 
     def automorphism_count(self) -> int:
         if "aut" in self._cache:

@@ -39,7 +39,7 @@ from arith_tqft.dw import (
     yamagishi_count,
 )
 from arith_tqft.errors import ComputationError, ValidationError
-from arith_tqft.frobenius import check_axioms, default_unit_samples
+from arith_tqft.frobenius import check_axioms, default_unit_samples, ensure_prechecked, evaluate_diagram
 from arith_tqft.pgroup import (
     cyclic,
     direct_product,
@@ -264,6 +264,19 @@ def test_evaluation_respects_handle_rewrites():
     b = evaluate_dw(parse_diagram("tor(inf); tor(1)"), C9, 19)
     assert a == b
     assert evaluate_dw(parse_diagram("d; m"), C9, 19) == evaluate_dw(parse_diagram("tor(inf)"), C9, 19)
+
+
+def test_swap_needs_no_dense_matrix_and_results_come_reduced():
+    # swap flips two strand axes of the state: neither the precheck's FS law
+    # nor an evaluation builds the k²×k² swap matrix (841×841 on Heis5)
+    G = heisenberg(5)
+    A = DWAlgebra(G, 251)
+    ensure_prechecked(A)
+    out = evaluate_diagram(parse_diagram("swap; m"), A)
+    assert ("dw-exact", "swap") not in G._cache
+    assert out.a.dtype == np.int64 and out.shape == (29, 841)
+    assert out.a.min() >= 0 and out.a.max() < 251
+    assert out == evaluate_diagram(parse_diagram("m"), A)  # m is commutative
 
 
 def test_dimension_guard():

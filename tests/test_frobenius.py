@@ -430,6 +430,17 @@ def test_column_blocks_give_the_same_matrix(entries, monkeypatch):
             assert evaluate_diagram(D, A).rows == _kron_reference(D, A), text
 
 
+def test_wide_dw_column_blocks_match_one_block(monkeypatch):
+    # 7 strands in and out on C₃: the 2187² state goes through in column blocks
+    A = DWAlgebra(cyclic(3), 7)
+    ensure_prechecked(A)
+    D = parse_diagram("swap, m, d, swap; id, swap, m, d, id; swap, tor(1), swap, swap")
+    assert D.in_arity == D.out_arity == 7 and 3**14 > frobenius._STATE_ENTRIES
+    blocked = evaluate_diagram(D, A)
+    monkeypatch.setattr(frobenius, "_STATE_ENTRIES", 2**26)
+    assert blocked == evaluate_diagram(D, A)
+
+
 def _random_token(rng, kind, units=REFERENCE_UNITS, levels=(1, 2, INF)):
     if kind == "tw":
         return TWIST(rng.choice(units))
@@ -463,6 +474,10 @@ def _random_diagram(rng, k, max_width, cost_limit=REFERENCE_COST, **pools):
             return D
 
 
+def _widest(D):
+    return max(D.in_arity, *(sum(t.arity[1] for t in sl) for sl in D.slices))
+
+
 @pytest.mark.parametrize("name", list(REFERENCE_ALGEBRAS))
 def test_evaluation_matches_a_kronecker_reference(name):
     make, max_width, pools = REFERENCE_ALGEBRAS[name]
@@ -474,8 +489,13 @@ def test_evaluation_matches_a_kronecker_reference(name):
         "cap, id; swap; m; cup",
         "tw(4 mod 3^2), cap; id, d; m, id; cup, cup",
         "; ".join(["d; m"] * 20),  # long enough to force a reduction mod ℓ
+        "cap, swap; id, m; m",  # out < in, a swap at offset 1 in a widening slice
+        "d, d; id, swap, id; m, m",  # a swap with strands on both sides
+        "swap, swap; m, m",  # two swaps in one slice
+        "d, swap; m, m; m",  # out < in, a swap beside a widening d
     ] + (UNIVERSAL_FIXED if pools else [])
     diagrams = [parse_diagram(text) for text in fixed]
+    diagrams = [D for D in diagrams if _widest(D) <= max_width]
     diagrams += [_random_diagram(rng, A.dim, max_width, **pools) for _ in range(30)]
     toks = [t for D in diagrams for sl in D.slices for t in sl]
     assert {"cup", "cap", "swap", "tw", "m", "d", "tor"} <= {t.kind for t in toks}
@@ -483,7 +503,7 @@ def test_evaluation_matches_a_kronecker_reference(name):
     assert {level(t.unit) for t in toks if t.kind == "tw"} == {level(u) for u in pools.get("units", REFERENCE_UNITS)}
     assert any(D.out_arity < D.in_arity for D in diagrams)
     assert any(D.in_arity < D.out_arity for D in diagrams)
-    assert max(max(D.in_arity, *(sum(t.arity[1] for t in sl) for sl in D.slices)) for D in diagrams) == max_width
+    assert max(map(_widest, diagrams)) == max_width
     for D in diagrams:
         assert evaluate_diagram(D, A).rows == _kron_reference(D, A), str(D)
 

@@ -456,6 +456,19 @@ def test_closure_and_generators():
     assert g.closure([]) == {g.identity}
 
 
+def test_generating_set_walks_closure_once(monkeypatch):
+    g = heisenberg(5)
+    calls, closure = [], g.closure
+    monkeypatch.setattr(g, "closure", lambda gens: calls.append(list(gens)) or closure(gens))
+    first = g.generating_set()
+    walked = len(calls)
+    second = g.generating_set()
+    assert walked and len(calls) == walked
+    assert first == second and first is not second
+    first.append(g.identity)  # the caller owns its list
+    assert g.generating_set() == second
+
+
 def test_is_prime_agrees_with_trial_division():
     def trial(n):
         return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
