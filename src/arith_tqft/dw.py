@@ -16,7 +16,8 @@ character sums, each a centered lift from one character table mod one split
 prime, and reads it off the element orders when Γ is abelian (its character
 table is its dual group).  `epi_count` inverts it by P. Hall's Möbius sum over
 the subgroups containing the Frattini subgroup Φ(Γ), enumerated as the
-subspaces of Γ/Φ(Γ) ≅ 𝔽_p^d; `extension_count`, `yamagishi_count` and
+subspaces of Γ/Φ(Γ) ≅ 𝔽_p^d, a sum that takes a closed form in d when Γ is
+abelian; `extension_count`, `yamagishi_count` and
 `general_gauge_count` are the derived quantities.  Everything here has an
 independent brute-force twin in `oracle`.
 """
@@ -33,7 +34,18 @@ from .chartab import char_sum, character_table_mod, recover_integer, split_prime
 from .cobordism import Diagram, Token
 from .errors import ComputationError, ValidationError
 from .frobenius import STRUCTURAL_AXIOMS, GenericMatrix, ModMatrix, TokenTerms, evaluate_diagram
-from .pgroup import CHUNK_ENTRIES, FiniteGroup, factorize, group_from_spec, group_prime, is_power_of, is_prime
+from .pgroup import (
+    CHUNK_ENTRIES,
+    FiniteGroup,
+    _frattini_cosets,
+    _gaussian_binomial,
+    abelian_invariants,
+    factorize,
+    group_from_spec,
+    group_prime,
+    is_power_of,
+    is_prime,
+)
 from .units import INF, PadicUnit, is_valid_level, level_to_json, p_power
 
 
@@ -329,50 +341,6 @@ def uncached_hom_count(spec: RelatorSpec, G) -> int:
 MAX_FRATTINI_SUBSPACES = 100_000  # subgroups H ⊇ Φ(Γ) a Möbius sum may visit
 
 
-def _gaussian_binomial(d: int, m: int, p: int) -> int:
-    """The number of m-dimensional subspaces of 𝔽_p^d."""
-    num = den = 1
-    for i in range(m):
-        num *= p ** (d - i) - 1
-        den *= p ** (i + 1) - 1
-    return num // den
-
-
-def _frattini_cosets(G: FiniteGroup, p: int) -> np.ndarray:
-    """The cosets of Φ(Γ) = Γ^p[Γ,Γ] as the rows of a (p^d, |Φ|) array, row c at coordinates c = Σ_i c_i·p^i.
-
-    An irredundant generating set b_1..b_d of a p-group is a Burnside basis:
-    it maps onto a basis of Γ/Φ(Γ) ≅ 𝔽_p^d.  Every element is labelled by a
-    walk of the Cayley graph from the identity, the step by b_i adding the
-    i-th unit vector, and the labelling is checked to be a homomorphism on
-    every edge; Φ(Γ) is its kernel, row 0.
-    """
-    if "frattini" in G._cache:
-        return G._cache["frattini"]
-    t, n, gens = G._t, G.order, G.generating_set()
-    weights = [p**i for i in range(len(gens))]  # the code of the i-th unit vector
-    code = [-1] * n
-    code[G.identity] = 0
-    walk = [G.identity]
-    while walk:
-        x = walk.pop()
-        c = code[x]
-        for g, w in zip(gens, weights):
-            y = t[x * n + g]
-            if code[y] < 0:
-                code[y] = c + w if c // w % p < p - 1 else c - (p - 1) * w
-                walk.append(y)
-    code = np.array(code)
-    digits = code[:, None] // weights % p
-    for i, g in enumerate(gens):
-        if ((digits[G.table[:, g]] - digits) % p != np.eye(1, len(gens), i)).any():
-            raise ComputationError("invariant", f"generators {gens} do not label Γ/Φ(Γ) by 𝔽_{p}-coordinates")
-    cosets = np.argsort(code, kind="stable").reshape(p ** len(gens), -1)
-    cosets.flags.writeable = False
-    G._cache["frattini"] = cosets
-    return cosets
-
-
 def _subspaces(p: int, d: int):
     """Every subspace U of 𝔽_p^d once, as (codimension, codes Σ_i v_i·p^i of its vectors), 𝔽_p^d first.
 
@@ -435,24 +403,52 @@ def _commutative(G: FiniteGroup, elements: np.ndarray) -> bool:
     )
 
 
+def _abelian_epi_count(spec: RelatorSpec, G: FiniteGroup, p: int) -> int:
+    """#Epi(spec → A) for an abelian p-group A, in closed form from its invariants.
+
+    With k letters and q = p^r, #Hom(spec → H) = |H|^{k−1}·|H ∩ A[q]| (A[q] = A
+    for a free spec and at r = ∞), so Hall's sum regroups over the x ∈ A[q]:
+    an x ∈ Φ lies in every H ⊇ Φ, and an x ∉ Φ in [d−1, m−1]_p of the H with
+    |H : Φ| = p^m.  Hence #Epi = |A[q] ∩ Φ|·S₀ + |A[q] ∖ Φ|·S₁ with
+    S₀ = Σ_m μ_m·[d, m]_p·(|Φ|p^m)^{k−1}, S₁ = Σ_{m≥1} μ_m·[d−1, m−1]_p·(|Φ|p^m)^{k−1}
+    and μ_m = (−1)^{d−m}·p^{C(d−m, 2)}.  For A ≅ ⊕ ℤ/p^{e_i}, Φ = pA ≅ ⊕ ℤ/p^{e_i−1}.
+    """
+    e, k = abelian_invariants(G, p), spec.letters()
+    d = len(e)
+    if k == 0:  # one homomorphism onto every H: Σ μ(H) vanishes unless Γ = Φ = 1
+        return int(d == 0)
+    phi = p ** (sum(e) - d)
+    if spec.is_free or spec.r == INF:
+        torsion, torsion_phi = G.order, phi
+    else:
+        torsion, torsion_phi = p ** sum(min(x, spec.r) for x in e), p ** sum(min(x - 1, spec.r) for x in e)
+    weight = [(-1) ** (d - m) * p ** ((d - m) * (d - m - 1) // 2) * (phi * p**m) ** (k - 1) for m in range(d + 1)]
+    s0 = sum(weight[m] * _gaussian_binomial(d, m, p) for m in range(d + 1))
+    s1 = sum(weight[m] * _gaussian_binomial(d - 1, m - 1, p) for m in range(1, d + 1))
+    return torsion_phi * s0 + (torsion - torsion_phi) * s1
+
+
 def epi_count(spec: RelatorSpec, G) -> int:
     """Number of SURJECTIVE homomorphisms onto Γ: Σ_{H ⊇ Φ(Γ)} μ(H)·#Hom(spec → H).
 
-    An abelian H takes the dual-group value from the element orders; only a
-    non-abelian H is relabelled as its own group and counted through its
-    character table.
+    An abelian Γ takes the closed form of `_abelian_epi_count`, with no walk.
+    Otherwise an abelian H takes the dual-group value from the element orders;
+    only a non-abelian H is relabelled as its own group and counted through
+    its character table.
     """
     if not isinstance(spec, RelatorSpec):
         raise ValidationError("bad-spec", f"expected a RelatorSpec, got {type(spec).__name__}")
     G = group_from_spec(G)
     if G.order == 1:
         return 1
-    p, abelian, orders = group_prime(G), G.is_abelian(), G.element_orders()
-    total = 0
+    p = group_prime(G)
+    if G.is_abelian():
+        return _abelian_epi_count(spec, G, p)
+    orders, total = G.element_orders(), 0
     for h, mu in _frattini_subgroups(G):
         if len(h) == G.order:
             value = hom_count(spec, G)
-        elif abelian or _commutative(G, h):
+        elif _commutative(G, h):
             value = _abelian_hom_count(spec, orders[h], p)
         else:
             key = ("frattini-subgroup", h.tobytes())

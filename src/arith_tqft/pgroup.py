@@ -1,4 +1,4 @@
-"""Finite group core: Cayley tables, conjugacy data, subgroup lattices, automorphisms.
+"""Finite group core: Cayley tables, conjugacy data, subgroup lattices, p-group structure.
 
 A group is one read-only (N, N) int64 numpy array `G.table` over element
 indices 0..N-1, converted once from whatever input built it; identity,
@@ -6,23 +6,26 @@ inverses, element orders and conjugacy classes are derived from it here, and
 every numpy consumer downstream (character tables, counting, enumeration)
 reads it.  Named constructors tabulate the standard small families by
 broadcasting over mixed-radix element codes; permutation generators and raw
-tables are the other inputs.
+tables are the other inputs.  The p-group helpers live here too: abelian
+invariants, the 𝔽_p-coordinates of Γ/Φ(Γ) on a Burnside basis, and a
+power-commutator presentation, from which |Aut Γ| is counted.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ComputationError, ValidationError
 
 MAX_ORDER = 10_000
 MAX_SUBGROUP_ORDER = 200
-MAX_AUT_ORDER = 128
-MAX_AUT_CANDIDATES = 10**6  # tuples of generator images an automorphism search may test
+MAX_AUT_CANDIDATES = 10**6  # Burnside-basis image tuples a non-abelian automorphism count may test
 CHUNK_ENTRIES = 1 << 14  # array entries per vectorized step of a scan: keeps temporaries small
 
 
@@ -166,7 +169,9 @@ class FiniteGroup:
         return result
 
     def is_abelian(self) -> bool:
-        return bool((self.table == self.table.T).all())
+        if "abelian" not in self._cache:
+            self._cache["abelian"] = bool((self.table == self.table.T).all())
+        return self._cache["abelian"]
 
     # -- conjugacy ---------------------------------------------------------
 
@@ -322,55 +327,25 @@ class FiniteGroup:
         return list(self._cache["gens"])
 
     def automorphism_count(self) -> int:
-        if "aut" in self._cache:
-            return self._cache["aut"]
-        if self.order > MAX_AUT_ORDER:
-            raise ValidationError("bound-exceeded", f"automorphism count limited to order ≤ {MAX_AUT_ORDER}")
-        n = self.order
-        gens = self.generating_set()
-        if not gens:
-            self._cache["aut"] = 1
-            return 1
-        orders = self.element_orders()
-        candidates = [np.flatnonzero(orders == orders[g]).astype(np.int32) for g in gens]
-        grid = tuple(len(c) for c in candidates)
-        total, count = math.prod(grid), 0
-        if total > MAX_AUT_CANDIDATES:
-            raise ValidationError(
-                "bound-exceeded",
-                f"automorphism search over {total:,} candidate generator images exceeds the limit {MAX_AUT_CANDIDATES:,}",
-            )
-        # BFS word table by layers: each y = x·g_i reached by a tree edge (x, i)
-        tree = {self.identity: None}
-        layers, layer = [], [self.identity]
-        while layer:
-            steps = []
-            for x in layer:
-                for i, g in enumerate(gens):
-                    y = self.mul(x, g)
-                    if y not in tree:
-                        tree[y] = (x, i)
-                        steps.append((y, x, i))
-            if steps:
-                layers.append(np.array(steps).T)
-            layer = [y for y, _, _ in steps]
-        # φ(x·g_i) = φ(x)·φ(g_i) holds on tree edges by construction; the other edges are checked
-        ey, ex, ei = np.array(
-            [(self.mul(x, g), x, i) for x in range(n) for i, g in enumerate(gens) if tree[self.mul(x, g)] != (x, i)]
-        ).T
-        tn = (self.table.ravel() * n).astype(np.int32)  # tn[a·n + b] = (a·b)·n: elements are stored times n
-        step = max(1, CHUNK_ENTRIES // max(n, len(ex)))
-        for lo in range(0, total, step):
-            picks = np.unravel_index(np.arange(lo, min(lo + step, total)), grid)
-            images = np.stack([c[p] for c, p in zip(candidates, picks)])  # images[i] = φ(g_i), a column per candidate
-            phi = np.empty((n, images.shape[1]), dtype=np.int32)  # phi[y] = φ(y)·n
-            phi[self.identity] = self.identity * n
-            for y, x, i in layers:
-                phi[y] = tn.take(phi[x] + images[i])
-            hom = (phi[ey] == tn.take(phi[ex] + images[ei])).all(axis=0)
-            count += int(((phi[:, hom] == self.identity * n).sum(axis=0) == 1).sum())  # trivial kernel: bijective
-        self._cache["aut"] = count
-        return count
+        """|Aut Γ| of a p-group, from its structure: a closed form when Γ is abelian, else a relator test.
+
+        An abelian Γ takes the product formula of C. J. Hillar and D. L. Rhea
+        (Amer. Math. Monthly 114, 2007) on its invariants.  A non-abelian Γ
+        tests every tuple of Burnside-basis images that is independent mod
+        Φ(Γ) on the relators of a power-commutator presentation; that count is
+        refused past `MAX_AUT_CANDIDATES` before the presentation is built.
+        """
+        if "aut" not in self._cache:
+            p = unique_prime_factor(self.order)
+            if self.order == 1:
+                self._cache["aut"] = 1
+            elif p is None:
+                raise ValidationError("bad-spec", f"automorphisms are counted for p-groups, order {self.order} is not")
+            elif self.is_abelian():
+                self._cache["aut"] = _abelian_automorphism_count(abelian_invariants(self, p), p)
+            else:
+                self._cache["aut"] = _pc_automorphism_count(self, p)
+        return self._cache["aut"]
 
     def __repr__(self):
         return f"FiniteGroup(order={self.order})"
@@ -447,6 +422,245 @@ def group_prime(G: FiniteGroup) -> int:
     if p is None:
         raise ValidationError("bad-spec", f"gauge group must be a nontrivial finite p-group, order {G.order} is not")
     return p
+
+
+# -- p-group structure: invariants, Frattini coordinates, automorphism counts ------------
+
+
+def abelian_invariants(G: FiniteGroup, p: int) -> list[int]:
+    """The e_1 ≤ … ≤ e_k with the abelian p-group G ≅ ⊕_i ℤ/p^{e_i}, read off its element orders (cached).
+
+    |G[p^j]| = p^{Σ_i min(e_i, j)}, so |G[p^j]| / |G[p^{j−1}]| = p^{#{i : e_i ≥ j}}.
+    """
+    if "invariants" not in G._cache:
+        by_order = np.bincount(G.element_orders())  # by_order[o] = #{x : x has order o}, o a power of p
+        at_least, size, q = [], 1, p  # at_least[j − 1] = #{i : e_i ≥ j}; size = |G[p^{j−1}]|
+        while q < len(by_order):
+            grown = size + int(by_order[q])
+            at_least.append(round(math.log(grown // size, p)))
+            size, q = grown, q * p
+        at_least.append(0)
+        G._cache["invariants"] = [j for j in range(1, len(at_least)) for _ in range(at_least[j - 1] - at_least[j])]
+    return G._cache["invariants"]
+
+
+def _abelian_automorphism_count(e: list[int], p: int) -> int:
+    """|Aut(⊕_i ℤ/p^{e_i})| for e_1 ≤ … ≤ e_k, by Hillar and Rhea's Theorem 4.1:
+
+        Π_j (p^{d_j} − p^{j−1}) · (p^{e_j})^{k−d_j} · (p^{e_j−1})^{k−c_j+1},
+
+    with d_j = max{l : e_l = e_j} and c_j = min{l : e_l = e_j}, counting from 1.
+    """
+    k, out = len(e), 1
+    for j, ej in enumerate(e, 1):
+        dj, cj = bisect_right(e, ej), bisect_left(e, ej) + 1
+        out *= (p**dj - p ** (j - 1)) * p ** (ej * (k - dj) + (ej - 1) * (k - cj + 1))
+    return out
+
+
+def _gaussian_binomial(d: int, m: int, p: int) -> int:
+    """The number of m-dimensional subspaces of 𝔽_p^d."""
+    num = den = 1
+    for i in range(m):
+        num *= p ** (d - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
+def _frattini_cosets(G: FiniteGroup, p: int) -> np.ndarray:
+    """The cosets of Φ(Γ) = Γ^p[Γ,Γ] as the rows of a (p^d, |Φ|) array, row c at coordinates c = Σ_i c_i·p^i.
+
+    An irredundant generating set b_1..b_d of a p-group is a Burnside basis:
+    it maps onto a basis of Γ/Φ(Γ) ≅ 𝔽_p^d.  Every element is labelled by a
+    walk of the Cayley graph from the identity, the step by b_i adding the
+    i-th unit vector, and the labelling is checked to be a homomorphism on
+    every edge; Φ(Γ) is its kernel, row 0.
+    """
+    if "frattini" in G._cache:
+        return G._cache["frattini"]
+    t, n, gens = G._t, G.order, G.generating_set()
+    weights = [p**i for i in range(len(gens))]  # the code of the i-th unit vector
+    code = [-1] * n
+    code[G.identity] = 0
+    walk = [G.identity]
+    while walk:
+        x = walk.pop()
+        c = code[x]
+        for g, w in zip(gens, weights):
+            y = t[x * n + g]
+            if code[y] < 0:
+                code[y] = c + w if c // w % p < p - 1 else c - (p - 1) * w
+                walk.append(y)
+    code = np.array(code)
+    digits = code[:, None] // weights % p
+    for i, g in enumerate(gens):
+        if ((digits[G.table[:, g]] - digits) % p != np.eye(1, len(gens), i)).any():
+            raise ComputationError("invariant", f"generators {gens} do not label Γ/Φ(Γ) by 𝔽_{p}-coordinates")
+    cosets = np.argsort(code, kind="stable").reshape(p ** len(gens), -1)
+    cosets.flags.writeable = False
+    G._cache["frattini"] = cosets
+    return cosets
+
+
+@lru_cache(maxsize=32)
+def _ordered_bases(p: int, d: int) -> np.ndarray:
+    """Every ordered basis of 𝔽_p^d, as a read-only (|GL_d(𝔽_p)|, d) int64 array of codes Σ_i v_i·p^i.
+
+    Grown a vector at a time: each partial basis is extended by every code
+    outside its span, and the span grows by the multiples of the new vector.
+    """
+    q, weights = p**d, p ** np.arange(d)
+    digits = np.arange(q)[:, None] // weights % p
+    add = (digits[:, None] + digits) % p @ weights  # add[u, v] = the code of u + v
+    bases, spans = np.zeros((1, 0), dtype=np.int64), np.zeros((1, 1), dtype=np.int64)
+    for size in range(1, d + 1):
+        outside = np.ones((len(bases), q), dtype=bool)
+        np.put_along_axis(outside, spans, False, axis=1)
+        b, v = np.nonzero(outside)
+        bases, spans = np.column_stack([bases[b], v]), spans[b]
+        if size < d:  # the span s + c·v, c ∈ 𝔽_p, of each grown basis
+            multiples = (np.arange(p)[:, None, None] * digits[v] % p @ weights).T
+            spans = add[spans[:, None, :], multiples[:, :, None]].reshape(len(v), -1)
+    bases.flags.writeable = False
+    return bases
+
+
+def _pc_presentation(G: FiniteGroup, p: int, cosets: np.ndarray):
+    """A power-commutator presentation of a p-group on its Burnside basis: (definitions, relators).
+
+    The pc generators a_0..a_{m−1} start with the basis b_0..b_{d−1} =
+    `generating_set()`; each later a_k is defined as [a_j, a_i] =
+    a_j·a_i·a_j⁻¹·a_i⁻¹ with i < d and j > i, or as a_j^p, recorded as
+    definitions[k − d] = (j, i) or (j, −1).  They walk down the lower
+    exponent-p central series P_1 = Γ, P_{w+1} = [P_w, Γ]·P_w^p: the layer
+    P_{w+1}/P_{w+2} is spanned by the commutators with the basis and the p-th
+    powers of the generators of the layer above (Eick, Leedham-Green and
+    O'Brien, Comm. Algebra 30, 2002), and takes those that are new modulo
+    P_{w+2}.  A relator (u, v, word) says that a_u·a_v for u > v, or a_u^p
+    for v = −1, equals the normal word Π_l a_l^c over the (l, c) in word.
+
+    Every element is checked to have exactly one normal word, and each of
+    these relations to have the form a_u·a_v = a_v·w or a_u^p = w, with w a
+    word in the later generators.  So they present Γ, and a map of the a_k
+    that keeps the definitions extends to an endomorphism exactly when it
+    satisfies them.  The relations at the definitions themselves are not
+    returned: given the definitions, each follows from relations whose first
+    generator lies in a deeper layer, by collecting a_k·a_i·a_j (for
+    a_k = [a_j, a_i]) with them, layer by layer from the bottom; and a_j^p
+    is a_k itself.
+    """
+    t, n, inverse, e = G._t, G.order, G.inverse, G.identity
+
+    def mul(x: int, y: int) -> int:
+        return t[x * n + y]
+
+    def comm(x: int, y: int) -> int:
+        return t[t[x * n + y] * n + t[inverse[x] * n + inverse[y]]]
+
+    def power(x: int, c: int) -> int:  # x^c by c products; c ≤ p here
+        y = e
+        for _ in range(c):
+            y = t[y * n + x]
+        return y
+
+    basis = G.generating_set()
+    d = len(basis)
+    series = [set(cosets[0].tolist())]  # P_2 = Φ(Γ), P_3, …, {e}
+    while len(series[-1]) > 1:
+        above = series[-1]
+        seeds = {comm(x, b) for x in above for b in basis} | {power(x, p) for x in above}
+        below, walk = {e}, [e]
+        while walk:  # the normal closure of the seeds: products with them, conjugates by the basis
+            x = walk.pop()
+            for y in [mul(x, s) for s in seeds] + [mul(mul(b, x), inverse[b]) for b in basis]:
+                if y not in below:
+                    below.add(y)
+                    walk.append(y)
+        if len(below) == len(above):
+            raise ComputationError("invariant", f"the lower exponent-{p} central series stalls at order {len(below)}")
+        series.append(below)
+    gens, definitions, chosen = list(basis), [], list(range(d))
+    for layer, below in zip(series, series[1:]):
+        candidates = [(j, i) for j in chosen for i in range(min(j, d))] + [(j, -1) for j in chosen]
+        span, chosen = set(below), []
+        for j, i in candidates:
+            if len(span) == len(layer):
+                break
+            x = comm(gens[j], gens[i]) if i >= 0 else power(gens[j], p)
+            if x not in span:  # ⟨chosen, x⟩·P_{w+2} = ∪_c x^c·(⟨chosen⟩·P_{w+2})
+                span = {mul(y, h) for y in [power(x, c) for c in range(p)] for h in span}
+                chosen.append(len(gens))
+                gens.append(x)
+                definitions.append((j, i))
+        if len(span) != len(layer):
+            raise ComputationError("invariant", f"definitions span {len(span)} elements of a layer of {len(layer)}")
+    m, defined = len(gens), set(definitions)
+    elements = [e]
+    for g in reversed(gens):  # the normal word with exponents (c_0, …, c_{m−1}) at code Σ_l c_l·p^{m−1−l}
+        elements = [mul(y, x) for y in [power(g, c) for c in range(p)] for x in elements]
+    code = {x: i for i, x in enumerate(elements)}
+    if len(code) != G.order:
+        raise ComputationError("invariant", f"the definitions from the basis {basis} give no pc presentation")
+    places, relators = [p ** (m - 1 - l) for l in range(m)], []
+    for u, x in enumerate(gens):
+        for v in [*range(u), -1]:
+            word = code[t[x * n + gens[v]] if v >= 0 else power(x, p)]
+            if word // places[v if v >= 0 else u] != (v >= 0):  # the digits up to a_v read (0, …, 0, 1), or to a_u 0
+                raise ComputationError("invariant", f"relator {(u, v)} of the basis {basis} is not in pc form")
+            if (u, v) not in defined:
+                relators.append((u, v, [(l, word // w % p) for l, w in enumerate(places) if word // w % p]))
+    return definitions, relators
+
+
+def _pc_automorphism_count(G: FiniteGroup, p: int) -> int:
+    """|Aut Γ| of a non-abelian p-group: the tuples of Burnside-basis images that pass every pc relator.
+
+    A tuple (φ(b_1), …, φ(b_d)) whose 𝔽_p-coordinates in Γ/Φ(Γ) form a basis
+    generates Γ (Burnside's basis theorem), so an endomorphism it defines is
+    an automorphism.  Those |GL_d(𝔽_p)|·|Φ|^d tuples are the candidates; the
+    images of the later pc generators follow from their definitions, and a
+    candidate counts when it satisfies the relators of `_pc_presentation`.
+    Candidates are tested in blocks of at most `CHUNK_ENTRIES` relator values.
+    """
+    cosets = _frattini_cosets(G, p)
+    d, phi = len(G.generating_set()), cosets.shape[1]
+    total = math.prod(p**d - p**i for i in range(d)) * phi**d  # |GL_d(𝔽_p)|·|Φ|^d
+    if total > MAX_AUT_CANDIDATES:
+        raise ValidationError(
+            "bound-exceeded",
+            f"automorphism count over {total:,} candidate generator images exceeds "
+            f"MAX_AUT_CANDIDATES = {MAX_AUT_CANDIDATES:,}",
+        )
+    definitions, relators = _pc_presentation(G, p, cosets)
+    n, t, bases = G.order, G.table, _ordered_bases(p, d)
+    tn = (t * n).ravel()  # tn[a·n + b] = (a·b)·n: a left factor is stored times n
+    powers = np.empty((p + 1, n), dtype=np.int64)  # powers[c, x] = x^c
+    powers[0], powers[1] = G.identity, np.arange(n)
+    for c in range(2, p + 1):
+        powers[c] = t[powers[c - 1], powers[1]]
+    powers_n, inv = powers * n, np.array(G.inverse)
+    m = d + len(definitions)
+    grid = (len(bases),) + (phi,) * d
+    step, count = max(1, CHUNK_ENTRIES // len(relators)), 0
+    for lo in range(0, total, step):
+        pick = np.unravel_index(np.arange(lo, min(lo + step, total)), grid)
+        images = np.empty((m, len(pick[0])), dtype=np.int64)  # images[k] = φ(a_k), a column per candidate
+        images[:d] = cosets[bases[pick[0]].T, pick[1:]]
+        for k, (j, i) in enumerate(definitions, d):
+            x, y = images[j], images[i]
+            images[k] = powers[p, x] if i < 0 else t[t[x, y], t[inv[x], inv[y]]]
+        scaled, ok = images * n, True
+        for u, v, word in relators:  # φ(a_u)·φ(a_v) or φ(a_u)^p against Π φ(a_l)^c, all stored times n
+            lhs = tn.take(scaled[u] + images[v]) if v >= 0 else powers_n[p].take(images[u])
+            rhs = G.identity * n  # the empty word
+            for z, (l, c) in enumerate(word):
+                if z:
+                    rhs = tn.take(rhs + (images[l] if c == 1 else powers[c].take(images[l])))
+                else:  # the first factor needs no product
+                    rhs = scaled[l] if c == 1 else powers_n[c].take(images[l])
+            ok = ok & (lhs == rhs)
+        count += int(np.count_nonzero(ok))
+    return count
 
 
 # -- named constructors ---------------------------------------------------------

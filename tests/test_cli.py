@@ -48,17 +48,30 @@ def test_extensions_command(capsys):
     assert _lines(capsys)[0][0]["extensions"] == 4
 
 
-def test_homcount_keeps_its_counts_when_the_automorphism_count_refuses(capsys):
-    for group, n, counts in (
-        ("named:heisenberg:7", 2, (1982268001, 1936166400)),  # order 343 > MAX_AUT_ORDER
-        ("named:elementary_abelian:2:5", 3, (2**30, 629959680)),  # 31^5 candidate images > MAX_AUT_CANDIDATES
+def test_homcount_keeps_its_counts_when_the_automorphism_count_refuses(capsys, tmp_path):
+    # Heis(7) and (Z/2)^5 were refused by the automorphism search and now answer:
+    # |Aut Heis(7)| = 7^2·|GL_2(7)| = 98,784 and |Aut (Z/2)^5| = |GL_5(2)| = 9,999,360
+    for group, n, counts, extensions in (
+        ("named:heisenberg:7", 2, (1982268001, 1936166400), 19600),
+        ("named:elementary_abelian:2:5", 3, (2**30, 629959680), 63),
     ):
         assert run(["homcount", "--group", group, "--n", str(n), "--r", "1"]) == 0
         out = _lines(capsys)[0][0]
-        assert (out["hom_count"], out["epi_count"], out["extensions"]) == counts + (None,)
-        assert out["extensions_refused"]["error"] == "bound-exceeded"
-        assert run(["extensions", "--group", group, "--degree", str(2 * n - 2), "--r", "1"]) == 1
-        assert _error(capsys) == out["extensions_refused"]
+        assert (out["hom_count"], out["epi_count"], out["extensions"]) == counts + (str(extensions),)
+        assert "extensions_refused" not in out
+        assert run(["extensions", "--group", group, "--degree", str(2 * n - 2), "--r", "1"]) == 0
+        assert _lines(capsys)[0][0]["extensions"] == extensions
+    # Heis(3)×(Z/3)^2 has d = 4: |GL_4(3)|·|Φ|^4 ≈ 2·10^9 candidate images, past MAX_AUT_CANDIDATES
+    spec = tmp_path / "heis3xe9.json"
+    spec.write_text(json.dumps({"kind": "product", "factors": ["named:heisenberg:3", "named:elementary_abelian:3:2"]}))
+    group = f"file:{spec}"
+    assert run(["homcount", "--group", group, "--n", "2", "--r", "1"]) == 0
+    out = _lines(capsys)[0][0]
+    assert (out["hom_count"], out["epi_count"], out["extensions"]) == (1190959281, 604661760, None)
+    assert out["extensions_refused"]["error"] == "bound-exceeded"
+    assert "MAX_AUT_CANDIDATES" in out["extensions_refused"]["message"]
+    assert run(["extensions", "--group", group, "--degree", "2", "--r", "1"]) == 1
+    assert _error(capsys) == out["extensions_refused"]
 
 
 def test_extensions_rejects_odd_degree(capsys):

@@ -2,6 +2,7 @@
 
 import math
 import time
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -544,10 +545,36 @@ def test_the_subspace_bound_refuses_before_enumerating(monkeypatch):
 
     monkeypatch.setattr(dw, "_subspaces", lambda p, d: pytest.fail("subspaces enumerated past the bound"))
     G = elementary_abelian(2, 10)  # 𝔽_2^10 has 229,755,605 subspaces
-    for count in (lambda: epi_count(FREE(10), G), lambda: hall_mobius(G)):
+    assert epi_count(FREE(10), G) == _surjections(2, 10, 10)  # abelian: the closed form walks none
+    # D8×(Z/2)^6 is not abelian, and its Γ/Φ(Γ) ≅ 𝔽_2^8 has 417,199 subspaces
+    for count in (lambda: hall_mobius(G), lambda: epi_count(RelatorSpec(1, 1), direct_product(D8, elementary_abelian(2, 6)))):
         with pytest.raises(ValidationError) as e:
             count()
         assert e.value.code == "bound-exceeded" and "MAX_FRATTINI_SUBSPACES" in e.value.message
+
+
+def test_abelian_epi_closed_form_matches_the_hall_sum():
+    # the Hall walk behind hall_mobius, over every H ⊇ Φ(A), each H counted through its
+    # element orders: #Hom(G_{n,r} → H) = |H|^{2n−1}·|H[p^r]|, |H|^{2n} at r = ∞, |H|^k for FREE(k)
+    from arith_tqft.dw import _frattini_subgroups
+
+    C2xC4 = direct_product(cyclic(2), cyclic(4))
+    for A in (C9, elementary_abelian(3, 3), direct_product(C3, C9), direct_product(C2xC4, cyclic(8)),
+              elementary_abelian(2, 4), direct_product(C9, C9), elementary_abelian(3, 6)):
+        p, orders = group_prime(A), A.element_orders()
+        terms = Counter(
+            (mu, len(h), int((orders[h] <= p).sum()), int((orders[h] <= p * p).sum()))
+            for h, mu in _frattini_subgroups(A)
+        )
+        for n in (1, 2, 3):
+            for r in (1, 2, INF):
+                want = sum(
+                    k * mu * size ** (2 * n - 1) * {1: t1, 2: t2, INF: size}[r]
+                    for (mu, size, t1, t2), k in terms.items()
+                )
+                assert epi_count(RelatorSpec(n, r), A) == want, (A.order, n, r)
+            assert epi_count(FREE(n), A) == sum(k * mu * size**n for (mu, size, _, _), k in terms.items())
+        assert epi_count(RelatorSpec(0, 1), A) == 0 == epi_count(FREE(0), A)
 
 
 def test_epi_count_on_the_trivial_group_and_a_mixed_order_group():

@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from arith_tqft.dw import hall_mobius
 from arith_tqft.errors import ValidationError
 from arith_tqft.pgroup import (
     MAX_AUT_CANDIDATES,
@@ -153,21 +154,85 @@ def test_automorphism_counts():
     assert elementary_abelian(3, 2).automorphism_count() == 48
     assert heisenberg(3).automorphism_count() == 432
     assert heisenberg(5).automorphism_count() == 12000
-    # three generators: the candidate grid of 26³ images spans several chunks
     assert elementary_abelian(3, 3).automorphism_count() == 11232  # |GL_3(F_3)|
     assert elementary_abelian(5, 2).automorphism_count() == 480  # |GL_2(F_5)|
 
 
+def test_automorphism_counts_of_non_abelian_groups():
+    d8 = from_permutations([[1, 2, 3, 0], [3, 2, 1, 0]], degree=4)
+    q8 = from_permutations(_quaternion_generators(), 8)
+    for G, want in (
+        (q8, 24),  # Aut Q_8 ≅ S_4
+        (direct_product(d8, cyclic(2)), 64),
+        (direct_product(q8, cyclic(2)), 192),
+        (direct_product(d8, cyclic(4)), 128),
+        (extraspecial_exp_p2(3), 54),  # p³(p − 1)
+        (extraspecial_exp_p2(5), 500),
+        (direct_product(heisenberg(3), cyclic(3)), 23_328),
+        (heisenberg(7), 98_784),  # 7²·|GL_2(7)|: order 343 was past the old search's order limit
+    ):
+        assert G.automorphism_count() == want
+    assert cyclic(1).automorphism_count() == 1
+    with pytest.raises(ValidationError) as e:  # |GL_2(3)| = 48 is not a prime power
+        gl2(3).automorphism_count()
+    assert e.value.code == "bad-spec"
+
+
+def _abelian_p_groups(limit):
+    """(A, p, (e_1, …)) for every abelian p-group A ≅ ⊕ ℤ/p^{e_i} of order ≤ limit, built from cyclic factors."""
+
+    def partitions(k, top):
+        if k == 0:
+            yield ()
+        for e in range(min(k, top), 0, -1):
+            yield from ((e,) + rest for rest in partitions(k - e, e))
+
+    for p in filter(is_prime, range(2, limit + 1)):
+        for k in (k for k in range(1, limit.bit_length()) if p**k <= limit):
+            for e in partitions(k, k):
+                factors = [cyclic(p**x) for x in e]
+                A = factors[0]
+                for f in factors[1:]:
+                    A = direct_product(A, f)
+                yield A, p, e
+
+
+def _automorphism_reference(A, p, invariants):
+    """|Aut A| as the surjective endomorphisms of A, by Hall's Möbius sum Σ_{H ⊇ Φ(A)} μ(H)·#Hom(A → H).
+
+    A homomorphism ⊕ ℤ/p^{e_i} → H sends the i-th cyclic generator anywhere in
+    H[p^{e_i}], and a surjective endomorphism of a finite group is bijective.
+    """
+    orders = A.element_orders()
+    return sum(
+        mu * math.prod(int((orders[sorted(h)] <= p**e).sum()) for e in invariants)
+        for h, mu in hall_mobius(A).items()
+    )
+
+
+def test_abelian_automorphism_counts_match_a_count_of_surjective_endomorphisms():
+    seen = 0
+    for A, p, invariants in _abelian_p_groups(64):
+        assert A.automorphism_count() == _automorphism_reference(A, p, invariants), (p, invariants)
+        seen += 1
+    assert seen == 55  # 29 + 6 + 3 + 3 types of order 2^k, 3^k, 5^k, 7^k, and ℤ/p for the 14 primes 11..61
+
+
 def test_automorphism_search_refuses_a_grid_past_its_limit():
-    # (Z/2)^5 has 31^5 candidate generator images, (Z/3)^4 has 80^4; both used to run for minutes
-    for G, grid in ((elementary_abelian(2, 5), 28_629_151), (elementary_abelian(3, 4), 40_960_000)):
+    # (Z/2)^5 and (Z/3)^4 used to be refused (31^5 and 80^4 candidate images); now a closed form
+    for G, want in ((elementary_abelian(2, 5), 9_999_360), (elementary_abelian(3, 4), 24_261_120)):
         start = time.perf_counter()
-        with pytest.raises(ValidationError) as e:
-            G.automorphism_count()
+        assert G.automorphism_count() == want  # |GL_5(F_2)|, |GL_4(F_3)|
         assert time.perf_counter() - start < 1
-        assert e.value.code == "bound-exceeded"
-        assert f"{grid:,}" in e.value.message and f"{MAX_AUT_CANDIDATES:,}" in e.value.message
-    assert elementary_abelian(2, 4).automorphism_count() == 20160  # |GL_4(F_2)|: a grid of 15^4
+    # Heis(3)×(Z/3)² has d = 4: |GL_4(F_3)|·|Φ|^4 = 24,261,120·3^4 candidate images
+    G = direct_product(heisenberg(3), elementary_abelian(3, 2))
+    start = time.perf_counter()
+    with pytest.raises(ValidationError) as e:
+        G.automorphism_count()
+    assert time.perf_counter() - start < 1
+    assert e.value.code == "bound-exceeded"
+    assert f"{24_261_120 * 81:,}" in e.value.message and f"{MAX_AUT_CANDIDATES:,}" in e.value.message
+    assert "MAX_AUT_CANDIDATES" in e.value.message
 
 
 def test_structure_constants_count_class_products():
