@@ -9,6 +9,8 @@ or a task accept either a literal string or a path to a file holding one.
 `homcount` and `extensions` record the prime and the seed of the character
 table their count used (null when no table was needed: an abelian group is
 counted through its dual group), making each count a reproducible artifact.
+Both print an extension count as a JSON number when it is an integer and as
+an ``"a/b"`` string otherwise.
 Tables never retry a seed, so the seed is always 0.  When |Aut Γ| is refused
 at a limit, `homcount` still prints its hom and epi counts, with
 ``"extensions": null`` and the refusal under ``extensions_refused``;
@@ -96,6 +98,8 @@ def _cmd_homcount(args):
     G = group_from_spec(args.group)
     spec = _spec_from_flags(args)
     out = counting_summary(spec, G)
+    if out["extensions"] is not None:
+        out["extensions"] = _fraction_json(Fraction(out["extensions"]))
     out["seed"] = _table_seed(G, out["primes_used"])
     if args.verify:
         task = EnumerationTask(G, spec, budget=args.budget)

@@ -23,7 +23,8 @@ object exposing `dim`, `max_dim`, `basis_names`, `token_matrix`,
 `token_terms`, `p`, `default_levels` and `precheck` (see dw.DWAlgebra for the
 finite-group specialization); `ModMatrix` token matrices mark scalars in 𝔽_ℓ.
 Both go through one contraction, `_contract`, in which every generator acts
-on its own strands of a single state.  The state is integer arithmetic
+on its own strands of a single state; over 𝔽_ℓ an open diagram is contracted
+one connected piece at a time and the pieces are tensored back together.  The state is integer arithmetic
 throughout: one array per monomial h^i·t^j·[r] that occurs, and each token
 written once per algebra as a few (monomial, int64 matrix) pairs
 (`TokenTerms`); a DW token is the one monomial 1.  `swap` is the symmetric
@@ -40,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cobordism import TORUS, Diagram, Token, identity_diagram
+from .cobordism import CYL, TORUS, Diagram, Token, identity_diagram
 from .errors import ComputationError, ValidationError
 from .units import INF, PadicUnit, format_unit, level, one, sample_units
 
@@ -701,6 +702,28 @@ def _reduce(S, l):
     return R
 
 
+def _start(ops, j, c, n, dtype):
+    """(next op, monomial codes, state, entry bound) of input columns j..j+c once the first op has acted.
+
+    The first product acts on the identity, so its state is that op's matrix
+    placed on the untouched strands around it, scattered into zeros; a `swap`
+    first, or no op at all, starts from the identity itself.
+    """
+    if not ops or ops[0][1] is None:
+        return 0, _UNIT, np.eye(n, c, -j, dtype=dtype), 1
+    terms, T, grow, before, a, _ = ops[0]
+    stack = T[None] if terms is None else T[:, 0, 0]  # (monomials, b, a)
+    codes = _UNIT if terms is None else terms.codes
+    after = n // (before * a)
+    if before == after == 1:  # the op spans every strand: its own columns are the state
+        return 1, codes, stack[:, :, j : j + c], grow
+    x, rest = np.divmod(np.arange(j, j + c), a * after)
+    y, z = np.divmod(rest, after)
+    S = np.zeros((len(stack), before, stack.shape[1], after, c), dtype=dtype)
+    S[:, x, :, z, np.arange(c)] = stack[:, :, y].transpose(2, 0, 1)
+    return 1, codes, S, grow
+
+
 def _contract(D: Diagram, A, l):
     """The matrix of D in A as an array, each token acting on its own strands.
 
@@ -714,9 +737,12 @@ def _contract(D: Diagram, A, l):
     narrowing ones go first: no component is wider than the slice's wider
     boundary.  A diagram with fewer outputs than inputs runs top-down with
     transposed tokens, so the state starts at the narrower boundary, and is
-    transposed back.  Columns are independent, so they go through in blocks
-    that keep the whole stack within `_STATE_ENTRIES` entries, a block halved
-    when its monomials multiply past that.
+    transposed back.  The first product would act on the identity, so each
+    block starts from that op's own matrix on the untouched strands (`_start`).
+    Columns are independent, so they go through in blocks that keep the whole
+    stack within `_STATE_ENTRIES` entries, a block halved when its monomials
+    multiply past that.  Over 𝔽_ℓ, `evaluate_diagram` hands it one connected
+    piece at a time.
 
     Exact scalars (l is None) are int64 while an entry bound, grown by each
     token's `grow`, stays below 2⁶³; a bound that would pass it is first
@@ -757,15 +783,15 @@ def _contract(D: Diagram, A, l):
                 offset += b if b < a or not narrowing else a
         peak = max(peak, sum(b for _, b in arities))
     n = k**start
-    step = max(1, _STATE_ENTRIES // k**peak)
-    # a block: first column, width, next op, monomial codes, state, entry bound, the bound's limit
-    todo = [
-        (j, min(step, n - j), 0, _UNIT, np.eye(n, min(step, n - j), -j, dtype=dtype), 1, limit)
-        for j in range(0, n, step)
-    ]
+    # the first op's monomials come out of one start state, so its block is sized for them
+    step = max(1, _STATE_ENTRIES // (k**peak * (len(ops[0][0].codes) if ops and ops[0][0] else 1)))
+    # a block: first column, width, next op, monomial codes, state (None until started), entry bound, its limit
+    todo = [(j, min(step, n - j), 0, _UNIT, None, 1, limit) for j in range(0, n, step)]
     blocks = {}
     while todo:
         j, c, first, codes, S, bound, limit = todo.pop()
+        if S is None:
+            first, codes, S, bound = _start(ops, j, c, n, dtype)
         for q in range(first, len(ops)):
             terms, T, grow, before, a, span = ops[q]  # terms: None for the monomial 1, T: None for swap
             m = len(codes)
@@ -798,6 +824,138 @@ def _contract(D: Diagram, A, l):
     return S.T if reverse else S
 
 
+class Piece(NamedTuple):
+    """One connected piece of a diagram and the diagram's input and output legs it owns, in order."""
+
+    diagram: Diagram
+    ins: tuple
+    outs: tuple
+
+
+def _pieces(D: Diagram) -> list:
+    """The connected pieces of D, open ones in order of their first leg, then closed ones.
+
+    One pass tracks which piece each strand belongs to, joining pieces at every
+    token with two inputs, as `cobordism._graph` follows wires.  A piece keeps
+    its own tokens in slice order.  Its strands keep their relative order
+    through every slice, so a `swap` of two strands of one piece is a swap of
+    adjacent strands there too, and a `swap` of strands of two pieces drops out
+    of both, an `id` in each: it only permutes the diagram's legs.  Slices left
+    with nothing but `id` are dropped, so a bare strand is a sliceless
+    identity.  A diagram of one piece is returned whole.
+    """
+    parent = list(range(D.in_arity))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    strands, placed = list(range(D.in_arity)), []
+    for s, sl in enumerate(D.slices):
+        new, pos = [], 0
+        for tok in sl:
+            a, b = tok.arity
+            ends = strands[pos : pos + a]
+            pos += a
+            if tok.kind == "swap":
+                new += ends[::-1]
+            else:
+                if not a:
+                    ends = [len(parent)]
+                    parent.append(ends[0])
+                root = find(ends[0])
+                for x in ends[1:]:
+                    parent[find(x)] = root
+                new += [root] * b
+            placed.append((s, tok, ends))
+        strands = new
+    if len({find(x) for x in range(len(parent))}) == 1:  # every piece holds an input or a cap
+        return [Piece(D, tuple(range(D.in_arity)), tuple(range(D.out_arity)))]
+    rows = {}
+    for s, tok, ends in placed:
+        roots = {find(x) for x in ends}
+        for root in roots:  # a swap of two pieces leaves a plain strand in each
+            rows.setdefault(root, {}).setdefault(s, []).append(tok if len(roots) == 1 else CYL)
+    legs = {}
+    for i in range(D.in_arity):
+        legs.setdefault(find(i), ([], []))[0].append(i)
+    for j, x in enumerate(strands):
+        legs.setdefault(find(x), ([], []))[1].append(j)
+    pieces = []
+    for root in list(legs) + [r for r in rows if r not in legs]:
+        ins, outs = legs.get(root, ((), ()))
+        slices = [sl for sl in rows.get(root, {}).values() if any(t.kind != "id" for t in sl)]
+        pieces.append(Piece(Diagram(slices, None if slices else len(ins)), tuple(ins), tuple(outs)))
+    return pieces
+
+
+def _products(values, B, l):
+    """(v·B) mod ℓ for each v of the sorted `values` in [0, ℓ), stacked: int64 while (ℓ−1)² < 2⁶³, else Python ints."""
+    if (l - 1) ** 2 >= _INT_EXACT:
+        return (np.multiply.outer(values.astype(object), B.astype(object)) % l).astype(np.int64)
+    out = np.multiply.outer(values, B)
+    skip = values.searchsorted(2)  # 0·B and 1·B are reduced already
+    np.remainder(out[skip:], l, out=out[skip:])
+    return out
+
+
+def _kron(P, T, l, rows=None):
+    """Rows `rows` (all by default) of P ⊗ T mod ℓ: (v·T) mod ℓ once per distinct entry v of P, then one gather.
+
+    Row (a, b) of the product is the rows b of the v·T for the entries v of row a of P.
+    """
+    values, index = np.unique(P, return_inverse=True)
+    table = _products(values, T, l).reshape(-1, T.shape[1])  # row v·|T rows| + b is row b of v·T
+    a, b = np.divmod(np.arange(P.shape[0] * T.shape[0]) if rows is None else rows, T.shape[0])
+    return table.take(index.reshape(P.shape)[a] * T.shape[0] + b[:, None], axis=0).reshape(len(a), -1)
+
+
+def _placement(legs, k):
+    """Where each basis tensor, its legs in the diagram's order, sits in a product listing them as `legs`.
+
+    None when `legs` is already in order.
+    """
+    if legs == sorted(legs):
+        return None
+    return np.arange(k ** len(legs)).reshape((k,) * len(legs)).transpose(np.argsort(legs)).ravel()
+
+
+def _assemble(pieces, A, l):
+    """The matrix over 𝔽_ℓ of a diagram from its pieces: their Kronecker product with the legs put back in place.
+
+    Each piece is contracted at its own width; a lone token is its own matrix
+    and a bare strand the identity.  Closed pieces are scalars, folded into the
+    smallest factor.  The product is folded from the right and taken on the
+    factors, never on the result (`_kron`).  The pieces come in order of their
+    inputs, so the columns are in place unless a `swap` between pieces crosses
+    the inputs; the rows are put in place by the last fold's gather, and the
+    columns, when needed, by one more.
+    """
+    scalar, factors = None, []
+    for P in pieces:
+        slices = P.diagram.slices
+        if not slices:
+            M = np.eye(A.dim, dtype=np.int64)
+        elif len(slices) == 1 and len(slices[0]) == 1:
+            M = A.token_matrix(slices[0][0]).a
+        else:
+            M = _contract(P.diagram, A, l)
+        if P.ins or P.outs:
+            factors.append(M)
+        else:
+            scalar = int(M[0, 0]) * (1 if scalar is None else scalar) % l
+    if scalar is not None:  # also copies a lone open factor, which may be a token's own matrix
+        small = min(range(len(factors)), key=lambda i: factors[i].size)
+        factors[small] = _products(np.array([scalar], dtype=np.int64), factors[small], l)[0]
+    rows = _placement([j for P in pieces for j in P.outs], A.dim)
+    T = factors.pop()
+    while factors:
+        T = _kron(factors.pop(), T, l, rows if not factors else None)
+    cols = _placement([i for P in pieces for i in P.ins], A.dim)
+    return T if cols is None else T[:, cols]
+
+
 def evaluate_diagram(D: Diagram, A):
     """The linear map of D in the algebra A, as a matrix on tensor powers of A.
 
@@ -806,6 +964,12 @@ def evaluate_diagram(D: Diagram, A):
     significant tensor index.  A closed diagram yields a 1×1 matrix.  Universal
     results are `GenericMatrix`es of `UniversalScalar`s (a shared zero where an
     entry vanishes), DW results `ModMatrix`es around the reduced int64 array.
+
+    Over 𝔽_ℓ an open diagram of several connected pieces is the tensor product
+    of their values with its legs permuted, as for any symmetric monoidal
+    functor: each piece (`_pieces`) is contracted at its own width and the
+    product is assembled on the factors (`_assemble`).  The dimension guard
+    still reads the whole diagram, before any split.
     """
     ensure_prechecked(A)
     for width in (D.in_arity, *(sum(t.arity[1] for t in sl) for sl in D.slices)):
@@ -815,5 +979,8 @@ def evaluate_diagram(D: Diagram, A):
                 f"slice of width {width} needs dimension {A.dim}^{width} > {A.max_dim} on {A.name}",
             )
     l = _modulus(A)
-    M = _contract(D, A, l)
-    return GenericMatrix(M) if l is None else ModMatrix.reduced(M, l)
+    if l is None:
+        return GenericMatrix(_contract(D, A, l))
+    pieces = _pieces(D) if D.in_arity or D.out_arity else ()
+    M = _assemble(pieces, A, l) if len(pieces) > 1 else _contract(D, A, l)
+    return ModMatrix.reduced(M, l)

@@ -10,13 +10,18 @@ import random
 import time
 from fractions import Fraction
 
+from arith_tqft import frobenius
 from arith_tqft.chartab import character_table_mod, split_primes
 from arith_tqft.cobordism import (
+    CYL,
     P12,
     P21,
+    SWAP,
     TORUS,
+    Diagram,
     apply_relation,
     canonicalize,
+    compose,
     identity_diagram,
     invariant_of,
     parse_diagram,
@@ -192,11 +197,9 @@ def _max_width(D):
     return max(widths)
 
 
-def test_criterion_7_relation_soundness():
-    t0 = time.perf_counter()
+def _criterion_7_instances():
+    """(i, rule, D, E): 200 seeded rule instances in context, E the rewrite of D."""
     rng = random.Random(20260819)
-    U = UniversalAlgebra()
-    narrow = 0
     for i in range(200):
         rule, text, kwargs = _PROTOTYPES[i % len(_PROTOTYPES)]
         core = parse_diagram(text)
@@ -210,8 +213,14 @@ def test_criterion_7_relation_soundness():
             D = tensor(identity_diagram(left), D)
         if right:
             D = tensor(D, identity_diagram(right))
-        E = apply_relation(D, rule, (0, left), **kwargs)
+        yield i, rule, D, apply_relation(D, rule, (0, left), **kwargs)
 
+
+def test_criterion_7_relation_soundness():
+    t0 = time.perf_counter()
+    U = UniversalAlgebra()
+    narrow = 0
+    for i, rule, D, E in _criterion_7_instances():
         assert invariant_of(E) == invariant_of(D), (i, rule)
         assert canonicalize(E) == canonicalize(D), (i, rule)
         assert evaluate_diagram(D, U).rows == evaluate_diagram(E, U).rows, (i, rule)
@@ -223,6 +232,38 @@ def test_criterion_7_relation_soundness():
                 assert evaluate_dw(D, C9, l) == evaluate_dw(E, C9, l), (i, rule, l)
     dt = time.perf_counter() - t0
     _passed(7, f"200 random rule instances sound (invariant, universal, C_3 mod 7/13; {narrow} also C_9 mod 19/37)", dt)
+
+
+def _permutation(order):
+    """Adjacent swaps on len(order) strands whose output t carries input strand order[t]."""
+    n, now, slices = len(order), list(range(len(order))), []
+    for t, want in enumerate(order):
+        for u in range(now.index(want), t, -1):
+            now[u - 1], now[u] = now[u], now[u - 1]
+            slices.append((CYL,) * (u - 1) + (SWAP,) + (CYL,) * (n - u - 1))
+    return Diagram(tuple(slices), None if slices else n)
+
+
+def test_pieces_recompose_to_the_same_canonical_form():
+    # DW evaluation splits a diagram into pieces and permutes their legs back;
+    # on criterion 7's diagrams, both sides of each rewrite, those pieces with
+    # those permutations put together are the same cobordism
+    split = 0
+    for i, rule, *sides in _criterion_7_instances():
+        for D in sides:
+            pieces = frobenius._pieces(D)
+            split += len(pieces) > 1
+            ins = [a for P in pieces for a in P.ins]
+            outs = [b for P in pieces for b in P.outs]
+            assert sorted(ins) == list(range(D.in_arity)) and sorted(outs) == list(range(D.out_arity))
+            middle = identity_diagram(0)
+            for P in pieces:
+                assert len(canonicalize(P.diagram).components) == 1, (i, rule, str(D))
+                middle = tensor(middle, P.diagram)
+            back = _permutation(sorted(range(len(outs)), key=outs.__getitem__))
+            whole = compose(compose(_permutation(ins), middle), back)
+            assert canonicalize(whole) == canonicalize(D), (i, rule, str(D))
+    assert split > 100
 
 
 def test_criterion_8_character_table_properties():

@@ -377,9 +377,10 @@ REFERENCE_ALGEBRAS = {
 
 def _kron_reference(D, A):
     """The product of np.kron-assembled slice matrices, exact, as tuples of rows."""
-    # int64 stays exact: k^width·(ℓ−1)² < 2⁶³ for every reduced product below
+    # int64 stays exact while k^width·(ℓ−1)² < 2⁶³ for every reduced product below
     l = getattr(A, "l", None)
-    dtype, reduce = (object, lambda M: M) if l is None else (np.int64, lambda M: M % l)
+    dtype = object if l is None or A.dim ** _widest(D) * (l - 1) ** 2 >= 2**63 else np.int64
+    reduce = (lambda M: M) if l is None else (lambda M: M % l)
     total = np.eye(A.dim**D.in_arity, dtype=dtype)
     for sl in D.slices:
         S = np.ones((1, 1), dtype=dtype)
@@ -395,15 +396,22 @@ def test_state_never_outgrows_the_slice_boundaries(make, text, monkeypatch):
     # a widening token applied before a narrowing one in the same slice would
     # make the state k times wider than either boundary of that slice.  Sizes
     # are per monomial component: out[μ, ν] of a batched product, or a product
-    # by the monomial 1 shared among the state's components
+    # by the monomial 1 shared among the state's components, or the start
+    # state that the first product writes without a product
     A, D = make(), parse_diagram(text)
     ensure_prechecked(A)
-    sizes, components, matmul, merge = [], [1], np.matmul, frobenius._merge
+    sizes, components, matmul, merge, start = [], [1], np.matmul, frobenius._merge, frobenius._start
 
     def recording_merge(*args):
         S, codes = merge(*args)
         components[0] = len(codes)
         return S, codes
+
+    def recording_start(*args):
+        first, codes, S, bound = start(*args)
+        components[0] = len(codes)
+        sizes.append(S.size // len(codes))
+        return first, codes, S, bound
 
     def recording_matmul(*args):
         out = matmul(*args)
@@ -411,13 +419,15 @@ def test_state_never_outgrows_the_slice_boundaries(make, text, monkeypatch):
         return out
 
     monkeypatch.setattr(frobenius, "_merge", recording_merge)
+    monkeypatch.setattr(frobenius, "_start", recording_start)
     monkeypatch.setattr(np, "matmul", recording_matmul)
-    got = evaluate_diagram(D, A)
+    got = frobenius._contract(D, A, frobenius._modulus(A))  # whole, as DW evaluation would split it
     monkeypatch.undo()
     widths = [D.in_arity] + [sum(t.arity[1] for t in sl) for sl in D.slices]
     columns = A.dim ** min(D.in_arity, D.out_arity)
     assert sizes and max(sizes) <= A.dim ** max(widths) * columns
-    assert got.rows == _kron_reference(D, A)
+    assert tuple(map(tuple, got.tolist())) == _kron_reference(D, A)
+    assert evaluate_diagram(D, A).rows == _kron_reference(D, A)
 
 
 @pytest.mark.parametrize("entries", [1, 50])
@@ -436,9 +446,10 @@ def test_wide_dw_column_blocks_match_one_block(monkeypatch):
     ensure_prechecked(A)
     D = parse_diagram("swap, m, d, swap; id, swap, m, d, id; swap, tor(1), swap, swap")
     assert D.in_arity == D.out_arity == 7 and 3**14 > frobenius._STATE_ENTRIES
-    blocked = evaluate_diagram(D, A)
+    blocked = frobenius._contract(D, A, 7)  # whole: evaluation would split it into pieces
+    assert np.array_equal(blocked, evaluate_diagram(D, A).a)
     monkeypatch.setattr(frobenius, "_STATE_ENTRIES", 2**26)
-    assert blocked == evaluate_diagram(D, A)
+    assert np.array_equal(blocked, frobenius._contract(D, A, 7))
 
 
 def _random_token(rng, kind, units=REFERENCE_UNITS, levels=(1, 2, INF)):
@@ -506,6 +517,84 @@ def test_evaluation_matches_a_kronecker_reference(name):
     assert max(map(_widest, diagrams)) == max_width
     for D in diagrams:
         assert evaluate_diagram(D, A).rows == _kron_reference(D, A), str(D)
+
+
+# each splits into pieces: strands of different pieces crossing, a swap inside one
+# piece, twisted bare strands, closed pieces beside open ones, cap and cup pieces,
+# and pieces whose legs interleave on both boundaries; the first six are cheap
+# enough for the Kronecker reference at every k here
+SPLIT_DIAGRAMS = [
+    "tor(1), tor(2); swap",  # two pieces cross
+    "d, cup; swap",  # a swap inside the d piece, beside a cup
+    "tw(4 mod 3^2), tw(7 mod 3^2); tw(7 mod 3^2), id",  # twisted bare strands
+    "cap, tor(1); tor(inf), id; cup, id",  # a closed piece beside an open one
+    "cup, cap",
+    "tw(4 mod 3^2), d; swap, id",  # a twisted bare strand crosses a strand of d
+    "m, tor(1); swap",  # the outputs of two pieces cross
+    "id, swap; m, id",  # inputs 0 and 2 join, 1 is bare: columns out of place
+    "d, tor(1); swap, id; m, id",  # a swap inside the d … m piece, beside tor(1)
+    "tw(4 mod 3^2), m; id, tw(7 mod 3^2)",
+    "cap, cap, id; tor(inf), cup, d; cup, id, id",  # two closed pieces
+    "cup, cap, id",
+    "id, swap; m, id; d, id; id, swap",  # legs interleave on both boundaries
+    # a twist tells a piece's own legs apart, so these see each piece's leg order
+    "d, tor(1); tw(4 mod 3^2), swap",  # d's outputs 0 (twisted) and 2, tor(1) between
+    "tw(4 mod 3^2), swap; m, tor(1)",  # m's inputs 0 (twisted) and 2, tor(1) between
+]
+
+
+def _reference_cost(D, k):
+    """Multiply-adds `_kron_reference` spends on D, as `_random_diagram` bounds them."""
+    widths = [D.in_arity] + [sum(t.arity[1] for t in sl) for sl in D.slices]
+    return sum(k ** (a + b) for a, b in zip(widths, widths[1:])) * k**D.in_arity
+
+
+def _split_algebras():
+    for name in ("C3", "C9", "Heis3", "C3 exact"):
+        yield name, REFERENCE_ALGEBRAS[name][0]
+    yield "C3 mod 2^61-1", lambda: DWAlgebra(cyclic(3), 2**61 - 1)
+
+
+@pytest.mark.parametrize("name, make", list(_split_algebras()))
+def test_split_evaluation_matches_a_kronecker_reference(name, make):
+    # every diagram also against the whole-diagram contraction, which the split
+    # bypasses; the Kronecker reference where its cost allows
+    A = make()
+    diagrams = [parse_diagram(text) for text in SPLIT_DIAGRAMS]
+    rng = random.Random(20261019)
+    while len(diagrams) < len(SPLIT_DIAGRAMS) + 20:  # random ones that split, up to 3 strands wide
+        D = _random_diagram(rng, A.dim, 3)
+        if D.in_arity + D.out_arity and len(frobenius._pieces(D)) > 1:
+            diagrams.append(D)
+    referenced = 0
+    for D in diagrams:
+        assert len(frobenius._pieces(D)) > 1, str(D)
+        got = evaluate_diagram(D, A)
+        assert np.array_equal(got.a, frobenius._contract(D, A, A.l)), str(D)
+        if _reference_cost(D, A.dim) <= REFERENCE_COST:
+            referenced += 1
+            assert got.rows == _kron_reference(D, A), str(D)
+    assert referenced >= (len(diagrams) if A.dim == 3 else 26)
+
+
+def test_the_widest_gauge_cell_reaches_the_contraction_piece_by_piece(monkeypatch):
+    # C₃ at width 7: the whole diagram holds a 3⁷-row state over 3⁶ columns,
+    # its pieces at most 3³ rows
+    A = DWAlgebra(cyclic(3), 7)
+    ensure_prechecked(A)
+    D = parse_diagram("swap, d, m, tor(inf), id; m, id, id, id, id, id")
+    whole = frobenius._contract(D, A, 7)
+    contract, widths = frobenius._contract, []
+
+    def spy(piece, *args):
+        widths.append(_widest(piece))
+        return contract(piece, *args)
+
+    monkeypatch.setattr(frobenius, "_contract", spy)
+    got = evaluate_diagram(D, A)
+    monkeypatch.undo()
+    assert widths and A.dim ** max(widths) <= 3**3
+    assert got.shape == (3**6, 3**7) and np.array_equal(got.a, whole)
 
 
 @pytest.mark.parametrize("g", [63, 65, 101])
