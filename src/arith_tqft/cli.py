@@ -25,7 +25,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 
 from .chartab import character_table_mod, split_primes
 from .cobordism import canonicalize, invariant_of, parse_diagram
@@ -82,10 +81,6 @@ def _default_prime(G, flag):
     return flag if flag is not None else split_primes(G, count=1)[0]
 
 
-def _fraction_json(q):
-    return int(q) if q.denominator == 1 else str(q)
-
-
 def _table_seed(G, primes):
     """Seed of the (cached) character table a count used, or None when it used none."""
     return character_table_mod(G, primes[0]).seed if primes else None
@@ -98,8 +93,6 @@ def _cmd_homcount(args):
     G = group_from_spec(args.group)
     spec = _spec_from_flags(args)
     out = counting_summary(spec, G)
-    if out["extensions"] is not None:
-        out["extensions"] = _fraction_json(Fraction(out["extensions"]))
     out["seed"] = _table_seed(G, out["primes_used"])
     if args.verify:
         task = EnumerationTask(G, spec, budget=args.budget)
@@ -133,7 +126,7 @@ def _cmd_extensions(args):
         raise ValidationError(out["extensions_refused"]["error"], out["extensions_refused"]["message"])
     return [
         {
-            "extensions": _fraction_json(Fraction(out["extensions"])),
+            "extensions": out["extensions"],
             "epi_count": out["epi_count"],
             "spec": str(spec),
             "seed": _table_seed(G, out["primes_used"]),

@@ -520,8 +520,10 @@ def general_gauge_count(H, p: int, spec: RelatorSpec) -> tuple[int, Fraction]:
 def counting_summary(spec: RelatorSpec, G) -> dict:
     """The batch-facing JSON bundle: hom count, epi count, extensions, primes used.
 
-    When |Aut Γ| is refused at a limit, the counts already made are kept:
-    `extensions` is None and `extensions_refused` holds the error code and message.
+    `extensions` is ready for JSON: an int, or an "a/b" string when the count
+    is not an integer.  When |Aut Γ| is refused at a limit, the counts already
+    made are kept: `extensions` is None and `extensions_refused` holds the error
+    code and message.
     """
     G = group_from_spec(G)
     if spec.is_free:
@@ -531,7 +533,8 @@ def counting_summary(spec: RelatorSpec, G) -> dict:
     epis = epi_count(spec, G)
     out = {"hom_count": hom, "epi_count": epis, "extensions": None, "primes_used": primes}
     try:
-        out["extensions"] = str(_extensions(G, epis))
+        q = _extensions(G, epis)
+        out["extensions"] = q.numerator if q.denominator == 1 else str(q)
     except ValidationError as e:
         if e.code != "bound-exceeded":
             raise

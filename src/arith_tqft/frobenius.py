@@ -23,13 +23,16 @@ object exposing `dim`, `max_dim`, `basis_names`, `token_matrix`,
 `token_terms`, `p`, `default_levels` and `precheck` (see dw.DWAlgebra for the
 finite-group specialization); `ModMatrix` token matrices mark scalars in 𝔽_ℓ.
 Both go through one contraction, `_contract`, in which every generator acts
-on its own strands of a single state; over 𝔽_ℓ an open diagram is contracted
-one connected piece at a time and the pieces are tensored back together.  The state is integer arithmetic
-throughout: one array per monomial h^i·t^j·[r] that occurs, and each token
-written once per algebra as a few (monomial, int64 matrix) pairs
-(`TokenTerms`); a DW token is the one monomial 1.  `swap` is the symmetric
-structure, the same in every algebra: it exchanges two strand axes of the
-state and needs no token matrix to evaluate.
+on its own strands of a single state, and an input strand joins the state
+only when a token first reads it (a strand no token reads is the identity,
+put in once at the end); over 𝔽_ℓ an open diagram is contracted one connected
+piece at a time and the pieces are tensored back together.  The state is
+integer arithmetic throughout: one array per monomial h^i·t^j·[r] that
+occurs, and each token written once per algebra as a few (monomial, int64
+matrix) pairs (`TokenTerms`); a DW token is the one monomial 1.  `swap` is the
+symmetric structure, the same in every algebra: it exchanges two strand axes
+of the state, or only relabels strands outside it, and needs no token matrix
+to evaluate.
 """
 
 from __future__ import annotations
@@ -592,8 +595,15 @@ _STATE_ENTRIES = 2**22  # input columns are contracted in blocks of at most this
 _LEVEL = 1 << 42  # a monomial h^i·t^j·[r] is packed as r·2⁴² + i·2²¹ + j
 _DEGREE = 1 << 21
 _ZERO = UniversalScalar()
-_UNIT = np.zeros(1, dtype=np.int64)  # the monomial codes of a state that starts at 1
-_UNIT.flags.writeable = False
+
+
+def _frozen(a):
+    a.flags.writeable = False
+    return a
+
+
+_UNIT = _frozen(np.zeros(1, dtype=np.int64))  # the monomial codes of a state that starts at 1
+_EMPTY = {dtype: _frozen(np.ones((1, 1, 1), dtype=dtype)) for dtype in (np.int64, np.float64, object)}  # the state 1
 
 
 class TokenTerms(NamedTuple):
@@ -702,47 +712,68 @@ def _reduce(S, l):
     return R
 
 
-def _start(ops, j, c, n, dtype):
-    """(next op, monomial codes, state, entry bound) of input columns j..j+c once the first op has acted.
+def _passing(T, read, k):
+    """T (…, b, k^a) with the inputs it takes from pass-through strands moved into its rows: (…, b·P, A_t).
 
-    The first product acts on the identity, so its state is that op's matrix
-    placed on the untouched strands around it, scattered into zeros; a `swap`
-    first, or no op at all, starts from the identity itself.
+    `read` holds the token's input strands, None for one the state already
+    has.  Row (y, p) and column x of the result are T's entry at output y and
+    at the input tensor whose pass-through strands read p and whose others x.
     """
-    if not ops or ops[0][1] is None:
-        return 0, _UNIT, np.eye(n, c, -j, dtype=dtype), 1
-    terms, T, grow, before, a, _ = ops[0]
-    stack = T[None] if terms is None else T[:, 0, 0]  # (monomials, b, a)
-    codes = _UNIT if terms is None else terms.codes
-    after = n // (before * a)
-    if before == after == 1:  # the op spans every strand: its own columns are the state
-        return 1, codes, stack[:, :, j : j + c], grow
-    x, rest = np.divmod(np.arange(j, j + c), a * after)
-    y, z = np.divmod(rest, after)
-    S = np.zeros((len(stack), before, stack.shape[1], after, c), dtype=dtype)
-    S[:, x, :, z, np.arange(c)] = stack[:, :, y].transpose(2, 0, 1)
-    return 1, codes, S, grow
+    n, live = T.ndim - 1, read.count(None)
+    if live:
+        order = sorted(range(len(read)), key=lambda i: read[i] is None)
+        T = T.reshape(T.shape[:-1] + (k,) * len(read)).transpose(*range(n), *(n + i for i in order))
+    return T.reshape(*T.shape[: n - 1], -1, k**live)
+
+
+def _expand(S, strands, cols, k):
+    """The matrix on every strand of a final state S on its own strands and the inputs `cols` it read.
+
+    `strands` are the output strands, each None (a row axis of S) or the input
+    it carries unread; such a strand is the identity between that input and
+    that output, scattered in once here.  Rows and columns are then put in
+    strand order.
+    """
+    passed = [i for i in strands if i is not None]
+    inputs = cols + passed
+    if not passed and inputs == sorted(inputs):
+        return S
+    if passed:
+        E = k ** len(passed)
+        out = np.full((S.shape[0], E, S.shape[1], E), _ZERO if S.dtype == object else 0, dtype=S.dtype)
+        e = np.arange(E)
+        out[:, e, :, e] = S
+        S = out
+    rows = sorted(range(len(strands)), key=lambda q: strands[q] is not None)  # S's row axes: written, then passed
+    carried = rows + [len(rows) + i for i in inputs]  # the strand or input each axis of S carries
+    axes = sorted(range(len(carried)), key=carried.__getitem__)
+    return S.reshape((k,) * len(axes)).transpose(axes).reshape(k ** len(rows), k ** len(inputs))
 
 
 def _contract(D: Diagram, A, l):
     """The matrix of D in A as an array, each token acting on its own strands.
 
     The state is a stack of integer arrays, one per monomial h^i·t^j·[r] that
-    occurs, each with one row per basis tensor of the current strands and one
-    column per input basis tensor.  A token a → b at strand offset o, with
-    terms Σ_μ T_μ·μ (`TokenTerms`), is one batched product of every T_μ with
-    every S_ν reshaped to (k^o, k^a, …), landing on μ·ν (`_merge`); when the
-    token is the one monomial 1 the monomials stay put.  `id` only moves the
-    offset.  Tokens of one slice act on disjoint strands and commute, so the
-    narrowing ones go first: no component is wider than the slice's wider
-    boundary.  A diagram with fewer outputs than inputs runs top-down with
-    transposed tokens, so the state starts at the narrower boundary, and is
-    transposed back.  The first product would act on the identity, so each
-    block starts from that op's own matrix on the untouched strands (`_start`).
-    Columns are independent, so they go through in blocks that keep the whole
-    stack within `_STATE_ENTRIES` entries, a block halved when its monomials
-    multiply past that.  Over 𝔽_ℓ, `evaluate_diagram` hands it one connected
-    piece at a time.
+    occurs, each with one row per basis tensor of the strands some token has
+    written and one column per basis tensor of the inputs some token has read.
+    Every other strand still carries its input unread and is no axis of the
+    state: the state starts as the 1×1 array 1, a `swap` or `id` on such
+    strands only relabels them, and a strand never read is the identity,
+    scattered into the output once at the end (`_expand`).  A token a → b at
+    offset o, with terms Σ_μ T_μ·μ (`TokenTerms`), reading A_t written strands
+    and P pass-through ones, is one batched product of every T_μ, its
+    pass-through inputs moved into its rows (T[(b, p), a_t], `_passing`), with
+    every S_ν reshaped to (k^o, A_t, …), landing on μ·ν (`_merge`); when the
+    token is the one monomial 1 the monomials stay put.  The values p of the
+    strands it read then become the state's newest column axis.  Tokens of one
+    slice act on disjoint strands and commute, so the narrowing ones go first:
+    no component is wider than the slice's wider boundary.  A diagram with
+    fewer outputs than inputs runs top-down with transposed tokens, so the
+    state starts at the narrower boundary, and is transposed back.  Columns
+    are independent, so a block of them goes on alone once the stack would
+    pass `_STATE_ENTRIES` entries: halved while it has more than one column,
+    else split along the values of the strands its next token reads first.
+    Over 𝔽_ℓ, `evaluate_diagram` hands it one connected piece at a time.
 
     Exact scalars (l is None) are int64 while an entry bound, grown by each
     token's `grow`, stays below 2⁶³; a bound that would pass it is first
@@ -763,42 +794,56 @@ def _contract(D: Diagram, A, l):
         dtype, limit = np.int64, _INT_EXACT
     else:
         dtype, limit = np.float64 if k * k * (l - 1) ** 2 < _FLOAT_EXACT else object, _FLOAT_EXACT
-    start = D.out_arity if reverse else D.in_arity
-    ops, width, peak = [], start, start
+    # each current strand: None once a token has written it, else the input it carries unread
+    strands = list(range(D.out_arity if reverse else D.in_arity))
+    ops, cols, width = [], [], 0  # cols: the inputs read, oldest first; width: strands written
     for sl in reversed(D.slices) if reverse else D.slices:
         arities = [tok.arity[::-1] if reverse else tok.arity for tok in sl]
         for narrowing in (True, False):
-            offset = 0  # strands left of tok in the state, some already mapped a → b
+            offset = 0  # strands left of tok, some already mapped a → b
             for tok, (a, b) in zip(sl, arities):
-                if tok.kind == "swap":  # the symmetric structure: two strand axes trade places
+                if tok.kind == "swap":  # the symmetric structure: two strands trade places
                     if not narrowing:
-                        ops.append((None, None, 1, k**offset, k, k**width))
+                        pair = strands[offset : offset + 2]
+                        strands[offset : offset + 2] = pair[::-1]
+                        if pair == [None, None]:  # both are axes of the state
+                            ops.append((None, None, None, 1, k ** strands[:offset].count(None), k, k**width, 1))
                 elif tok.kind != "id" and (b < a) == narrowing:
                     terms = A.token_terms(tok)
                     T = terms.mats[reverse]
-                    width += b - a
+                    read = strands[offset : offset + a]
+                    live = read.count(None)
+                    if live < a:  # the first token to read some inputs: they become columns
+                        cols += [i for i in read if i is not None]
+                        T = _passing(T, read, k)
                     T = T if dtype is np.int64 else T.astype(dtype)
+                    before = k ** strands[:offset].count(None)
+                    strands[offset : offset + a] = [None] * b
+                    width += b - live
                     span = len(terms.codes) * k**width  # output entries per state monomial and column
-                    ops.append((None if terms.unit else terms, T, terms.grow[reverse], k**offset, k**a, span))
+                    product = np.matmul if live else np.multiply  # a product over one term is an outer one
+                    P = k ** (a - live)  # values of the strands it reads first
+                    ops.append((None if terms.unit else terms, T, product, terms.grow[reverse], before, k**live, span, P))
                 offset += b if b < a or not narrowing else a
-        peak = max(peak, sum(b for _, b in arities))
-    n = k**start
-    # the first op's monomials come out of one start state, so its block is sized for them
-    step = max(1, _STATE_ENTRIES // (k**peak * (len(ops[0][0].codes) if ops and ops[0][0] else 1)))
-    # a block: first column, width, next op, monomial codes, state (None until started), entry bound, its limit
-    todo = [(j, min(step, n - j), 0, _UNIT, None, 1, limit) for j in range(0, n, step)]
-    blocks = {}
+    n = k ** len(cols)  # columns of the final state
+    # a block: first column, width, next op, values of its read strands that op takes, codes, state, bound, limit
+    empty = _EMPTY[dtype]
+    todo, out = [(0, 1, 0, None, _UNIT, empty, 1, limit)], None
     while todo:
-        j, c, first, codes, S, bound, limit = todo.pop()
-        if S is None:
-            first, codes, S, bound = _start(ops, j, c, n, dtype)
+        j, c, first, window, codes, S, bound, limit = todo.pop()
         for q in range(first, len(ops)):
-            terms, T, grow, before, a, span = ops[q]  # terms: None for the monomial 1, T: None for swap
+            terms, T, product, grow, before, a, span, P = ops[q]  # terms: None for the monomial 1, T: None for swap
+            lo, hi = window if window and q == first else (0, P)
             m = len(codes)
-            if m * span * c > _STATE_ENTRIES and c > 1:
-                h, S = c // 2, S.reshape(m, -1, c)
-                todo.append((j + h, c - h, q, codes, S[:, :, h:], bound, limit))
-                todo.append((j, h, q, codes, S[:, :, :h], bound, limit))
+            if m * span * (hi - lo) * c > _STATE_ENTRIES and c * (hi - lo) > 1:
+                if c > 1:
+                    h, S = c // 2, S.reshape(m, -1, c)
+                    todo.append((j + h, c - h, q, None, codes, S[:, :, h:], bound, limit))
+                    todo.append((j, h, q, None, codes, S[:, :, :h], bound, limit))
+                else:
+                    h = (lo + hi) // 2
+                    todo.append((j, 1, q, (h, hi), codes, S, bound, limit))
+                    todo.append((j, 1, q, (lo, h), codes, S, bound, limit))
                 break
             if bound * grow >= limit:
                 if l is not None:
@@ -810,18 +855,32 @@ def _contract(D: Diagram, A, l):
             bound *= grow
             if T is None:
                 S = S.reshape(m * before, a, a, -1).swapaxes(1, 2)
+                continue
+            x = S.size // (m * before * a) if P > 1 else -1  # the strands after the token's, times the columns
+            if hi - lo < P:
+                T = T.reshape(*T.shape[:-2], -1, P, a)[..., lo:hi, :].reshape(*T.shape[:-2], -1, a)
+            if S is empty:  # the first token acts on the empty state: its own terms are the state
+                S, codes = T, codes if terms is None else terms.codes
             elif terms is None:
-                S = np.matmul(T, S.reshape(m * before, a, -1))
+                S = product(T, S.reshape(m, before, a, x))
             else:
-                S, codes = _merge(terms, codes, np.matmul(T, S.reshape(1, m, before, a, -1)))
+                S, codes = _merge(terms, codes, product(T, S.reshape(1, m, before, a, x)))
+            if P > 1:  # the values read become the newest column axis
+                S = S.reshape(len(codes), -1, hi - lo, x).swapaxes(2, 3) if x > 1 else S
+                j, c = j * P + lo, c * (hi - lo)
         else:
             if l is None:
-                blocks[j] = _scalars(codes, S.reshape(len(codes), -1, c))
+                S = _scalars(codes, S.reshape(len(codes), -1, c))
             else:  # entries are nonnegative, so a bound below ℓ means reduced already
-                S = _reduce(S, l) if bound >= l else S
-                blocks[j] = S.astype(np.int64, order="C", copy=False).reshape(-1, c)
-    S = np.hstack([blocks[j] for j in sorted(blocks)]) if len(blocks) > 1 else blocks[0]
-    return S.T if reverse else S
+                S = (_reduce(S, l) if bound >= l else S).reshape(-1, c)
+            if c == n:
+                out = S if l is None else S.astype(np.int64, order="C", copy=False)
+            else:  # one of several blocks, written straight into the result
+                if out is None:
+                    out = np.empty((len(S), n), dtype=object if l is None else np.int64)
+                out[:, j : j + c] = S
+    out = _expand(out, strands, cols, k)
+    return out.T if reverse else out
 
 
 class Piece(NamedTuple):

@@ -280,6 +280,35 @@ def test_swap_needs_no_dense_matrix_and_results_come_reduced():
     assert out == evaluate_diagram(parse_diagram("m"), A)  # m is commutative
 
 
+@pytest.mark.parametrize(
+    "G, l, kind, entry, witnesses",
+    [
+        (cyclic(3), 7, "m", (0, 5), {"F3": "K(2)⊗K(2)⊗K(2)", "F5": "K(2)⊗K(2)"}),
+        (cyclic(3), 7, "d", (7, 2), {"F4": "K(2)", "F5": "K(2)⊗K(2)"}),
+        (heisenberg(3), 61, "m", (3, 5), {"F3": "K((2,2,0))⊗K((1,1,0))⊗K((1,0,0))", "F5": "K((2,2,0))⊗K((1,0,0))"}),
+        (heisenberg(3), 61, "d", (7, 2), {"F4": "K((2,2,0))", "F5": "K((2,2,0))⊗K((1,1,0))"}),
+    ],
+)
+def test_precheck_catches_one_perturbed_entry(G, l, kind, entry, witnesses):
+    # one entry of m or Δ moved by 1 through the token terms the contraction
+    # reads; the witnesses are the first failing input basis tensors
+    from arith_tqft.frobenius import TokenTerms
+
+    A = DWAlgebra(G, l)
+    M = A.token_matrix(Token(kind)).a.copy()
+    M[entry] = (M[entry] + 1) % l
+    bad, terms = TokenTerms.of(ModMatrix(M, l)), A.token_terms
+    A.token_terms = lambda tok: bad if tok.kind == kind else terms(tok)
+    report = check_axioms(A, axioms=A.precheck)
+    for name, witness in witnesses.items():
+        assert report[name] == (False, witness)
+    with pytest.raises(ValidationError) as e:
+        evaluate_diagram(parse_diagram("d; m"), A)
+    assert e.value.code == "axiom-failure"
+    first = next(name for name in A.precheck if not report[name][0])
+    assert e.value.message.startswith(f"{first} fails") and report[first][1] in e.value.message
+
+
 def test_dimension_guard():
     wide = identity_diagram(8)  # 3^8 = 6561 states, over the 4096 guard
     with pytest.raises(ComputationError) as e:
@@ -396,7 +425,7 @@ def test_general_gauge_count_without_p_part():
 
 def test_counting_summary():
     out = counting_summary(RelatorSpec(1, 1), C3)
-    assert out == {"hom_count": 9, "epi_count": 8, "extensions": "4", "primes_used": []}
+    assert out == {"hom_count": 9, "epi_count": 8, "extensions": 4, "primes_used": []}
     free = counting_summary(FREE(2), C3)
     assert free["hom_count"] == 9 and free["primes_used"] == []
     assert counting_summary(RelatorSpec(1, 1), HEIS)["primes_used"] == [487]
@@ -601,7 +630,7 @@ def test_counting_summary_counts_epimorphisms_once(monkeypatch, capsys):
     monkeypatch.setattr(dw, "epi_count", counted)
     out = counting_summary(RelatorSpec(1, 1), cyclic(9))
     assert len(calls) == 1
-    assert out["extensions"] == str(extension_count(RelatorSpec(1, 1), cyclic(9)))
+    assert out["extensions"] == extension_count(RelatorSpec(1, 1), cyclic(9))
     calls.clear()
     assert run(["homcount", "--group", "named:heisenberg:3", "--n", "2", "--r", "1"]) == 0
     assert len(calls) == 1

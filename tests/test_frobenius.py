@@ -390,44 +390,67 @@ def _kron_reference(D, A):
     return tuple(map(tuple, total.tolist()))
 
 
-@pytest.mark.parametrize("text", ["d, cup", "cap, m", "m, cap; m", "m, d; m, id"])
+class _ArraySpy:
+    """numpy as `frobenius` sees it, noting the entries per monomial component of every state it forms.
+
+    A product by the monomial 1 is (ν, …): one component counts; a batched
+    product is (μ, ν, …): one pair counts.  A state built otherwise counts whole.
+    """
+
+    FORMING = {"matmul", "multiply", "ones", "zeros", "full", "eye"}
+
+    def __init__(self, monkeypatch):
+        self.sizes = []
+        monkeypatch.setattr(frobenius, "np", self)
+
+    def __getattr__(self, name):
+        f = getattr(np, name)
+        if name not in self.FORMING:
+            return f
+
+        def recording(*args, **kwargs):
+            out = f(*args, **kwargs)
+            lead = {4: 1, 5: 2}.get(out.ndim, 0) if name in ("matmul", "multiply") else 0
+            self.sizes.append(out[(0,) * lead].size)
+            return out
+
+        return recording
+
+
+@pytest.mark.parametrize("text", ["d, cup", "cap, m", "m, cap; m", "m, d; m, id", "id, m, id; d, id, id"])
 @pytest.mark.parametrize("make", [UniversalAlgebra, lambda: DWAlgebra(cyclic(3), 7)])
 def test_state_never_outgrows_the_slice_boundaries(make, text, monkeypatch):
     # a widening token applied before a narrowing one in the same slice would
-    # make the state k times wider than either boundary of that slice.  Sizes
-    # are per monomial component: out[μ, ν] of a batched product, or a product
-    # by the monomial 1 shared among the state's components, or the start
-    # state that the first product writes without a product
+    # make the state k times wider than either boundary of that slice
     A, D = make(), parse_diagram(text)
     ensure_prechecked(A)
-    sizes, components, matmul, merge, start = [], [1], np.matmul, frobenius._merge, frobenius._start
-
-    def recording_merge(*args):
-        S, codes = merge(*args)
-        components[0] = len(codes)
-        return S, codes
-
-    def recording_start(*args):
-        first, codes, S, bound = start(*args)
-        components[0] = len(codes)
-        sizes.append(S.size // len(codes))
-        return first, codes, S, bound
-
-    def recording_matmul(*args):
-        out = matmul(*args)
-        sizes.append(out[0, 0].size if out.ndim == 5 else out.size // components[0])
-        return out
-
-    monkeypatch.setattr(frobenius, "_merge", recording_merge)
-    monkeypatch.setattr(frobenius, "_start", recording_start)
-    monkeypatch.setattr(np, "matmul", recording_matmul)
+    spy = _ArraySpy(monkeypatch)
     got = frobenius._contract(D, A, frobenius._modulus(A))  # whole, as DW evaluation would split it
     monkeypatch.undo()
     widths = [D.in_arity] + [sum(t.arity[1] for t in sl) for sl in D.slices]
     columns = A.dim ** min(D.in_arity, D.out_arity)
-    assert sizes and max(sizes) <= A.dim ** max(widths) * columns
+    assert spy.sizes and max(spy.sizes) <= A.dim ** max(widths) * columns
     assert tuple(map(tuple, got.tolist())) == _kron_reference(D, A)
     assert evaluate_diagram(D, A).rows == _kron_reference(D, A)
+
+
+def test_f5_forms_no_array_past_k4_entries(monkeypatch):
+    # d ⊗ id leaves k⁴ nonzeros in a k³ × k² matrix; with input 1 passing
+    # through until m reads it, no array of the law's left side holds more
+    from arith_tqft.chartab import split_primes
+
+    G = heisenberg(5)
+    A = DWAlgebra(G, split_primes(G, count=1)[0])
+    k = A.dim
+    assert k == 29 and k**4 <= frobenius._STATE_ENTRIES  # one block
+    spy = _ArraySpy(monkeypatch)
+    lhs = frobenius._contract(parse_diagram("d, id; id, m"), A, A.l)
+    monkeypatch.undo()
+    assert max(spy.sizes) <= k**4
+    assert lhs.shape == (k**2, k**2) and np.array_equal(lhs, frobenius._contract(parse_diagram("m; d"), A, A.l))
+
+
+F5_LEFT_SIDES = ("d, id; id, m", "id, d; m, id")
 
 
 @pytest.mark.parametrize("entries", [1, 50])
@@ -435,9 +458,12 @@ def test_column_blocks_give_the_same_matrix(entries, monkeypatch):
     monkeypatch.setattr(frobenius, "_STATE_ENTRIES", entries)
     for A in (UniversalAlgebra(), DWAlgebra(cyclic(3), 7)):
         ensure_prechecked(A)
-        for text in ("m, d; m, id", "d; d, id", "cap, id; swap; m; cup", "cap", "tor(1), tor(3); tor(inf), tor(2); m"):
+        texts = ("m, d; m, id", "d; d, id", "cap, id; swap; m; cup", "cap", "tor(1), tor(3); tor(inf), tor(2); m")
+        for text in texts + F5_LEFT_SIDES:
             D = parse_diagram(text)
             assert evaluate_diagram(D, A).rows == _kron_reference(D, A), text
+            want = np.array(_kron_reference(D, A), dtype=object)
+            assert np.array_equal(frobenius._contract(D, A, frobenius._modulus(A)), want), text
 
 
 def test_wide_dw_column_blocks_match_one_block(monkeypatch):
@@ -575,6 +601,70 @@ def test_split_evaluation_matches_a_kronecker_reference(name, make):
             referenced += 1
             assert got.rows == _kron_reference(D, A), str(D)
     assert referenced >= (len(diagrams) if A.dim == 3 else 26)
+
+
+# inputs that idle before their first reader: swapped, twisted only later, read
+# after one or more slices, or never read at all, in both directions and beside
+# closed pieces
+IDLE_DIAGRAMS = [
+    "swap; id, id; m",  # both inputs swapped while idle, then read in crossed order
+    "id, id; tw(4 mod 3^2), id; m",  # a twist is the first reader, a slice late
+    "id, id; swap; id, tw(7 mod 3^2); m",
+    "id, m, id; id, d, id",  # inputs 0 and 3 are never read
+    "id, m; swap; d, id",  # input 0 is read by nothing, but crosses m's output
+    "id, id, id; swap, id; id, m; m",  # out < in: top-down, the output idles first
+    "id, m, id; swap, id",  # out < in, two inputs never read
+    "id, cap, id; id, tor(1), id; id, cup, id",  # a closed piece between idle strands
+    "cap, id; swap; id, cup",  # a closed piece crosses the idle strand
+    "id, swap; id, id, id; m, id; m",  # out < in, swapped while idle, read in order 2 1 0
+    "id, d; id, id, tor(inf); swap, id; id, m",  # input 0 idles three slices, crossed by d's output
+]
+
+
+def _idle_diagram(rng, k, max_width, **pools):
+    """A random diagram with idle slices of `id`, `swap` and twists before it and never-read strands beside it."""
+    while True:
+        core = _random_diagram(rng, k, max_width, **pools)
+        left, right = rng.randint(0, 1), rng.randint(0, 1)
+        pad = lambda toks: [Token("id")] * left + list(toks) + [Token("id")] * right
+        slices = [pad(sl) for sl in core.slices]
+        for _ in range(rng.randint(1, 2)):  # idle slices ahead of the core
+            toks, left_over = [], core.in_arity + left + right
+            while left_over:
+                kind = rng.choice(["id", "id", "tw"] + ["swap"] * (left_over >= 2))
+                toks.append(_random_token(rng, kind, **{key: v for key, v in pools.items() if key != "cost_limit"}))
+                left_over -= toks[-1].arity[0]
+            slices.insert(0, toks)
+        D = Diagram(slices)
+        if D.in_arity and _widest(D) <= max_width and _reference_cost(D, k) <= pools.get("cost_limit", REFERENCE_COST):
+            return D
+
+
+def _idle_algebras():
+    yield "universal", UniversalAlgebra
+    for name in ("C3", "Heis3", "C3 exact"):
+        yield name, REFERENCE_ALGEBRAS[name][0]
+    yield "C3 mod 2^61-1", lambda: DWAlgebra(cyclic(3), 2**61 - 1)
+
+
+@pytest.mark.parametrize("name, make", list(_idle_algebras()))
+def test_idle_inputs_match_a_kronecker_reference(name, make):
+    A = make()
+    pools = UNIVERSAL_POOLS if name == "universal" else {}
+    max_width = 5 if name == "universal" else 4 if A.dim == 3 else 3
+    rng = random.Random(20261020)
+    diagrams = [parse_diagram(text) for text in IDLE_DIAGRAMS]
+    diagrams = [D for D in diagrams if _widest(D) <= max_width]
+    diagrams += [_idle_diagram(rng, A.dim, max_width, **pools) for _ in range(20)]
+    assert any(D.out_arity < D.in_arity for D in diagrams) and len(diagrams) >= 29
+    l, referenced = frobenius._modulus(A), 0
+    for D in diagrams:  # the Kronecker reference where its cost allows, else the split evaluation
+        got = tuple(map(tuple, frobenius._contract(D, A, l).tolist()))
+        assert got == evaluate_diagram(D, A).rows, str(D)
+        if _reference_cost(D, A.dim) <= REFERENCE_COST:
+            referenced += 1
+            assert got == _kron_reference(D, A), str(D)
+    assert referenced >= (len(diagrams) if A.dim <= 3 else 20)
 
 
 def test_the_widest_gauge_cell_reaches_the_contraction_piece_by_piece(monkeypatch):
