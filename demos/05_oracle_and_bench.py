@@ -2,10 +2,11 @@
 Trust, but enumerate
 ====================
 
-Every closed formula in the package has a brute-force twin: the oracle walks
-the actual tuples.  This script shows the oracle confirming the character
-formula, the decorated bundle counts matching the generator matrices entry by
-entry, and the price you pay for enumeration once the formula is available.
+Every closed formula in the package has a brute-force twin: the oracle counts
+the actual tuples, pair by pair, from the Cayley table alone.  This script
+shows the oracle confirming the character formula, the decorated bundle counts
+matching the generator matrices entry by entry, and how the two routes compare
+in time.
 """
 
 import time
@@ -26,8 +27,8 @@ HEIS = heisenberg(3)
 
 # ---------------------------------------------------------------------------
 # The oracle counts solutions of x1^(3^r) [x1,y1]...[xn,yn] = 1 directly.
-# Conjugation symmetry folds the outer loop down to class representatives,
-# so 297 solutions in a search space of 729 take 297 loop steps.
+# Only the value of each prefix matters, so it tallies the values of each
+# letter pair and carries the number of prefixes with each value to the next.
 
 task = EnumerationTask(HEIS, RelatorSpec(1, 1))
 out = run_task(task)
@@ -66,7 +67,7 @@ print("orientable-handle entries checked:", k**2, "mismatches:", mismatches)
 
 # ---------------------------------------------------------------------------
 # The contrast: the character formula answers the n=2 count in microseconds;
-# the raw scan walks all 27^4 = 531441 tuples.
+# the oracle accounts for all 27^4 = 531441 tuples from the Cayley table.
 
 spec = RelatorSpec(2, 1)
 value = hom_count(spec, HEIS)  # builds the character tables once
@@ -76,15 +77,15 @@ value = uncached_hom_count(spec, HEIS)
 formula_s = time.perf_counter() - t0
 
 t0 = time.perf_counter()
-scan = count_solutions(EnumerationTask(HEIS, spec, raw=True))
+out = run_task(EnumerationTask(HEIS, spec))
 oracle_s = time.perf_counter() - t0
 
-print(f"\nhom count {value}: formula {formula_s * 1e6:.0f} µs, raw scan {oracle_s:.3f} s")
-print(f"agreement: {value == scan}, speedup {oracle_s / formula_s:.0f}x")
+print(f"\nhom count {value}: formula {formula_s * 1e6:.0f} µs, oracle {oracle_s * 1e3:.1f} ms over {out['scanned']} tuples")
+print(f"agreement: {value == out['count']}")
 
 # ---------------------------------------------------------------------------
-# Budgets guard accidental monsters: the predicted loop count is checked
-# before any work starts.
+# Budgets guard accidental monsters: the work of each letter pair is checked
+# before that pair allocates anything.
 
 try:
     count_solutions(EnumerationTask(HEIS, spec, budget=1000))

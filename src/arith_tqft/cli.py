@@ -24,7 +24,6 @@ import functools
 import json
 import os
 import sys
-import time
 
 from .chartab import character_table_mod, split_primes
 from .cobordism import canonicalize, invariant_of, parse_diagram
@@ -34,8 +33,6 @@ from .dw import (
     RelatorSpec,
     counting_summary,
     evaluate_dw,
-    hom_count,
-    uncached_hom_count,
 )
 from .errors import ComputationError, ValidationError
 from .frobenius import UniversalAlgebra, check_axioms, evaluate_diagram
@@ -219,42 +216,6 @@ def _cmd_oracle(args):
     return [run_task(obj)]
 
 
-def _cmd_bench(args):
-    G = group_from_spec(args.group)
-    spec = RelatorSpec(args.n, args.r)
-    t0 = time.perf_counter()
-    formula = hom_count(spec, G)
-    setup_seconds = time.perf_counter() - t0  # includes the one-time character tables
-    formula_seconds = min(
-        _timed(uncached_hom_count, spec, G)[1] for _ in range(args.repeats)
-    )
-    task = EnumerationTask(G, spec, raw=True, budget=args.budget)
-    scanned_count, oracle_seconds = _timed(count_solutions, task)
-    if scanned_count != formula:
-        raise ComputationError(
-            "invariant", f"formula {formula} disagrees with the scan {scanned_count}"
-        )
-    return [
-        {
-            "group": args.group,
-            "n": args.n,
-            "r": level_to_json(args.r),
-            "hom_count": formula,
-            "setup_seconds": setup_seconds,
-            "formula_seconds": formula_seconds,
-            "oracle_seconds": oracle_seconds,
-            "oracle_scanned": G.order ** spec.letters(),
-            "speedup": oracle_seconds / formula_seconds if formula_seconds > 0 else float("inf"),
-        }
-    ]
-
-
-def _timed(fn, *fn_args):
-    t0 = time.perf_counter()
-    value = fn(*fn_args)
-    return value, time.perf_counter() - t0
-
-
 # -- plumbing -----------------------------------------------------------------------------
 
 
@@ -274,7 +235,7 @@ def build_parser() -> _Parser:
     p.add_argument("--r", type=_level_flag, default=None, help="orientability level (int or inf)")
     p.add_argument("--free", type=int, default=None, help="use a free relator of this rank instead")
     p.add_argument("--verify", action="store_true", help="re-count by brute force, fail on mismatch")
-    p.add_argument("--budget", type=int, default=None, help="oracle loop budget for --verify")
+    p.add_argument("--budget", type=int, default=None, help="oracle work budget for --verify")
 
     p = add("extensions", _cmd_extensions, "count Galois extensions with a given gauge group")
     p.add_argument("--group", required=True)
@@ -303,13 +264,6 @@ def build_parser() -> _Parser:
 
     p = add("oracle", _cmd_oracle, "run one brute-force enumeration task")
     p.add_argument("--task", required=True, help="task JSON or a file containing it")
-
-    p = add("bench", _cmd_bench, "time the counting formula against the brute-force scan")
-    p.add_argument("--group", default="named:heisenberg:3")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--r", type=_level_flag, default=1)
-    p.add_argument("--budget", type=int, default=None, help="oracle loop budget")
-    p.add_argument("--repeats", type=int, default=5, help="formula timing repetitions (best kept)")
 
     return parser
 

@@ -1,6 +1,8 @@
-"""Exception types shared across the package, each with a stable machine-readable code."""
+"""Exception types shared across the package, each with a stable machine-readable code, and the dense-array limit."""
 
 from __future__ import annotations
+
+MAX_DENSE_ENTRIES = 1 << 27  # entries of the largest input-sized dense array built (1 GiB of int64)
 
 
 class EngineError(Exception):
@@ -18,3 +20,11 @@ class ValidationError(EngineError):
 
 class ComputationError(EngineError):
     """Resource limits or numeric failures during computation (CLI exit code 2)."""
+
+
+def check_dense(name: str, entries: int):
+    """Refuse a dense array of more than `MAX_DENSE_ENTRIES` entries before it is allocated."""
+    if entries > MAX_DENSE_ENTRIES:
+        raise ValidationError(
+            "bound-exceeded", f"{name} would hold {entries:,} entries, above MAX_DENSE_ENTRIES = {MAX_DENSE_ENTRIES:,}"
+        )

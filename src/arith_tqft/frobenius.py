@@ -45,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cobordism import CYL, TORUS, Diagram, Token, identity_diagram
-from .errors import ComputationError, ValidationError
+from .errors import ComputationError, ValidationError, check_dense
 from .units import INF, PadicUnit, format_unit, level, one, sample_units
 
 DEFAULT_MAX_LEVEL = 6
@@ -773,7 +773,8 @@ def _contract(D: Diagram, A, l):
     are independent, so a block of them goes on alone once the stack would
     pass `_STATE_ENTRIES` entries: halved while it has more than one column,
     else split along the values of the strands its next token reads first.
-    Over 𝔽_ℓ, `evaluate_diagram` hands it one connected piece at a time.
+    Over 𝔽_ℓ, `evaluate_diagram` hands it one connected piece at a time.  A
+    result of more than `MAX_DENSE_ENTRIES` entries is refused before any work.
 
     Exact scalars (l is None) are int64 while an entry bound, grown by each
     token's `grow`, stays below 2⁶³; a bound that would pass it is first
@@ -789,6 +790,7 @@ def _contract(D: Diagram, A, l):
     axes of the state, whatever the algebra.
     """
     k = A.dim
+    check_dense("the contracted matrix", k ** (D.in_arity + D.out_arity))
     reverse = D.out_arity < D.in_arity
     if l is None:
         dtype, limit = np.int64, _INT_EXACT

@@ -1,29 +1,26 @@
-"""Brute-force enumeration twin of the counting formulas.
+"""Brute-force twin of the counting formulas: counts read off the Cayley table.
 
-Everything here counts by direct iteration: tuples (x₁,y₁,…,xₙ,yₙ) in a finite
-group are checked against the relator x₁^{p^r}·[x₁,y₁]⋯[xₙ,yₙ] = e one by one
-(at r = INF the power factor is x₁⁰ = e, leaving a pure product of
-commutators).  No character theory, no Möbius inversion — the point is that
-these numbers are obtained by a route disjoint from `dw`, so agreement is
-evidence rather than tautology.
-
-The one blessed shortcut is the conjugation quotient: when nothing pins x₁,
-the outer loop runs over class representatives and each hit counts with
-multiplicity |class|.  Conjugating a whole tuple preserves the relator, every
-boundary class, the generated subgroup's order, and surjectivity, so the
-quotient is count-preserving.  `raw=True` turns it off (useful for timing the
-honest full scan).
+A tuple (x₁,y₁,…,xₙ,yₙ) of a finite group solves the relator
+x₁^{p^r}·[x₁,y₁]⋯[xₙ,yₙ] = e (at r = INF the power factor is x₁⁰ = e, leaving
+a pure product of commutators) when its last prefix product is e.  So the
+count needs only the value of each prefix: it is a dynamic program over the
+letter pairs, which carries the number of prefixes with each value from pair
+to pair and reads the number at e.  That is the sum over every tuple, grouped
+by associativity.  It reads only `G.table`: no character theory, no Möbius
+inversion.  These numbers are obtained by a route disjoint from `dw`, so
+agreement is evidence rather than tautology.
 
 The epi and p-image tests need the order of the subgroup a tuple generates.
-The scan carries the id of the subgroup generated by the letters chosen so
-far and extends it one letter at a time, ⟨H, x⟩, through a memo that runs
-`FiniteGroup.closure` once per (subgroup, element) pair.  This is not a
-second shortcut on the tuple space: every tuple is still visited and tested,
-and the memo only saves recomputing a closure already computed.
+There the state is (subgroup id, prefix value): the subgroup generated by the
+letters chosen so far, extended one letter at a time, ⟨H, x⟩, through a memo
+that runs `FiniteGroup.closure` once per (subgroup, element) pair.  A p-image
+state whose subgroup is not a p-group is dropped at once, since the
+generated subgroup only grows.  A free spec runs the same program one letter
+at a time, with no prefix value.
 
-Budgets are enforced on the predicted loop count before any work starts; the
-reported "scanned" figure is the logical search space the run accounts for,
-which is the same with or without the conjugation quotient.
+The budget caps the program's work, states × letter choices summed over the
+pairs, and is checked before each pair allocates anything.  The reported
+"scanned" figure is the number of tuples the count accounts for.
 """
 
 from __future__ import annotations
@@ -32,16 +29,17 @@ import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
 from .dw import FREE, RelatorSpec
-from .errors import ValidationError
+from .errors import ValidationError, check_dense
 from .pgroup import FiniteGroup, group_from_spec, is_power_of, unique_prime_factor
 from .units import INF, level_from_json, p_power
 
 DEFAULT_BUDGET = 10**8
+_INT_EXACT = 2**63  # int64 holds every count below this
+_TASK_KEYS = ("group", "spec", "p", "boundary", "p_image", "budget", "epis")
 
 
 def _resolved_budget(value) -> int:
@@ -53,7 +51,7 @@ def _resolved_budget(value) -> int:
 
 @dataclass(frozen=True)
 class EnumerationTask:
-    """One enumeration problem: a relator spec scanned over a target group.
+    """One enumeration problem: a relator spec counted over a target group.
 
     `boundary` prescribes conjugacy classes for designated generators, as a
     mapping from letter index (position in (x₁,y₁,…,xₙ,yₙ), or in the free
@@ -61,9 +59,8 @@ class EnumerationTask:
     that element's class.  `p_image` additionally requires the generated
     subgroup to have p-power order.  `p` may be omitted when the target is a
     p-group; a finite relator level or a p-image check on a mixed-order group
-    needs it spelled out.  `budget` caps the predicted loop count (default
-    10^8, or the ARITH_TQFT_BUDGET environment variable); `raw` disables the
-    conjugation quotient on x₁.
+    needs it spelled out.  `budget` caps the count's work (default 10^8, or
+    the ARITH_TQFT_BUDGET environment variable).
     """
 
     group: FiniteGroup
@@ -72,7 +69,6 @@ class EnumerationTask:
     boundary: tuple = ()
     p_image: bool = False
     budget: int | None = None
-    raw: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "group", group_from_spec(self.group))
@@ -100,40 +96,47 @@ def _task_p(task: EnumerationTask) -> int | None:
     return inferred
 
 
-def _mul_tables(G: FiniteGroup):
-    """(mul rows, commutator rows) as plain nested lists, cached per group."""
-    key = ("oracle-tables",)
-    if key not in G._cache:
-        t, inv = G.table, np.array(G.inverse)
-        comm = t[t, t[inv][:, inv]]  # [a, b] = (ab)·(a⁻¹b⁻¹)
-        G._cache[key] = (t.tolist(), comm.tolist())
-    return G._cache[key]
+def _commutators(G: FiniteGroup) -> np.ndarray:
+    """comm[a, b] = [a, b] = (ab)·(a⁻¹b⁻¹) for every pair, by one gather."""
+    t, inv = G.table, np.array(G.inverse)
+    return t[t, t[inv][:, inv]]
 
 
-def _power_table(G: FiniteGroup, exponent: int):
-    key = ("oracle-powers", exponent % max(G.exponent(), 1))
-    if key not in G._cache:
-        G._cache[key] = [G.power(a, exponent) for a in range(G.order)]
-    return G._cache[key]
+def _powers(G: FiniteGroup, k: int) -> np.ndarray:
+    """x^k for every element x at once, by square-and-multiply on whole columns of the table."""
+    t = G.table
+    out, base = np.full(G.order, G.identity), np.arange(G.order)
+    while k:
+        if k & 1:
+            out = t[out, base]
+        base = t[base, base]
+        k >>= 1
+    return out
+
+
+def _pair_values(G: FiniteGroup, comm, head, xs, ys) -> np.ndarray:
+    """head[x]·[x, y] for every x ∈ xs and y ∈ ys, as a (len(xs), len(ys)) array."""
+    return G.table[head[xs][:, None], comm[np.ix_(xs, ys)]]
 
 
 class _Joins:
-    """Subgroups met by one scan, as integer ids, with a memo of ⟨H, x⟩.
+    """Subgroups met by one count, as integer ids, with a memo of ⟨H, x⟩.
 
-    `join(h, x)` is the id of the subgroup generated by subgroup `h` and
-    element `x`.  It runs `G.closure` the first time a (h, x) pair comes up,
-    on the generators that first produced `h` plus `x`, and reads the memo
-    after that.  `good[h]` says whether subgroup `h` passes the scan's accept
-    test.  Id 0 is the trivial subgroup.
+    `join(hs, xs)` gives the id of ⟨h, x⟩ for each pair of subgroup id h and
+    element x, or -1 where h is -1 or ⟨h, x⟩ fails the count's `keep` test
+    on its order.  The first time a pair comes up, `G.closure` runs on the
+    generators that first produced h plus x, and the answer is stored for the
+    whole coset H·x, as ⟨H, hx⟩ = ⟨H, x⟩.  Id 0 is the trivial subgroup, and
+    `members[h]` holds the elements of subgroup h.
     """
 
-    def __init__(self, G: FiniteGroup, accept_size):
+    def __init__(self, G: FiniteGroup, keep):
         self.G = G
-        self.accept_size = accept_size
+        self.keep = keep
         self.ids: dict = {}
         self.gens: list = []
-        self.good: list = []
-        self.rows: list = []  # rows[h][x]: the id of ⟨h, x⟩, or None until asked for
+        self.members: list = []
+        self.rows: list = []  # rows[h][x]: the id of ⟨h, x⟩, -2 until asked for
         self._register(frozenset((G.identity,)), ())
 
     def _register(self, elements: frozenset, gens: tuple) -> int:
@@ -141,149 +144,106 @@ class _Joins:
         if h is None:
             h = self.ids[elements] = len(self.gens)
             self.gens.append(gens)
-            self.good.append(self.accept_size(len(elements)))
-            self.rows.append([None] * self.G.order)
-        return h
+            self.members.append(np.fromiter(elements, dtype=np.int64))
+            self.rows.append(None)
+        return h if self.keep(len(elements)) else -1
 
-    def join(self, h: int, x: int) -> int:
-        row = self.rows[h]
-        j = row[x]
-        if j is None:
-            gens = self.gens[h] + (x,)
-            j = row[x] = self._register(self.G.closure(gens), gens)
-        return j
+    def join(self, hs: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        out = np.full(len(xs), -1)
+        for h in np.unique(hs[hs >= 0]).tolist():
+            if self.rows[h] is None:
+                self.rows[h] = np.full(self.G.order, -2)
+                self.rows[h][self.members[h]] = h
+            row, at = self.rows[h], np.flatnonzero(hs == h)
+            for x in np.unique(xs[at][row[xs[at]] == -2]).tolist():
+                if row[x] == -2:  # not filled by the coset of an earlier x
+                    gens = self.gens[h] + (x,)
+                    row[self.G.table[self.members[h], x]] = self._register(self.G.closure(gens), gens)
+            out[at] = row[xs[at]]
+        return out
 
 
 def _scan(task: EnumerationTask, need_epi: bool):
-    """Core enumeration; returns (count, scanned).
+    """Core count, a dynamic program over the letter pairs; returns (count, scanned).
 
-    `scanned` is the number of tuples the run accounts for: the product of the
-    candidate-set sizes, independent of the conjugation quotient.
-
-    When the tuple must generate Γ (`need_epi`) or a p-group (`p_image`), the
-    scan carries the id of the subgroup its prefix generates and extends it
-    one letter at a time through a `_Joins` memo.  Every tuple is still
-    visited and checked; the memo only keeps the scan from recomputing a
-    closure it has already seen, and skips nothing.
+    `scanned` is the number of tuples the count accounts for: the product of
+    the candidate-set sizes.  `states` maps a subgroup id (always 0 when no
+    subgroup is tracked) to the vector v of prefix counts by value.  A pair's
+    letter choices of value w that take subgroup h to subgroup j are tallied
+    in c_j(w), by one bincount, and fold into v′_j(g·w) += v_h(g)·c_j(w): one
+    product of the tally with v_h(g·w⁻¹).  Only the count at e is read after
+    the last pair, so there a choice of value w is joined only when some
+    prefix has value w⁻¹.  Counts are int64 while the tuples chosen so far
+    number below 2⁶³, and exact Python integers past that.
     """
     G, spec = task.group, task.spec
-    N, ident = G.order, G.identity
-    letters = spec.letters()
-    conj = G.conjugacy_classes()
-    bound = dict(task.boundary)
+    N = G.order
     p = _task_p(task)
     if task.p_image and p is None:
         raise ValidationError("bad-spec", "a p-image restriction on a mixed-order group needs an explicit p")
-
     if not spec.is_free and spec.r != INF and p is None:
         raise ValidationError("bad-spec", "a finite relator level on a mixed-order group needs an explicit p")
 
-    cand = []
-    for idx in range(letters):
-        if idx in bound:
-            cls = conj.class_of[bound[idx]]
-            cand.append([x for x in range(N) if conj.class_of[x] == cls])
-        else:
-            cand.append(list(range(N)))
+    cls = np.array(G.conjugacy_classes().class_of)
+    bound = dict(task.boundary)
+    cand = [np.flatnonzero(cls == cls[bound[i]]) if i in bound else np.arange(N) for i in range(spec.letters())]
     scanned = 1
     for c in cand:
         scanned *= len(c)
-
     need_tuple = need_epi or task.p_image
-    plain_free = spec.is_free and not need_tuple
-    if plain_free:
+    if spec.is_free and not need_tuple:
         return scanned, scanned  # no relator, class constraints are already per-letter
 
-    use_reps = letters > 0 and not task.raw and 0 not in bound
-    if use_reps:
-        outer = [(conj.reps[i], conj.sizes[i]) for i in range(len(conj))]
+    if spec.is_free:  # one letter a step and no prefix value: every value is 0, of a one-element group
+        steps, e, inv = [(c, None) for c in cand], 0, np.zeros(1, dtype=np.int64)
+        right = inv[:, None]
     else:
-        outer = [(x, 1) for x in cand[0]] if letters else []
-    predicted = len(outer)
-    for c in cand[1:]:
-        predicted *= len(c)
-    budget = _resolved_budget(task.budget)
-    if predicted > budget:
-        raise ValidationError(
-            "budget-exceeded",
-            f"scan needs {predicted} loop steps; raise the budget to at least {predicted} (configured {budget})",
-        )
-
-    def accept_size(size: int) -> bool:
-        if task.p_image and not is_power_of(size, p):
-            return False
-        return not need_epi or size == N
-
+        steps, e, inv = [(cand[i], cand[i + 1]) for i in range(0, len(cand), 2)], G.identity, np.array(G.inverse)
+        comm, plain = _commutators(G), np.full(N, e)
+        first = _powers(G, p_power(p, spec.r) % G.exponent())
+        right = G.table[:, inv].T  # right[w, g] = g·w⁻¹
+    joins = None
     if need_tuple:
-        subgroups = _Joins(G, accept_size)
-        join, good = subgroups.join, subgroups.good
-    if letters == 0:
-        return (int(good[0]) if need_tuple else 1), scanned
-
-    rows, comm = _mul_tables(G)
-    total = 0
-
-    if spec.is_free:
-        # constraint-only scan: every tuple satisfies the (absent) relator
-        for x1, mult in outer:
-            h1 = join(0, x1)
-            for rest in product(*cand[1:]):
-                h = h1
-                for x in rest:
-                    h = join(h, x)
-                total += mult * good[h]
-        return total, scanned
-
-    xp = _power_table(G, p_power(p, spec.r)) if spec.r != INF else None
-    n = spec.n
-
-    if n == 1:
-        y_cands = cand[1]
-        for x1, mult in outer:
-            head = rows[xp[x1]] if xp is not None else rows[ident]
-            cx = comm[x1]
-            if need_tuple:
-                h = join(0, x1)
-                for y1 in y_cands:
-                    if head[cx[y1]] == ident:
-                        total += mult * good[join(h, y1)]
+        joins = _Joins(G, (lambda size: is_power_of(size, p)) if task.p_image else (lambda size: True))
+    budget = _resolved_budget(task.budget)
+    v = np.zeros(len(inv), dtype=np.int64)
+    v[e] = 1
+    states, work, tuples = {0: v}, 0, 1
+    for i, (xs, ys) in enumerate(steps):
+        choices = len(xs) * (1 if ys is None else len(ys))
+        work += len(states) * choices
+        if work > budget:
+            raise ValidationError(
+                "budget-exceeded",
+                f"the count's work reaches {work} steps at step {i + 1} of {len(steps)}, over the budget {budget}",
+            )
+        if ys is None:
+            values = np.zeros(len(xs), dtype=np.int64)
+        else:
+            values = _pair_values(G, comm, first if i == 0 else plain, xs, ys)
+        tuples *= choices
+        if tuples >= _INT_EXACT:
+            states = {h: v.astype(object) for h, v in states.items()}
+        folded: dict = {}
+        for h, v in states.items():
+            if joins is None:
+                ids, key = (0,), values.ravel()
             else:
-                total += mult * sum(1 for y1 in y_cands if head[cx[y1]] == ident)
-        return total, scanned
-
-    def descend(pair: int, prefix: int, h, mult: int):
-        nonlocal total
-        xs, ys = cand[2 * pair], cand[2 * pair + 1]
-        prow = rows[prefix]
-        if pair == n - 1:
-            for x in xs:
-                cx = comm[x]
-                if need_tuple:
-                    hx = join(h, x)
-                    for y in ys:
-                        if prow[cx[y]] == ident:
-                            total += mult * good[join(hx, y)]
-                else:
-                    total += mult * sum(1 for y in ys if prow[cx[y]] == ident)
-            return
-        for x in xs:
-            cx = comm[x]
-            if need_tuple:
-                hx = join(h, x)
-                for y in ys:
-                    descend(pair + 1, prow[cx[y]], join(hx, y), mult)
-            else:
-                for y in ys:
-                    descend(pair + 1, prow[cx[y]], None, mult)
-
-    for x1, mult in outer:
-        start = xp[x1] if xp is not None else ident
-        cx = comm[x1]
-        srow = rows[start]
-        h = join(0, x1) if need_tuple else None
-        for y1 in cand[1]:
-            descend(1, srow[cx[y1]], join(h, y1) if need_tuple else None, mult)
-    return total, scanned
+                live = v[inv[values]] != 0 if i == len(steps) - 1 else np.ones(values.shape, dtype=bool)
+                at = np.nonzero(live)
+                J = np.full(values.shape, -1)
+                J[at] = joins.join(np.full(len(xs), h), xs)[at[0]]
+                if ys is not None:
+                    J[at] = joins.join(J[at], ys[at[1]])
+                ids, where = np.unique(J[J >= 0], return_inverse=True)
+                key = where * len(inv) + values[J >= 0]
+                ids = ids.tolist()
+            tally = np.bincount(key, minlength=len(ids) * len(inv)).reshape(len(ids), -1)
+            for j, w in zip(ids, tally @ v[right]):
+                folded[j] = folded[j] + w if j in folded else w
+        states = folded
+    hits = [v[e] for h, v in states.items() if not need_epi or len(joins.members[h]) == N]
+    return int(sum(hits)), scanned
 
 
 def count_solutions(task: EnumerationTask) -> int:
@@ -310,6 +270,11 @@ def task_from_json(obj: dict):
     """Decode a task description; returns (task, mode) with mode "solutions" or "epis"."""
     if "group" not in obj or "spec" not in obj:
         raise ValidationError("bad-spec", "a task needs at least \"group\" and \"spec\"")
+    unknown = sorted(set(obj) - set(_TASK_KEYS))
+    if unknown:
+        raise ValidationError(
+            "bad-spec", f"unknown task key(s) {', '.join(map(repr, unknown))}; known: {', '.join(_TASK_KEYS)}"
+        )
     spec_obj = obj["spec"]
     if isinstance(spec_obj, dict) and "free" in spec_obj:
         spec = FREE(int(spec_obj["free"]))
@@ -327,7 +292,6 @@ def task_from_json(obj: dict):
         boundary=boundary,
         p_image=bool(obj.get("p_image", False)),
         budget=obj.get("budget"),
-        raw=bool(obj.get("raw", False)),
     )
     return task, ("epis" if obj.get("epis") else "solutions")
 
@@ -336,11 +300,12 @@ def task_from_json(obj: dict):
 
 
 def _pants_table(G: FiniteGroup):
-    """raw[i][j][m] = #{(x,y) ∈ K_i×K_j : xy ∈ K_m}, one pass over Γ²."""
+    """hits[i][j][m] = #{(x,y) ∈ K_i×K_j : xy ∈ K_m}, one pass over Γ²."""
     key = ("oracle-pants",)
     if key not in G._cache:
         conj = G.conjugacy_classes()
         k = len(conj)
+        check_dense("the decorated pants table", k**3)
         cls = np.array(conj.class_of, dtype=np.int64)
         cell = (cls[:, None] * k + cls[None, :]) * k + cls[G.table]  # the (i, j, m) of every pair (x, y)
         G._cache[key] = np.bincount(cell.ravel(), minlength=k**3).reshape(k, k, k).tolist()
@@ -348,7 +313,11 @@ def _pants_table(G: FiniteGroup):
 
 
 def _torus_table(G: FiniteGroup, r):
-    """raw[i][o] = #{(x,a,b) ∈ K_i×Γ² : x·a^{p^r}·[a,b] ∈ K_o}, one pass over Γ³."""
+    """hits[i][o] = #{(x,a,b) ∈ K_i×Γ² : x·a^{p^r}·[a,b] ∈ K_o}.
+
+    With c(w) = #{(a, b) : a^{p^r}·[a,b] = w}, the tally of one relator pair,
+    hits[i][o] = Σ_{x∈K_i} Σ_w c(w)·[x·w ∈ K_o]: one pass over Γ².
+    """
     p = unique_prime_factor(G.order)
     if p is None:
         raise ValidationError("bad-spec", "decorated torus counts need a p-group target")
@@ -358,13 +327,11 @@ def _torus_table(G: FiniteGroup, r):
         conj = G.conjugacy_classes()
         k, N = len(conj), G.order
         cls = np.array(conj.class_of, dtype=np.int64)
-        t, comm = G.table, _mul_tables(G)[1]
-        xq = _power_table(G, q)
-        table = np.zeros(k * k, dtype=np.int64)
-        for a in range(N):
-            core = t[xq[a], comm[a]]  # a^q·[a, b] for every b
-            table += np.bincount((cls[:, None] * k + cls[t[:, core]]).ravel(), minlength=k * k)
-        G._cache[key] = table.reshape(k, k).tolist()
+        every = np.arange(N)
+        c = np.bincount(_pair_values(G, _commutators(G), _powers(G, q), every, every).ravel(), minlength=N)
+        hits = np.zeros(k * k, dtype=np.int64)
+        np.add.at(hits, (cls[:, None] * k + cls[G.table]).ravel(), np.tile(c, N))
+        G._cache[key] = hits.reshape(k, k).tolist()
     return G._cache[key]
 
 
@@ -384,30 +351,23 @@ def decorated_generator_count(G, token, p1, p2) -> Fraction:
 
     `p1`/`p2` are conjugacy-class ids for the incoming/outgoing circles.  The
     weight of each bundle is |Aut(p₂)|/|Aut(p)|; summed over the groupoid this
-    collapses to (Π_out |centralizer|)·(raw hom count)/|Γ|, which is what the
-    tabulated scans compute.
+    collapses to (Π_out |centralizer|)·(plain hom count)/|Γ|, which is what the
+    tabulated counts compute.
     """
     G = group_from_spec(G)
     conj = G.conjugacy_classes()
     N = G.order
-    budget = _resolved_budget(None)
     kind = getattr(token, "kind", None)
+    if kind not in ("m", "d", "tor"):
+        raise ValidationError("unknown-token", f"decorated counts cover P21, P12 and TORUS(r), not {token!r}")
+    budget = _resolved_budget(None)
+    if N * N > budget:
+        raise ValidationError("budget-exceeded", f"Γ² scan needs {N * N} steps over budget {budget}")
     if kind == "m":
-        if N * N > budget:
-            raise ValidationError("budget-exceeded", f"Γ² scan needs {N * N} steps over budget {budget}")
         (i, j), (m,) = _class_tuple(G, p1, 2, "incoming"), _class_tuple(G, p2, 1, "outgoing")
-        raw = _pants_table(G)[i][j][m]
-        return Fraction(conj.centralizers[m] * raw, N)
+        return Fraction(conj.centralizers[m] * _pants_table(G)[i][j][m], N)
     if kind == "d":
-        if N * N > budget:
-            raise ValidationError("budget-exceeded", f"Γ² scan needs {N * N} steps over budget {budget}")
         (i,), (a, c) = _class_tuple(G, p1, 1, "incoming"), _class_tuple(G, p2, 2, "outgoing")
-        raw = _pants_table(G)[a][c][i]
-        return Fraction(conj.centralizers[a] * conj.centralizers[c] * raw, N)
-    if kind == "tor":
-        if N**3 > budget:
-            raise ValidationError("budget-exceeded", f"Γ³ scan needs {N ** 3} steps over budget {budget}")
-        (i,), (o,) = _class_tuple(G, p1, 1, "incoming"), _class_tuple(G, p2, 1, "outgoing")
-        raw = _torus_table(G, token.level)[i][o]
-        return Fraction(conj.centralizers[o] * raw, N)
-    raise ValidationError("unknown-token", f"decorated counts cover P21, P12 and TORUS(r), not {token!r}")
+        return Fraction(conj.centralizers[a] * conj.centralizers[c] * _pants_table(G)[a][c][i], N)
+    (i,), (o,) = _class_tuple(G, p1, 1, "incoming"), _class_tuple(G, p2, 1, "outgoing")
+    return Fraction(conj.centralizers[o] * _torus_table(G, token.level)[i][o], N)

@@ -5,9 +5,9 @@ indices 0..N-1, converted once from whatever input built it; identity,
 inverses, element orders and conjugacy classes are derived from it here, and
 every numpy consumer downstream (character tables, counting, enumeration)
 reads it.  Named constructors tabulate the standard small families by
-broadcasting over mixed-radix element codes; permutation generators and raw
-tables are the other inputs.  The p-group helpers live here too: abelian
-invariants, the 𝔽_p-coordinates of Γ/Φ(Γ) on a Burnside basis, and a
+broadcasting over mixed-radix element codes; permutation generators and
+explicit tables are the other inputs.  The p-group helpers live here too:
+abelian invariants, the 𝔽_p-coordinates of Γ/Φ(Γ) on a Burnside basis, and a
 power-commutator presentation, from which |Aut Γ| is counted.
 """
 
@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ComputationError, ValidationError
+from .errors import ComputationError, ValidationError, check_dense
 
 MAX_ORDER = 10_000
 MAX_SUBGROUP_ORDER = 200
@@ -94,7 +94,7 @@ class FiniteGroup:
         if check:
             self._check_associativity()
 
-    # -- raw table access ------------------------------------------------
+    # -- table access ----------------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
         return self._t[a * self.order + b]
@@ -214,6 +214,7 @@ class FiniteGroup:
             return self._cache["structure"]
         conj = self.conjugacy_classes()
         k = len(conj)
+        check_dense("the class structure constants", k**3)
         cls = np.array(conj.class_of, dtype=np.int64)
         y = self.table[np.array(self.inverse)[:, None], conj.reps]
         a = np.bincount(((cls[:, None] * k + cls[y]) * k + np.arange(k)).ravel(), minlength=k**3).reshape(k, k, k)
@@ -262,12 +263,6 @@ class FiniteGroup:
         subs = sorted(gens, key=lambda s: (len(s), sorted(s)))
         self._cache["subgroups"] = subs
         return subs
-
-    def subgroup_lattice(self):
-        """(subgroups, containment) with containment[i][j] = subgroups[i] ⊆ subgroups[j]."""
-        subs = self.all_subgroups()
-        contains = [[a <= b for b in subs] for a in subs]
-        return subs, contains
 
     def sylow_p_subgroups(self, p: int) -> list[frozenset]:
         """All Sylow p-subgroups (conjugates of a greedily grown maximal p-subgroup)."""
@@ -787,12 +782,6 @@ def from_permutations(gens, degree: int, max_order: int = MAX_ORDER) -> FiniteGr
 
 
 # -- module-level helpers -------------------------------------------------------------
-
-
-def is_p_group(G, p: int) -> bool:
-    """Accepts a FiniteGroup or a subgroup (set of element indices)."""
-    size = G.order if isinstance(G, FiniteGroup) else len(G)
-    return is_power_of(size, p)
 
 
 _NAMED = {

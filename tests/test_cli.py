@@ -2,7 +2,12 @@
 
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from arith_tqft.cli import run
 
@@ -156,15 +161,6 @@ def test_oracle_rejects_bad_json(capsys):
     assert _error(capsys)["error"] == "bad-spec"
 
 
-def test_bench_command(capsys):
-    assert run(["bench", "--repeats", "3"]) == 0
-    out = _lines(capsys)[0][0]
-    assert out["hom_count"] == 181521
-    assert out["oracle_scanned"] == 27**4
-    assert out["speedup"] > 1
-    assert out["formula_seconds"] > 0 and out["oracle_seconds"] > 0
-
-
 def test_exit_code_two_on_computation_error(capsys):
     wide = ", ".join(["id"] * 8)
     code = run(["evaluate", "--dsl", wide, "--algebra", "dw", "--group", "named:cyclic:3"])
@@ -178,12 +174,43 @@ def test_unknown_command_is_a_validation_error(capsys):
 
 
 def test_budget_error_surfaces_with_exit_one(capsys):
-    task = json.dumps(
-        {"group": "named:heisenberg:3", "spec": {"n": 1, "r": 1}, "budget": 10, "raw": True}
-    )
+    task = json.dumps({"group": "named:heisenberg:3", "spec": {"n": 1, "r": 1}, "budget": 10})
     assert run(["oracle", "--task", task]) == 1
     err = _error(capsys)
     assert err["error"] == "budget-exceeded" and "729" in err["message"]
+
+
+_CAPPED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2_500_000_000, 2_500_000_000))
+from arith_tqft.cli import run
+sys.exit(run(sys.argv[1:]))
+"""
+_PRODUCT = {"kind": "product", "factors": ["named:heisenberg:5", "named:elementary_abelian:5:2"]}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # (Z/3)^5 has k = 243 classes: an associativity side of the precheck is a k^4-entry matrix
+        ["evaluate", "--algebra", "dw", "--group", "named:elementary_abelian:3:5", "--dsl", "cap; cup"],
+        # Heis(5)×(Z/5)^2 (order 3,125) has k = 725 classes: its structure constants hold k^3 entries
+        ["homcount", "--group", "file:{product}", "--n", "1", "--r", "1"],
+    ],
+    ids=["evaluate-e243", "homcount-heis5xe25"],
+)
+def test_dense_arrays_past_the_limit_are_refused_typed(argv, tmp_path):
+    product = tmp_path / "product.json"
+    product.write_text(json.dumps(_PRODUCT))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [a.format(product=product) for a in argv]
+    done = subprocess.run(
+        [sys.executable, "-c", _CAPPED, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 1, done.stderr
+    err = json.loads(done.stderr)
+    assert err["error"] == "bound-exceeded" and "MAX_DENSE_ENTRIES" in err["message"]
 
 
 def test_closed_stdout_exits_cleanly(monkeypatch, tmp_path):

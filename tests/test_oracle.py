@@ -120,13 +120,13 @@ def _tuple_reference(task: EnumerationTask, epis: bool) -> int:
 
 
 def test_join_tracked_scans_match_a_closure_per_tuple():
-    tasks = [EnumerationTask(C3, RelatorSpec(3, r)) for r in (1, 2, INF)]  # the middle level of descend
+    tasks = [EnumerationTask(C3, RelatorSpec(3, r)) for r in (1, 2, INF)]  # a pair between the first and last
     tasks += [EnumerationTask(G, RelatorSpec(2, r)) for G in (E9, D8) for r in (1, 2, INF)]
     tasks += [EnumerationTask(HEIS, RelatorSpec(1, r)) for r in (1, 2, INF)]
     tasks += [
         EnumerationTask(HEIS, RelatorSpec(1, 1), boundary={1: HEIS.conjugacy_classes().reps[3]}),
         EnumerationTask(E9, RelatorSpec(2, 1), boundary={0: 1, 3: 2}),
-        EnumerationTask(D8, RelatorSpec(2, INF), raw=True),
+        EnumerationTask(D8, RelatorSpec(2, INF)),
         EnumerationTask(E9, FREE(2)),
         EnumerationTask(D8, FREE(2), boundary={1: 1}),
         EnumerationTask(gl2(3), RelatorSpec(1, 1), p=3, p_image=True),
@@ -134,7 +134,7 @@ def test_join_tracked_scans_match_a_closure_per_tuple():
         EnumerationTask(gl2(3), FREE(2), p=3, p_image=True),
     ]
     for task in tasks:
-        label = (task.group.order, str(task.spec), task.boundary, task.raw, task.p_image)
+        label = (task.group.order, str(task.spec), task.boundary, task.p_image)
         assert count_epis(task) == _tuple_reference(task, epis=True), label
         if task.p_image or task.spec.is_free:
             assert count_solutions(task) == _tuple_reference(task, epis=False), label
@@ -233,17 +233,17 @@ def test_free_scan_on_mixed_order_group_is_fine_without_p():
 
 
 def test_budget_counts_loop_steps_not_search_space():
-    # class-representative folding: 11 classes x 27 inner loops = 297 steps for heis,
-    # while the raw scan needs the full 729; the reported search space is 729 either way
+    # heis at n = 1 is one pair: one state times 27·27 letter choices, 729 steps for 729 tuples;
+    # at n = 2 the second pair adds 729 more, while the search space is 27⁴
     spec = RelatorSpec(1, 1)
-    ok = run_task(EnumerationTask(HEIS, spec, budget=500))
+    ok = run_task(EnumerationTask(HEIS, spec, budget=729))
     assert (ok["count"], ok["scanned"]) == (297, 729)
     with pytest.raises(ValidationError) as e:
-        count_solutions(EnumerationTask(HEIS, spec, budget=500, raw=True))
+        count_solutions(EnumerationTask(HEIS, spec, budget=728))
     assert e.value.code == "budget-exceeded"
-    assert "729" in str(e.value)
-    raw = run_task(EnumerationTask(HEIS, spec, budget=1000, raw=True))
-    assert (raw["count"], raw["scanned"]) == (297, 729)
+    assert "729" in str(e.value) and "728" in str(e.value)
+    two = run_task(EnumerationTask(HEIS, RelatorSpec(2, 1), budget=2 * 729))
+    assert (two["count"], two["scanned"]) == (hom_count(RelatorSpec(2, 1), HEIS), 27**4)
 
 
 def test_budget_from_environment(monkeypatch):
@@ -338,3 +338,7 @@ def test_task_from_json_validation():
     assert e.value.code == "bad-spec"
     with pytest.raises(ValidationError):
         task_from_json({"group": "named:cyclic:3", "spec": "x^3"})
+    for stale in ("epi", "p-image", "raw"):  # near misses of "epis" and "p_image", and a removed switch
+        with pytest.raises(ValidationError) as e:
+            task_from_json({"group": "named:cyclic:3", "spec": {"n": 1, "r": 1}, stale: True})
+        assert e.value.code == "bad-spec" and repr(stale) in e.value.message
