@@ -1,8 +1,9 @@
-"""Exception types shared across the package, each with a stable machine-readable code, and the dense-array limit."""
+"""Exception types shared across the package, each with a stable machine-readable code, and the array limits."""
 
 from __future__ import annotations
 
 MAX_DENSE_ENTRIES = 1 << 27  # entries of the largest input-sized dense array built (1 GiB of int64)
+INT_EXACT = 2**63  # int64 holds every integer below this
 
 
 class EngineError(Exception):

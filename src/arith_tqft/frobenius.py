@@ -45,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cobordism import CYL, TORUS, Diagram, Token, identity_diagram
-from .errors import ComputationError, ValidationError, check_dense
+from .errors import INT_EXACT, ComputationError, ValidationError, check_dense
 from .units import INF, PadicUnit, format_unit, level, one, sample_units
 
 DEFAULT_MAX_LEVEL = 6
@@ -590,7 +590,6 @@ def ensure_prechecked(A):
 # -- evaluation ----------------------------------------------------------------------
 
 _FLOAT_EXACT = 2**53  # float64 holds every integer below this exactly
-_INT_EXACT = 2**63  # int64 holds every integer below this
 _STATE_ENTRIES = 2**22  # input columns are contracted in blocks of at most this many entries
 _LEVEL = 1 << 42  # a monomial h^i·t^j·[r] is packed as r·2⁴² + i·2²¹ + j
 _DEGREE = 1 << 21
@@ -793,7 +792,7 @@ def _contract(D: Diagram, A, l):
     check_dense("the contracted matrix", k ** (D.in_arity + D.out_arity))
     reverse = D.out_arity < D.in_arity
     if l is None:
-        dtype, limit = np.int64, _INT_EXACT
+        dtype, limit = np.int64, INT_EXACT
     else:
         dtype, limit = np.float64 if k * k * (l - 1) ** 2 < _FLOAT_EXACT else object, _FLOAT_EXACT
     # each current strand: None once a token has written it, else the input it carries unread
@@ -953,7 +952,7 @@ def _pieces(D: Diagram) -> list:
 
 def _products(values, B, l):
     """(v·B) mod ℓ for each v of the sorted `values` in [0, ℓ), stacked: int64 while (ℓ−1)² < 2⁶³, else Python ints."""
-    if (l - 1) ** 2 >= _INT_EXACT:
+    if (l - 1) ** 2 >= INT_EXACT:
         return (np.multiply.outer(values.astype(object), B.astype(object)) % l).astype(np.int64)
     out = np.multiply.outer(values, B)
     skip = values.searchsorted(2)  # 0·B and 1·B are reduced already

@@ -18,9 +18,11 @@ state whose subgroup is not a p-group is dropped at once, since the
 generated subgroup only grows.  A free spec runs the same program one letter
 at a time, with no prefix value.
 
-The budget caps the program's work, states × letter choices summed over the
-pairs, and is checked before each pair allocates anything.  The reported
-"scanned" figure is the number of tuples the count accounts for.
+The budget caps the program's work: states × letter choices summed over the
+pairs, checked before each pair allocates anything, plus, in a count that
+tracks subgroups, each state's fold, target subgroups × N², checked before
+the fold runs.  The reported "scanned" figure is the number of tuples the
+count accounts for.
 """
 
 from __future__ import annotations
@@ -33,12 +35,11 @@ from fractions import Fraction
 import numpy as np
 
 from .dw import FREE, RelatorSpec
-from .errors import ValidationError, check_dense
+from .errors import INT_EXACT, ValidationError, check_dense
 from .pgroup import FiniteGroup, group_from_spec, is_power_of, unique_prime_factor
 from .units import INF, level_from_json, p_power
 
 DEFAULT_BUDGET = 10**8
-_INT_EXACT = 2**63  # int64 holds every count below this
 _TASK_KEYS = ("group", "spec", "p", "boundary", "p_image", "budget", "epis")
 
 
@@ -103,15 +104,8 @@ def _commutators(G: FiniteGroup) -> np.ndarray:
 
 
 def _powers(G: FiniteGroup, k: int) -> np.ndarray:
-    """x^k for every element x at once, by square-and-multiply on whole columns of the table."""
-    t = G.table
-    out, base = np.full(G.order, G.identity), np.arange(G.order)
-    while k:
-        if k & 1:
-            out = t[out, base]
-        base = t[base, base]
-        k >>= 1
-    return out
+    """x^k for every element x."""
+    return np.array([G.power(a, k) for a in range(G.order)], dtype=np.int64)
 
 
 def _pair_values(G: FiniteGroup, comm, head, xs, ys) -> np.ndarray:
@@ -209,20 +203,25 @@ def _scan(task: EnumerationTask, need_epi: bool):
     v = np.zeros(len(inv), dtype=np.int64)
     v[e] = 1
     states, work, tuples = {0: v}, 0, 1
-    for i, (xs, ys) in enumerate(steps):
-        choices = len(xs) * (1 if ys is None else len(ys))
-        work += len(states) * choices
+
+    def charge(cost: int, i: int):
+        nonlocal work
+        work += cost
         if work > budget:
             raise ValidationError(
                 "budget-exceeded",
                 f"the count's work reaches {work} steps at step {i + 1} of {len(steps)}, over the budget {budget}",
             )
+
+    for i, (xs, ys) in enumerate(steps):
+        choices = len(xs) * (1 if ys is None else len(ys))
+        charge(len(states) * choices, i)
         if ys is None:
             values = np.zeros(len(xs), dtype=np.int64)
         else:
             values = _pair_values(G, comm, first if i == 0 else plain, xs, ys)
         tuples *= choices
-        if tuples >= _INT_EXACT:
+        if tuples >= INT_EXACT:
             states = {h: v.astype(object) for h, v in states.items()}
         folded: dict = {}
         for h, v in states.items():
@@ -238,7 +237,8 @@ def _scan(task: EnumerationTask, need_epi: bool):
                 ids, where = np.unique(J[J >= 0], return_inverse=True)
                 key = where * len(inv) + values[J >= 0]
                 ids = ids.tolist()
-            tally = np.bincount(key, minlength=len(ids) * len(inv)).reshape(len(ids), -1)
+                charge(len(ids) * len(inv) ** 2, i)  # the fold below: one (ids × N) by (N × N) product
+            tally = np.bincount(key, minlength=len(ids) * len(inv)).reshape(len(ids), len(inv))
             for j, w in zip(ids, tally @ v[right]):
                 folded[j] = folded[j] + w if j in folded else w
         states = folded

@@ -31,6 +31,7 @@ from arith_tqft.pgroup import (
     extraspecial_exp_p2,
     from_permutations,
     gl2,
+    group_from_spec,
     heisenberg,
 )
 from arith_tqft.units import INF
@@ -41,6 +42,7 @@ E9 = elementary_abelian(3, 2)
 HEIS = heisenberg(3)
 XSP = extraspecial_exp_p2(3)
 D8 = from_permutations([[1, 2, 3, 0], [3, 2, 1, 0]], degree=4)
+C4XC4 = group_from_spec({"kind": "product", "factors": ["named:cyclic:4", "named:cyclic:4"]})
 GRID_GROUPS = (C3, C9, E9, HEIS, XSP)
 
 
@@ -119,6 +121,10 @@ def _tuple_reference(task: EnumerationTask, epis: bool) -> int:
     return total
 
 
+def _involution(G: FiniteGroup) -> int:
+    return next(x for x in range(G.order) if G.element_order(x) == 2)
+
+
 def test_join_tracked_scans_match_a_closure_per_tuple():
     tasks = [EnumerationTask(C3, RelatorSpec(3, r)) for r in (1, 2, INF)]  # a pair between the first and last
     tasks += [EnumerationTask(G, RelatorSpec(2, r)) for G in (E9, D8) for r in (1, 2, INF)]
@@ -132,6 +138,11 @@ def test_join_tracked_scans_match_a_closure_per_tuple():
         EnumerationTask(gl2(3), RelatorSpec(1, 1), p=3, p_image=True),
         EnumerationTask(gl2(3), RelatorSpec(1, INF), p=3, p_image=True),
         EnumerationTask(gl2(3), FREE(2), p=3, p_image=True),
+        # counts of 0, or with a state that has no surviving choice: no pair with x² = e generates C4×C4,
+        # x₁ of order 9 never meets x₁³ = [x₁,y₁] in C9, and an involution leaves no 3-group to grow
+        EnumerationTask(C4XC4, RelatorSpec(2, 1)),
+        EnumerationTask(C9, RelatorSpec(1, 1), boundary={0: 1}),
+        EnumerationTask(gl2(3), RelatorSpec(1, 1), p=3, p_image=True, boundary={0: _involution(gl2(3))}),
     ]
     for task in tasks:
         label = (task.group.order, str(task.spec), task.boundary, task.p_image)
@@ -244,6 +255,15 @@ def test_budget_counts_loop_steps_not_search_space():
     assert "729" in str(e.value) and "728" in str(e.value)
     two = run_task(EnumerationTask(HEIS, RelatorSpec(2, 1), budget=2 * 729))
     assert (two["count"], two["scanned"]) == (hom_count(RelatorSpec(2, 1), HEIS), 27**4)
+
+
+def test_a_tracked_count_is_charged_its_fold():
+    # the epi count of the same pair adds its fold: 18 target subgroups × 27², on top of the 729 choices
+    task = EnumerationTask(HEIS, RelatorSpec(1, 1), budget=729 + 18 * 729)
+    assert count_epis(task) == 0
+    with pytest.raises(ValidationError) as e:
+        count_epis(EnumerationTask(HEIS, RelatorSpec(1, 1), budget=729 + 18 * 729 - 1))
+    assert e.value.code == "budget-exceeded" and "13851" in str(e.value)
 
 
 def test_budget_from_environment(monkeypatch):
