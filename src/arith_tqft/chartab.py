@@ -10,8 +10,9 @@ so the full table can be computed by modular linear algebra:
   * the identity-class indicator is Σ_χ (χ(1)²/|Γ|)·ω_χ, with no coefficient
     0 mod ℓ.  Each refinement step takes a vector v and a matrix M, reads the
     minimal polynomial of v off one RREF of its Krylov columns v, Mv, M²v, …,
-    finds its roots by evaluation over 𝔽_ℓ and projects v onto each
-    eigenspace it meets.  One seeded random combination Σ_i c_i M_i splits
+    finds its roots (by evaluation over 𝔽_ℓ, or past ℓ > 2¹⁷ by
+    Cantor–Zassenhaus splitting) and projects v onto each eigenspace it
+    meets.  One seeded random combination Σ_i c_i M_i splits
     first, then the M_i of the non-identity classes refine what it left,
     until there are k vectors, each a multiple of one ω-vector.  No seed is
     ever retried;
@@ -73,8 +74,81 @@ def _min_poly(K, l: int) -> list[int]:
     raise ComputationError("eigenspace-separation", "Krylov sequence did not close within its bound")
 
 
+_SCAN_LIMIT = 1 << 17  # largest ℓ whose roots are found by evaluating at every residue: past it splitting is faster
+
+
+def _trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _poly_divmod(a: list, f: list, l: int) -> tuple:
+    """(quotient, remainder) of a by a monic f over 𝔽_ℓ; polynomials are coefficient lists, low degree first."""
+    a, d = [x % l for x in a], len(f) - 1
+    q = [0] * max(len(a) - d, 0)
+    for i in range(len(a) - 1 - d, -1, -1):
+        c = q[i] = a[i + d]
+        if c:
+            for j in range(d + 1):
+                a[i + j] = (a[i + j] - c * f[j]) % l
+    return q, _trim(a[:d])
+
+
+def _poly_mulmod(a: list, b: list, f: list, l: int) -> list:
+    prod = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return _poly_divmod(prod, f, l)[1]
+
+
+def _poly_powmod(a: list, n: int, f: list, l: int) -> list:
+    out = [1]
+    while n:
+        if n & 1:
+            out = _poly_mulmod(out, a, f, l)
+        a, n = _poly_mulmod(a, a, f, l), n >> 1
+    return out
+
+
+def _poly_gcd(a: list, b: list, l: int) -> list:
+    """The monic gcd over 𝔽_ℓ."""
+    a, b = _trim([x % l for x in a]), _trim([x % l for x in b])
+    while b:
+        inv = pow(b[-1], -1, l)
+        b = [x * inv % l for x in b]
+        a, b = b, _poly_divmod(a, b, l)[1]
+    return a
+
+
+def _split_roots(f: list, l: int, rng) -> list:
+    """The roots of a monic f that is a product of distinct linear factors over 𝔽_ℓ, ℓ odd.
+
+    By Cantor–Zassenhaus: gcd(f, (x + a)^((ℓ−1)/2) − 1) holds the roots r
+    with r + a a nonzero square, so a random a splits f in two.
+    """
+    if len(f) == 2:
+        return [-f[0] % l]
+    while True:
+        h = _poly_powmod([rng.randrange(l), 1], (l - 1) // 2, f, l) + [0]
+        h[0] -= 1
+        g = _poly_gcd(f, h, l)
+        if 1 < len(g) < len(f):
+            return _split_roots(g, l, rng) + _split_roots(_poly_divmod(f, g, l)[0], l, rng)
+
+
 def _roots(poly: list[int], l: int) -> np.ndarray:
-    """All roots in 𝔽_ℓ of a monic polynomial (low degree first), by Horner over 𝔽_ℓ in chunks."""
+    """All roots in 𝔽_ℓ of a monic polynomial (low degree first), each once.
+
+    Found by Horner over 𝔽_ℓ in chunks, or past `_SCAN_LIMIT` by splitting
+    gcd(poly, x^ℓ − x), the product of its distinct linear factors.
+    """
+    if l > _SCAN_LIMIT:
+        x_l = _poly_powmod([0, 1], l, poly, l) + [0, 0]
+        x_l[1] -= 1
+        linear = _poly_gcd(poly, x_l, l)
+        return np.array(sorted(_split_roots(linear, l, random.Random(l)) if len(linear) > 1 else []), dtype=np.int64)
     found, count = [], 0
     for lo in range(0, l, CHUNK_ENTRIES):
         x = np.arange(lo, min(lo + CHUNK_ENTRIES, l), dtype=np.int64)
@@ -153,10 +227,16 @@ class CharacterTableMod:
 
 
 def _least_primitive_residue(order: int, l: int) -> int:
+    """The least residue of multiplicative order `order` mod ℓ.
+
+    Those residues are the powers ω^i, gcd(i, order) = 1, of any one of them.
+    """
     prime_factors = factorize(order)
-    for g in range(1, l):
-        if pow(g, order, l) == 1 and all(pow(g, order // q, l) != 1 for q in prime_factors):
-            return g
+    if (l - 1) % order == 0:
+        for h in range(1, l):
+            w = pow(h, (l - 1) // order, l)
+            if all(pow(w, order // q, l) != 1 for q in prime_factors):
+                return min(pow(w, i, l) for i in range(1, order + 1) if all(i % q for q in prime_factors))
     raise ComputationError("eigenspace-separation", f"no residue of order {order} mod {l}")
 
 

@@ -31,6 +31,7 @@ from .dw import (
     FREE,
     DWAlgebra,
     RelatorSpec,
+    classification_data,
     counting_summary,
     evaluate_dw,
 )
@@ -205,7 +206,7 @@ def _cmd_evaluate(args):
 def _cmd_chartab(args):
     G = group_from_spec(args.group)
     l = _default_prime(G, args.prime)
-    return [character_table_mod(G, l).to_json()]
+    return [{**character_table_mod(G, l).to_json(), "classification": classification_data(G, l)}]
 
 
 def _cmd_oracle(args):

@@ -7,8 +7,13 @@ identity class, and the unit group acts by the power maps g ↦ g^α (reduced
 mod exponent Γ), which permute conjugacy classes.  In the class-indicator
 basis every generator is an int64 array read from the group's one
 structure-constant array (the counit scaled by |Γ|); `DWAlgebra` reduces these
-mod a split prime ℓ and plugs into the generic evaluator and axiom checker in
-`frobenius`, and `dw_generator_map_exact` gives them over ℚ.
+mod a prime ℓ and plugs into the generic evaluator and axiom checker in
+`frobenius`, and `dw_generator_map_exact` gives them over ℚ.  Over a split
+prime the algebra is a product of one-dimensional summands, one per
+irreducible character, which the unit group permutes: `Splitting` writes
+every generator in that basis of character idempotents, where each is
+monomial, and evaluates diagrams there; `classification_data` returns its
+data.
 
 On top of the algebra sit the counting formulas: `hom_count` recovers the
 number of homomorphisms from a one-relator surface group into Γ from integer
@@ -32,8 +37,19 @@ import numpy as np
 
 from .chartab import char_sum, character_table_mod, recover_integer, split_primes
 from .cobordism import Diagram, Token
-from .errors import ComputationError, ValidationError
-from .frobenius import STRUCTURAL_AXIOMS, GenericMatrix, ModMatrix, TokenTerms, evaluate_diagram
+from .errors import INT_EXACT, MAX_DENSE_ENTRIES, ComputationError, EngineError, ValidationError
+from .frobenius import (
+    _FLOAT_EXACT,
+    _MOD_BLOCK,
+    _SMALL,
+    STRUCTURAL_AXIOMS,
+    GenericMatrix,
+    ModMatrix,
+    TokenTerms,
+    _assemble,
+    _mod,
+    evaluate_diagram,
+)
 from .pgroup import (
     CHUNK_ENTRIES,
     FiniteGroup,
@@ -45,6 +61,7 @@ from .pgroup import (
     group_prime,
     is_power_of,
     is_prime,
+    unique_prime_factor,
 )
 from .units import INF, PadicUnit, is_valid_level, level_to_json, p_power
 
@@ -196,11 +213,16 @@ class DWAlgebra:
 
     Satisfies the same protocol as the universal algebra (`dim`, `max_dim`,
     `basis_names`, `token_matrix`, `token_terms`, `default_levels`, `p`,
-    `precheck`), so `frobenius.evaluate_diagram` and `frobenius.check_axioms`
-    drive it unchanged: every token is the one monomial 1, and the
-    contraction keeps the state in float64 BLAS products, reduced mod ℓ only
-    when exactness needs it.  `swap` is a strand flip there, so its k²×k²
-    matrix is built only when `token_matrix` is asked for it.
+    `precheck`), so `frobenius.check_axioms` and `frobenius.evaluate_diagram`
+    drive it unchanged.  The precheck contracts in the class basis, where
+    every token is the one monomial 1 and the state is float64 BLAS products,
+    reduced mod ℓ only when exactness needs it.  Over a split prime the
+    algebra also carries its `splitting` into the character idempotent basis
+    (`Splitting`, built here), in which `evaluate_diagram` walks the whole
+    diagram once; it is None when ℓ has no character table, and such an
+    algebra is contracted in the class basis throughout.  `swap` is a strand
+    relabelling on both routes, so its k²×k² matrix is built only when
+    `token_matrix` is asked for it.
     Basis: indicator functions of conjugacy classes, in the group's class order.
     """
 
@@ -221,9 +243,12 @@ class DWAlgebra:
         self.name = f"dw(order-{self.group.order} group, ℓ={l})"
         self._matrices: dict = {}
         self._terms: dict = {}
+        self.splitting = _splitting(self)
 
     def token_matrix(self, tok: Token) -> ModMatrix:
-        key = _generator_key(self.group, self.p, tok)
+        return self._matrix(_generator_key(self.group, self.p, tok))
+
+    def _matrix(self, key: tuple) -> ModMatrix:
         if key not in self._matrices:
             mat = _generator(self.group, key)
             if key == ("cup",):  # stored as |Γ|·ε
@@ -242,6 +267,249 @@ class DWAlgebra:
         return tuple(range(1, e + 1)) + (INF,)
 
 
+# -- the character idempotent basis ------------------------------------------------------
+
+
+def _splitting(A: DWAlgebra):
+    """A's `Splitting`, or None when ℓ gives Γ no character table to split by.
+
+    That is decided by the table's own preconditions (ℓ ≡ 1 mod exp Γ,
+    ℓ > 2|Γ|, k·(ℓ−1)² < 2⁶³) and by a typed refusal from it.  An algebra
+    whose F3–F5 sides would pass `MAX_DENSE_ENTRIES` (k⁴ entries) gets none
+    either: its precheck refuses it, so it evaluates nothing.
+    """
+    G, l, k = A.group, A.l, A.dim
+    if (l - 1) % G.exponent() or l <= 2 * G.order or k * (l - 1) ** 2 >= INT_EXACT or k**4 > MAX_DENSE_ENTRIES:
+        return None
+    try:
+        table = character_table_mod(G, l)
+    except EngineError:
+        return None
+    return Splitting(A, table)
+
+
+class Splitting:
+    """A DW algebra over a split prime ℓ in its basis of character idempotents e_χ.
+
+    Each irreducible character χ gives e_χ = Σ_j P[j, χ]·C_j over the class
+    indicators C_j, with P[j, χ] = χ(1)·χ(g_j⁻¹)/|Γ|, and P⁻¹[χ, j] =
+    |K_j|·χ(g_j)/χ(1) reads class coordinates back (the orthogonality
+    relations); characters are in table row order.  The algebra is the
+    product of the lines 𝔽_ℓ·e_χ, so every generator is monomial here:
+
+        m(e_χ⊗e_ψ) = δ_χψ·e_χ,   Δ(e_χ) = μ_χ·e_χ⊗e_χ,   ε(e_χ) = λ_χ,   1 = Σ_χ e_χ,
+        tw(u)(e_χ) = e_{π_u(χ)},   tor(r)(e_χ) = τ_r(χ)·e_χ.
+
+    Each form is read off the generator's own matrix (`DWAlgebra.token_matrix`,
+    the one the precheck validates) conjugated into this basis: m, Δ, ε and
+    the unit when the algebra is built, m and Δ one tensor axis at a time
+    (k⁴ steps), and a tw or tor at its first use.  An entry off its form is an
+    `axiom-failure` naming the token.  `matrix` evaluates a diagram on the forms.
+    """
+
+    def __init__(self, A: DWAlgebra, table):
+        l, k = A.l, A.dim
+        self.algebra, self.l, self.k = A, l, k
+        self._float = k * (l - 1) ** 2 < _FLOAT_EXACT  # a k-term dot product of reduced entries is exact in float64
+        chi = np.array(table.rows, dtype=np.int64)
+        degrees = np.array(table.degrees, dtype=np.int64)
+        inv_degrees = np.array([pow(d, -1, l) for d in table.degrees], dtype=np.int64)
+        self.P = chi[:, list(table.inverse_class)].T * degrees % l * pow(A.group.order, -1, l) % l
+        self.P_inv = chi * np.array(table.sizes, dtype=np.int64) % l * inv_degrees[:, None] % l
+        self._P_rows = np.ascontiguousarray(self.P.T)  # row χ: the class coordinates of e_χ
+        self._ident, self._ones = np.arange(k), np.ones((k, 1), dtype=np.int64)
+        self._forms: dict = {}  # generator key → its form
+        self._ops: dict = {}  # token → its form
+        for kind in ("m", "d", "cup", "cap"):
+            self.form(Token(kind))
+
+    def _mul(self, a, b):
+        """a·b mod ℓ for int64 a, b with entries in [0, ℓ) over an inner dimension of k.
+
+        In float64 BLAS when that is exact and the product large enough to pay
+        for the conversions, else in int64.  A block of a's rows at a time is
+        written into the result and reduced there, so no temporary outgrows
+        `_MOD_BLOCK` entries.
+        """
+        cols = b.shape[1]
+        if self._float and len(a) * cols * self.k > _SMALL:
+            a, b = a.astype(np.float64), b.astype(np.float64)
+        out = np.empty((len(a), cols), dtype=np.int64)
+        step = max(1, _MOD_BLOCK // cols)
+        for i in range(0, len(a), step):
+            block = out[i : i + step]
+            block[...] = a[i : i + step] @ b
+            _mod(block, self.l)
+        return out
+
+    def form(self, tok: Token):
+        """The form of a token, read off its matrix at its first use."""
+        A = self.algebra
+        key = _generator_key(A.group, A.p, tok)
+        if key not in self._forms:
+            self._read(key, str(tok), A.token_matrix(tok).a)
+        self._ops[tok] = form = self._forms[key]
+        return form
+
+    def power_map(self, u: int):
+        """The permutation of characters of the power map g ↦ g^u, for u a unit mod exp Γ: the form of tw(u)."""
+        key = ("tw", u % self.algebra.group.exponent())
+        if key not in self._forms:
+            self._read(key, f"the power map g ↦ g^{u}", self.algebra._matrix(key).a)
+        return self._forms[key]
+
+    def _read(self, key: tuple, label: str, M: np.ndarray):
+        """Conjugate the class matrix M of the generator `key` into this basis and keep its form.
+
+        m and cap are checked whole and leave no data; Δ leaves μ, cup λ, a
+        tw its permutation π with π[ψ] the image of ψ, and a tor its diagonal,
+        which may hold zeros.
+        """
+        k, kind, ident = self.k, key[0], self._ident
+        if kind == "m":  # M[c, (a, b)] → X[χ, b, a]
+            X = self._mul(self._mul(self.P_inv, M).reshape(k * k, k), self.P).reshape(k, k, k)
+            X = self._mul(X.transpose(0, 2, 1).reshape(k * k, k), self.P).reshape(k, k, k)
+            X[ident, ident, ident] -= 1
+            form, bad = None, X.any()
+        elif kind == "d":  # M[(a, c), b] → X[χ, b, c]
+            X = self._mul(self.P_inv, self._mul(M, self.P).reshape(k, k * k)).reshape(k, k, k)
+            X = self._mul(X.transpose(0, 2, 1).reshape(k * k, k), self.P_inv.T).reshape(k, k, k)
+            form = X[ident, ident, ident].copy()
+            X[ident, ident, ident] = 0
+            bad = X.any()
+        elif kind == "cup":
+            form, bad = self._mul(M, self.P)[0], False
+        elif kind == "cap":
+            form, bad = None, (self._mul(self.P_inv, M) != 1).any()
+        else:
+            X = self._mul(self._mul(self.P_inv, M), self.P)
+            if kind == "tw":  # X[π[ψ], ψ] = 1 for a permutation π, and nothing else
+                form = X.argmax(axis=0)
+                bad = not np.array_equal(X, np.eye(k, dtype=np.int64)[:, form]) or len(set(form.tolist())) < k
+            else:  # a diagonal, read as one: some τ_r(χ) are 0
+                form = X.diagonal().copy()
+                X[ident, ident] = 0
+                bad = X.any()
+        if bad:
+            raise ValidationError(
+                "axiom-failure",
+                f"{label} leaves its monomial form in the character idempotent basis on {self.algebra.name}",
+            )
+        self._forms[key] = form
+
+    def _columns(self, M, maps):
+        """One row per root character χ: ⊗ over `maps` of the rows M[σ(χ)], reduced mod ℓ after each factor."""
+        ident = self._ident
+        if not maps:
+            return self._ones
+        out = M if maps[0] is ident else M[maps[0]]
+        for s in maps[1:]:
+            out = _mod((out[:, :, None] * (M if s is ident else M[s])[:, None, :]).reshape(self.k, -1), self.l)
+        return out
+
+    def _piece(self, w, outs, ins):
+        """U·diag(w)·Vᵀ for the maps σ of a piece's output legs and τ of its input legs.
+
+        U's columns are ⊗_o P[:, σ_o(χ)] and V's ⊗_i P⁻¹[τ_i(χ), :]; diag(w)
+        goes on the smaller of the two, and the product is one reduction mod ℓ.
+        """
+        U, V = self._columns(self._P_rows, outs), self._columns(self.P_inv, ins)
+        if w is not None:
+            if U.shape[1] <= V.shape[1]:
+                U = U * w[:, None] % self.l
+            else:
+                V = V * w[:, None] % self.l
+        return self._mul(U.T, V)
+
+    def matrix(self, D: Diagram) -> np.ndarray:
+        """The class-basis int64 matrix of D in [0, ℓ), from one walk over its tokens.
+
+        Each strand carries a map σ (an int array) from the root character of
+        its group to its own character, and each group of joined strands a
+        weight vector w over its root characters (None while all ones) and
+        the map τ of every input leg it holds; each input leg and each cap
+        starts a group.  `m` within a group multiplies w by [σ₁ = σ₂]; across
+        groups it re-expresses the second group through σ₂⁻¹∘σ₁ and joins it
+        to the first.  Δ, cup and tor multiply w by their weights at σ, tw
+        composes σ with its permutation, and swap and id only relabel strands.
+        The groups left are the connected pieces of D.  One with no legs is the
+        scalar Σ_χ w(χ); each other is U·diag(w)·Vᵀ on its own legs (`_piece`),
+        and several are tensored together by `frobenius._assemble`.
+        """
+        l, ident, ops = self.l, self._ident, self._ops
+        n = D.in_arity
+        group, sigma = list(range(n)), [ident] * n
+        weight = dict.fromkeys(group)
+        legs = {i: {i: ident} for i in group}
+        fresh = n
+        for sl in D.slices:
+            out_g, out_s, pos = [], [], 0
+            for tok in sl:
+                kind = tok.kind
+                if kind == "id" or kind == "swap":
+                    end = pos + (kind == "swap") + 1
+                    out_g += group[pos:end][::-1]
+                    out_s += sigma[pos:end][::-1]
+                    pos = end
+                    continue
+                if kind == "cap":
+                    weight[fresh], legs[fresh] = None, {}
+                    out_g.append(fresh)
+                    out_s.append(ident)
+                    fresh += 1
+                    continue
+                form = ops.get(tok, ops)
+                if form is ops:  # not read yet
+                    form = self.form(tok)
+                g, s = group[pos], sigma[pos]
+                w, pos = weight[g], pos + 1
+                if kind == "m":
+                    h, t = group[pos], sigma[pos]
+                    pos += 1
+                    if h != g:  # the root of h becomes f(χ) = σ₂⁻¹(σ₁(χ)) for the root χ of g
+                        f = s if t is ident else t.argsort()[s]
+                        move = lambda x: f if x is ident else x[f]
+                        for strands, maps in ((group, sigma), (out_g, out_s)):
+                            for i, x in enumerate(strands):
+                                if x == h:
+                                    strands[i], maps[i] = g, move(maps[i])
+                        legs[g].update((i, move(tau)) for i, tau in legs.pop(h).items())
+                        v = weight.pop(h)
+                        if v is not None:
+                            weight[g] = v[f] if w is None else w * v[f] % l
+                    elif t is not s:
+                        weight[g] = (s == t) * (1 if w is None else w)
+                    out_g.append(g)
+                    out_s.append(s)
+                    continue
+                if kind == "tw":
+                    out_g.append(g)
+                    out_s.append(form[s])
+                    continue
+                weight[g] = form[s] if w is None else w * form[s] % l
+                if kind != "cup":
+                    out_g += [g, g] if kind == "d" else [g]
+                    out_s += [s, s] if kind == "d" else [s]
+            group, sigma = out_g, out_s
+        outs: dict = {}  # group → its output legs
+        for j, g in enumerate(group):
+            outs.setdefault(g, []).append(j)
+        scalar, factors = 1, []  # the closed groups' product, and each open group's matrix and legs
+        for g, w in weight.items():
+            if g not in outs and not legs[g]:
+                scalar = scalar * (self.k if w is None else int(w.sum())) % l
+                continue
+            ins, o = sorted(legs[g]), outs.get(g, [])
+            factors.append([w, [sigma[j] for j in o], [legs[g][i] for i in ins], tuple(ins), tuple(o)])
+        if not factors:
+            return np.array([[scalar]], dtype=np.int64)
+        if scalar != 1:  # the closed groups, folded into one open one
+            w = factors[0][0]
+            factors[0][0] = np.full(self.k, scalar) if w is None else w * scalar % l
+        factors = [(self._piece(w, out_maps, in_maps), ins, o) for w, out_maps, in_maps, ins, o in factors]
+        return factors[0][0] if len(factors) == 1 else _assemble(factors, self.k, l)
+
+
 def _algebra(G, l: int) -> DWAlgebra:
     G = group_from_spec(G)
     key = ("dw-algebra", l)
@@ -257,6 +525,39 @@ def evaluate_dw(D: Diagram, G, l: int) -> ModMatrix:
     contributes the factor hom_count(RelatorSpec(n, r), Γ)/|Γ| to the scalar.
     """
     return evaluate_diagram(D, _algebra(G, l))
+
+
+def _unit_generators(p: int, e: int) -> list:
+    """Generators of (ℤ/e)^× for e = exp Γ a power of p: −1 and 5 when p = 2, else the least primitive root."""
+    if p == 2:
+        return [-1 % e, 5 % e]
+    phi = e // p * (p - 1)
+    return [next(g for g in range(2, e) if g % p and all(pow(g, phi // q, e) != 1 for q in factorize(phi)))]
+
+
+def classification_data(G, l: int) -> dict | None:
+    """The DW algebra of Γ over 𝔽_ℓ as the classification sees it: one line 𝔽_ℓ·e_χ per character χ.
+
+    Read from the forms the evaluator walks with (`Splitting`), in table row
+    order: `lambda` holds λ_χ = ε(e_χ), `tor` the diagonal τ_r of tor(r) for
+    each level r of `default_levels()`, and `tw` the permutation π_u of the
+    characters (e_χ ↦ e_{π_u[χ]}) of the power map g ↦ g^u for each generator
+    u of (ℤ/exp Γ)^×.  None when Γ is no nontrivial p-group (it has no DW
+    algebra here) or ℓ gives its algebra no splitting.
+    """
+    G = group_from_spec(G)
+    if unique_prime_factor(G.order) is None:
+        return None
+    A = _algebra(G, l)
+    S = A.splitting
+    if S is None:
+        return None
+    e = A.group.exponent()
+    return {
+        "lambda": S.form(Token("cup")).tolist(),
+        "tor": {str(level_to_json(r)): S.form(Token("tor", level=r)).tolist() for r in A.default_levels()},
+        "tw": {str(u): S.power_map(u).tolist() for u in _unit_generators(A.p, e)},
+    }
 
 
 # -- character-sum counting -------------------------------------------------------------

@@ -22,17 +22,25 @@ this the universal target for symbolic evaluation of cobordism diagrams.
 object exposing `dim`, `max_dim`, `basis_names`, `token_matrix`,
 `token_terms`, `p`, `default_levels` and `precheck` (see dw.DWAlgebra for the
 finite-group specialization); `ModMatrix` token matrices mark scalars in 𝔽_ℓ.
-Both go through one contraction, `_contract`, in which every generator acts
-on its own strands of a single state, and an input strand joins the state
-only when a token first reads it (a strand no token reads is the identity,
-put in once at the end); over 𝔽_ℓ an open diagram is contracted one connected
-piece at a time and the pieces are tensored back together.  The state is
+The axiom checks, and every evaluation in an algebra without a `splitting`,
+go through one contraction, `_contract`, in which every generator acts on its
+own strands of a single state, and an input strand joins the state only when
+a token first reads it (a strand no token reads is the identity, put in once
+at the end); over 𝔽_ℓ an open diagram is contracted one connected piece at a
+time and the pieces are tensored back together (`_assemble`).  The state is
 integer arithmetic throughout: one array per monomial h^i·t^j·[r] that
 occurs, and each token written once per algebra as a few (monomial, int64
 matrix) pairs (`TokenTerms`); a DW token is the one monomial 1.  `swap` is the
 symmetric structure, the same in every algebra: it exchanges two strand axes
 of the state, or only relabels strands outside it, and needs no token matrix
 to evaluate.
+
+A DW algebra over a split prime carries a `splitting` (dw.Splitting): the
+algebra in its basis of character idempotents, a product of one-dimensional
+summands, where every generator is monomial.  `evaluate_diagram` hands it the
+whole diagram, which it evaluates in one walk over the tokens: a closed
+surface is a k-term sum and an open piece one rank-k product, tensored with
+the other pieces by `_assemble`.
 """
 
 from __future__ import annotations
@@ -51,6 +59,7 @@ from .units import INF, PadicUnit, format_unit, level, one, sample_units
 DEFAULT_MAX_LEVEL = 6
 AXIOMS = ("F1", "F2", "F3", "F4", "F5", "FS", "F6", "F7", "F8", "F9", "F10", "F11", "F12")
 STRUCTURAL_AXIOMS = AXIOMS[:6]  # need no units; every algebra checks them once before it evaluates
+_LAW_LEGS = dict(zip(AXIOMS, (2, 2, 4, 4, 4, 3, 1, 1, 3, 3, 2, 1, 2)))  # inputs plus outputs of each law's sides
 
 # -- scalars -------------------------------------------------------------------------
 
@@ -489,7 +498,8 @@ def check_axioms(A, levels=None, sample_units=None, axioms=None):
     basis vector (and unit or level data, where relevant) that breaks the law.
     Structural axioms F1–F5/FS need no units; F6–F12 quantify over the sampled
     units, grouped by level, and over the handle operators at the given levels.
-    Each law compares two diagrams, contracted like any other.
+    Each law compares two diagrams, contracted like any other; a law whose
+    matrix would pass `MAX_DENSE_ENTRIES` is refused before any law runs.
     """
     if levels is None:
         levels = A.default_levels()
@@ -505,6 +515,9 @@ def check_axioms(A, levels=None, sample_units=None, axioms=None):
     unknown = set(wanted) - set(AXIOMS)
     if unknown:
         raise ValidationError("bad-spec", f"unknown axioms {sorted(unknown)}; known: {', '.join(AXIOMS)}")
+    if wanted:  # the widest law's matrix is refused before any law runs
+        widest = max(wanted, key=_LAW_LEGS.get)
+        check_dense(f"the contracted matrix of {widest}", A.dim ** _LAW_LEGS[widest])
 
     m, d, cup, cap, swap, I = (Token(kind) for kind in ("m", "d", "cup", "cap", "swap", "id"))
     tw = lambda u: Token("tw", unit=u)
@@ -591,6 +604,8 @@ def ensure_prechecked(A):
 
 _FLOAT_EXACT = 2**53  # float64 holds every integer below this exactly
 _STATE_ENTRIES = 2**22  # input columns are contracted in blocks of at most this many entries
+_MOD_BLOCK = 2**14  # entries reduced mod ℓ at a time
+_SMALL = 2**12  # work below which one plain numpy call (a remainder, an int64 product) beats the blocked or BLAS form
 _LEVEL = 1 << 42  # a monomial h^i·t^j·[r] is packed as r·2⁴² + i·2²¹ + j
 _DEGREE = 1 << 21
 _ZERO = UniversalScalar()
@@ -702,13 +717,29 @@ def _modulus(A):
     return getattr(A.token_matrix(Token("id")), "l", None)
 
 
+def _mod(R, l):
+    """A C-contiguous int64 array R mod ℓ, in place, as R − ⌊R/ℓ⌋·ℓ, `_MOD_BLOCK` entries at a time.
+
+    numpy divides int64 by a scalar several times faster than it takes the
+    remainder, and a quotient the size of one block costs no fresh memory.
+    """
+    if R.size <= _SMALL:
+        R %= l
+        return R
+    flat = R.reshape(-1)
+    for i in range(0, len(flat), _MOD_BLOCK):
+        x = flat[i : i + _MOD_BLOCK]
+        q = x // l
+        q *= l
+        x -= q
+    return R
+
+
 def _reduce(S, l):
     """S mod ℓ in C order, exactly: a float64 state holds integers below 2⁵³, so it reduces through int64."""
     if S.dtype == object:
         return S % l
-    R = S.astype(np.int64, order="C")
-    R %= l
-    return R
+    return _mod(S.astype(np.int64, order="C"), l)
 
 
 def _passing(T, read, k):
@@ -772,8 +803,9 @@ def _contract(D: Diagram, A, l):
     are independent, so a block of them goes on alone once the stack would
     pass `_STATE_ENTRIES` entries: halved while it has more than one column,
     else split along the values of the strands its next token reads first.
-    Over 𝔽_ℓ, `evaluate_diagram` hands it one connected piece at a time.  A
-    result of more than `MAX_DENSE_ENTRIES` entries is refused before any work.
+    Over 𝔽_ℓ in an algebra without a splitting, `evaluate_diagram` hands it
+    one connected piece at a time.  A result of more than `MAX_DENSE_ENTRIES`
+    entries is refused before any work.
 
     Exact scalars (l is None) are int64 while an entry bound, grown by each
     token's `grow`, stays below 2⁶³; a bound that would pass it is first
@@ -981,55 +1013,66 @@ def _placement(legs, k):
     return np.arange(k ** len(legs)).reshape((k,) * len(legs)).transpose(np.argsort(legs)).ravel()
 
 
-def _assemble(pieces, A, l):
-    """The matrix over 𝔽_ℓ of a diagram from its pieces: their Kronecker product with the legs put back in place.
+def _piece(P: Piece, A, l):
+    """The matrix over 𝔽_ℓ of one piece, contracted at its own width.
 
-    Each piece is contracted at its own width; a lone token is its own matrix
-    and a bare strand the identity.  Closed pieces are scalars, folded into the
-    smallest factor.  The product is folded from the right and taken on the
-    factors, never on the result (`_kron`).  The pieces come in order of their
-    inputs, so the columns are in place unless a `swap` between pieces crosses
-    the inputs; the rows are put in place by the last fold's gather, and the
-    columns, when needed, by one more.
+    A lone token is its own matrix, and a bare strand the identity.
     """
-    scalar, factors = None, []
-    for P in pieces:
-        slices = P.diagram.slices
-        if not slices:
-            M = np.eye(A.dim, dtype=np.int64)
-        elif len(slices) == 1 and len(slices[0]) == 1:
-            M = A.token_matrix(slices[0][0]).a
-        else:
-            M = _contract(P.diagram, A, l)
-        if P.ins or P.outs:
-            factors.append(M)
+    slices = P.diagram.slices
+    if not slices:
+        return np.eye(A.dim, dtype=np.int64)
+    if len(slices) == 1 and len(slices[0]) == 1:
+        return A.token_matrix(slices[0][0]).a
+    return _contract(P.diagram, A, l)
+
+
+def _assemble(factors, k, l):
+    """The matrix over 𝔽_ℓ of a diagram from the (matrix, input legs, output legs) of its pieces.
+
+    It is their Kronecker product with the legs put back in place.  Closed
+    pieces (no legs) are scalars, folded into the smallest factor.  The
+    product is folded from the right and taken on the factors, never on the
+    result (`_kron`).  When the pieces come in order of their inputs, the
+    columns are in place unless a `swap` between pieces crosses the inputs;
+    the rows are put in place by the last fold's gather, and the columns,
+    when needed, by one more.
+    """
+    scalar, mats, ins, outs = None, [], [], []
+    for M, i, o in factors:
+        if i or o:
+            mats.append(M)
+            ins += i
+            outs += o
         else:
             scalar = int(M[0, 0]) * (1 if scalar is None else scalar) % l
     if scalar is not None:  # also copies a lone open factor, which may be a token's own matrix
-        small = min(range(len(factors)), key=lambda i: factors[i].size)
-        factors[small] = _products(np.array([scalar], dtype=np.int64), factors[small], l)[0]
-    rows = _placement([j for P in pieces for j in P.outs], A.dim)
-    T = factors.pop()
-    while factors:
-        T = _kron(factors.pop(), T, l, rows if not factors else None)
-    cols = _placement([i for P in pieces for i in P.ins], A.dim)
+        small = min(range(len(mats)), key=lambda i: mats[i].size)
+        mats[small] = _products(np.array([scalar], dtype=np.int64), mats[small], l)[0]
+    rows = _placement(outs, k)
+    T = mats.pop()
+    while mats:
+        T = _kron(mats.pop(), T, l, rows if not mats else None)
+    cols = _placement(ins, k)
     return T if cols is None else T[:, cols]
 
 
 def evaluate_diagram(D: Diagram, A):
     """The linear map of D in the algebra A, as a matrix on tensor powers of A.
 
-    Every generator acts on its own strands of one state (`_contract`), never
-    through a matrix of its whole slice; the leftmost strand is the most
-    significant tensor index.  A closed diagram yields a 1×1 matrix.  Universal
-    results are `GenericMatrix`es of `UniversalScalar`s (a shared zero where an
-    entry vanishes), DW results `ModMatrix`es around the reduced int64 array.
+    The leftmost strand is the most significant tensor index, and a closed
+    diagram yields a 1×1 matrix.  Universal results are `GenericMatrix`es of
+    `UniversalScalar`s (a shared zero where an entry vanishes), DW results
+    `ModMatrix`es around the reduced int64 array.
 
-    Over 𝔽_ℓ an open diagram of several connected pieces is the tensor product
-    of their values with its legs permuted, as for any symmetric monoidal
-    functor: each piece (`_pieces`) is contracted at its own width and the
-    product is assembled on the factors (`_assemble`).  The dimension guard
-    still reads the whole diagram, before any split.
+    An algebra with a `splitting` (a DW algebra over a split prime) evaluates
+    the diagram in its character idempotent basis, in one walk over the
+    tokens (dw.Splitting.matrix).  Otherwise every generator acts on its own
+    strands of one state (`_contract`), never through a matrix of its whole
+    slice, and over 𝔽_ℓ an open diagram of several connected pieces is the
+    tensor product of their values with its legs permuted, as for any
+    symmetric monoidal functor: each piece (`_pieces`) is contracted at its
+    own width and the product is assembled on the factors (`_assemble`).
+    Either way the dimension guard reads the whole diagram first.
     """
     ensure_prechecked(A)
     for width in (D.in_arity, *(sum(t.arity[1] for t in sl) for sl in D.slices)):
@@ -1041,6 +1084,12 @@ def evaluate_diagram(D: Diagram, A):
     l = _modulus(A)
     if l is None:
         return GenericMatrix(_contract(D, A, l))
-    pieces = _pieces(D) if D.in_arity or D.out_arity else ()
-    M = _assemble(pieces, A, l) if len(pieces) > 1 else _contract(D, A, l)
+    if getattr(A, "splitting", None) is not None:
+        M = A.splitting.matrix(D)
+    else:
+        pieces = _pieces(D) if D.in_arity or D.out_arity else ()
+        if len(pieces) < 2:
+            M = _contract(D, A, l)
+        else:
+            M = _assemble([(_piece(P, A, l), P.ins, P.outs) for P in pieces], A.dim, l)
     return ModMatrix.reduced(M, l)

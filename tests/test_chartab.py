@@ -129,3 +129,40 @@ def test_abelian_rows_are_homomorphisms():
             for j in range(9):
                 meet = conj.class_of[G.mul(conj.reps[i], conj.reps[j])]
                 assert row[meet] == row[i] * row[j] % 19
+
+
+@pytest.mark.parametrize("make", [heisenberg, extraspecial_exp_p2, lambda p: cyclic(p**3)], ids=["Heis3", "XSP3", "C27"])
+def test_tables_past_the_scan_limit_match_the_scan(make, monkeypatch):
+    # past _SCAN_LIMIT the eigenvalues come from Cantor–Zassenhaus splitting;
+    # the scan of every residue gives the same table, and omega is the least
+    # residue of order exp Γ either way
+    from arith_tqft import chartab
+
+    G = make(3)
+    l = split_primes(G, count=1, above=chartab._SCAN_LIMIT)[0]
+    split = character_table_mod(G, l)
+    monkeypatch.setattr(chartab, "_SCAN_LIMIT", l)
+    scanned = character_table_mod(make(3), l)
+    assert split.rows == scanned.rows and split.degrees == scanned.degrees
+    e = G.exponent()  # a power of 3, so g has order e when g^e = 1 ≠ g^(e/3)
+    assert split.omega == next(g for g in range(2, l) if pow(g, e, l) == 1 != pow(g, e // 3, l))
+
+
+def test_roots_of_polynomials_that_do_not_split():
+    # both primes are 3 mod 4, so x² + 1 has no root; x² has a double one, x² − 1 two
+    from arith_tqft import chartab
+
+    for l in (7, 2**31 - 1):
+        assert chartab._roots([1, 0, 1], l).tolist() == []
+        assert chartab._roots([0, 0, 1], l).tolist() == [0]
+        assert chartab._roots([l - 1, 0, 1], l).tolist() == [1, l - 1]
+
+
+def test_a_table_mod_a_large_prime_is_quick():
+    # C₃ mod 268435459 (≈ 2²⁸): omega without a walk over the residues, roots without a scan
+    import time
+
+    t0 = time.perf_counter()
+    table = character_table_mod(cyclic(3), 268435459)
+    assert time.perf_counter() - t0 < 1.0
+    assert table.degrees == (1, 1, 1) and pow(table.omega, 3, 268435459) == 1 != table.omega

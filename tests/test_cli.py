@@ -146,7 +146,13 @@ def test_chartab_command(capsys):
     assert run(["chartab", "--group", "named:cyclic:3"]) == 0
     out = _lines(capsys)[0][0]
     assert out["l"] == 7 and out["degrees"] == [1, 1, 1]
-    assert set(out) >= {"l", "omega", "degrees", "rows", "seed"}
+    assert set(out) >= {"l", "omega", "degrees", "rows", "seed", "classification"}
+    # C₃ mod 7: λ_χ = 1/9, tor(1) = tor(inf) = 9, and x ↦ x² swaps the two nontrivial characters
+    assert out["classification"] == {"lambda": [4, 4, 4], "tor": {"1": [2, 2, 2], "inf": [2, 2, 2]}, "tw": {"2": [0, 2, 1]}}
+    # GL₂(3) is no p-group, so it has a table but no DW algebra to classify
+    assert run(["chartab", "--group", "named:gl2:3"]) == 0
+    out = _lines(capsys)[0][0]
+    assert out["degrees"] == [1, 1, 2, 2, 2, 3, 3, 4] and out["classification"] is None
 
 
 def test_oracle_command(capsys):

@@ -28,6 +28,7 @@ from arith_tqft.dw import (
     DWAlgebra,
     ModMatrix,
     RelatorSpec,
+    classification_data,
     counting_summary,
     dw_generator_map,
     dw_generator_map_exact,
@@ -51,7 +52,7 @@ from arith_tqft.pgroup import (
     group_prime,
     heisenberg,
 )
-from arith_tqft.units import INF, one, unit
+from arith_tqft.units import INF, level_from_json, one, unit
 
 C3 = cyclic(3)
 C9 = cyclic(9)
@@ -307,6 +308,55 @@ def test_precheck_catches_one_perturbed_entry(G, l, kind, entry, witnesses):
     assert e.value.code == "axiom-failure"
     first = next(name for name in A.precheck if not report[name][0])
     assert e.value.message.startswith(f"{first} fails") and report[first][1] in e.value.message
+
+
+@pytest.mark.parametrize(
+    "G, l, tok, text",
+    [
+        (C3, 7, TORUS(1), "d; tor(1), id"),
+        (HEIS, 61, TWIST(unit(4, 3, 2)), "tw(4 mod 3^2); d"),
+    ],
+    ids=["tor(1) on C3", "tw on Heis3"],
+)
+def test_a_generator_off_its_monomial_form_is_refused(G, l, tok, text):
+    # one entry moved through token_matrix: the structural precheck reads no
+    # tor or tw and the class-basis contraction would take the matrix as it
+    # is, but the walk reads the token's form off that matrix and refuses it
+    from arith_tqft import frobenius
+
+    A = DWAlgebra(G, l)
+    ensure_prechecked(A)
+    M = A.token_matrix(tok).a
+    M[0, 1] = (M[0, 1] + 1) % l
+    D = parse_diagram(text)
+    frobenius._contract(D, A, l)
+    with pytest.raises(ValidationError) as e:
+        evaluate_diagram(D, A)
+    assert e.value.code == "axiom-failure" and str(tok) in e.value.message
+
+
+@pytest.mark.parametrize("G", [C9, HEIS, cyclic(27)], ids=["C9", "Heis3", "C27"])
+def test_classification_data_gives_the_closed_surface_counts(G):
+    # Σ_χ λ_χ·Π_i τ_{r_i}(χ) is the genus-g surface with handles at levels r_i
+    from itertools import product
+
+    l = split_primes(G, count=1)[0]
+    data = classification_data(G, l)
+    lam = np.array(data["lambda"], dtype=object)
+    tor = {level_from_json(int(r) if r.isdigit() else r): np.array(d, dtype=object) for r, d in data["tor"].items()}
+    assert set(tor) == set(DWAlgebra(G, l).default_levels())
+    for g in range(5):
+        for levels in product(tor, repeat=g):
+            value = sum(lam * np.prod([tor[r] for r in levels], axis=0)) if g else sum(lam)
+            want = hom_count(RelatorSpec(g, min(levels, default=INF)), G) * pow(G.order, -1, l)
+            assert value % l == want % l, (g, levels)
+    # each tw(u) permutes the characters as Galois conjugation: χ ↦ χ(g^{u⁻¹})
+    table = character_table_mod(G, l)
+    for u, perm in data["tw"].items():
+        u_inv = pow(int(u), -1, G.exponent())
+        assert sorted(perm) == list(range(len(perm)))
+        for chi, image in enumerate(perm):
+            assert table.rows[image] == tuple(table.rows[chi][G.class_power(j, u_inv)] for j in range(len(perm)))
 
 
 def test_dimension_guard():

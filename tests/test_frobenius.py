@@ -668,19 +668,20 @@ def test_idle_inputs_match_a_kronecker_reference(name, make):
 
 
 def test_the_widest_gauge_cell_reaches_the_contraction_piece_by_piece(monkeypatch):
-    # C₃ at width 7: the whole diagram holds a 3⁷-row state over 3⁶ columns,
-    # its pieces at most 3³ rows
+    # C₃ at width 7: the whole diagram holds a 3⁷-row state over 3⁶ columns;
+    # the walk in the idempotent basis builds each piece's matrix on its own
+    # legs, at most 3³ rows and columns
     A = DWAlgebra(cyclic(3), 7)
     ensure_prechecked(A)
     D = parse_diagram("swap, d, m, tor(inf), id; m, id, id, id, id, id")
     whole = frobenius._contract(D, A, 7)
-    contract, widths = frobenius._contract, []
+    piece, widths = A.splitting._piece, []
 
-    def spy(piece, *args):
-        widths.append(_widest(piece))
-        return contract(piece, *args)
+    def spy(w, outs, ins):
+        widths.append(max(len(outs), len(ins)))
+        return piece(w, outs, ins)
 
-    monkeypatch.setattr(frobenius, "_contract", spy)
+    monkeypatch.setattr(A.splitting, "_piece", spy)
     got = evaluate_diagram(D, A)
     monkeypatch.undo()
     assert widths and A.dim ** max(widths) <= 3**3
@@ -713,3 +714,113 @@ def test_zero_results_keep_their_shape(text, shape):
     M = evaluate_diagram(parse_diagram(text), UniversalAlgebra())
     assert M.shape == shape
     assert all(v == 0 and str(v) == "0" for row in M.rows for v in row)
+
+
+# -- the walk in the character idempotent basis ------------------------------------
+
+# (group, split prime, widest slice of the seeded diagrams, their contraction cost bound)
+WALK_ALGEBRAS = {
+    "C3": (lambda: cyclic(3), 7, 4, REFERENCE_COST),
+    "C9": (lambda: cyclic(9), 19, 3, REFERENCE_COST),
+    "Heis3": (lambda: heisenberg(3), 61, 3, REFERENCE_COST),
+    "C27": (lambda: cyclic(27), 109, 2, 10**8),
+    "Heis5": (lambda: heisenberg(5), 251, 2, 10**8),
+    "C3 exact": (lambda: cyclic(3), 268435459, 4, REFERENCE_COST),
+}
+# twists of level 1 ({u}), 2 ({v}) and inf ({w}), handles at every level, caps
+# and cups, swaps inside and across pieces, closed pieces beside open ones
+WALK_DIAGRAMS = [
+    "tw({u}); d",  # a twist on an input leg, then Δ: the leg keeps its own map
+    "tw({u}), tw({v}); m",  # two twisted inputs joined
+    "d; tw({u}), id; m",  # one group: m multiplies by [σ₁ = σ₂]
+    "d; tw({v}), tw({w}); swap; m; tw({u})",
+    "cap; d; tw({v}), tor(2); m; cup",  # a closed twisted handle
+    "cap, id; tor(1), tw({u}); m; d; swap",  # a cap joins an input
+    "m; d; tor(1), tor(2)",
+    "tor(1), tor(2), tor(3), tor(inf)",
+    "cap, id; tor(2), tw({u}); cup, id",  # a closed piece beside an open one
+    "id, swap; m, id; d, id",  # a swap across pieces, legs interleaved
+    "swap; m; d; swap",  # swaps inside one piece
+    "d, d; id, swap, id; m, m",  # two groups cross and join twice
+    "tw({u}), id; swap; m; cup",
+    "cap, cap; m; cup, cap; tor(1); cup",  # closed pieces only
+    "cap, cap; tw({v}), tor(3); cup, cup",
+    "d, cap; id, m; tw({u}), tor(inf); m",
+    "id, cap, id; m, tw({u}); m",  # a cap between two inputs, all joined
+]
+
+
+def _walk_units(p):
+    """Twists at levels 1, 2, 3 and inf, mod p⁴."""
+    return [u for r in (1, 2, 3, INF) for u in sample_units(p, 4, r, count=2)]
+
+
+@pytest.mark.parametrize("name", list(WALK_ALGEBRAS))
+def test_the_idempotent_walk_matches_the_whole_contraction(name):
+    group, l, max_width, cost_limit = WALK_ALGEBRAS[name]
+    A = DWAlgebra(group(), l)
+    assert A.splitting is not None
+    ensure_prechecked(A)
+    p, units = A.p, _walk_units(A.p)
+    named = {key: f"{u.residue} mod {p}^4" for key, u in zip("uvw", (units[0], units[2], units[-1]))}
+    diagrams = [parse_diagram(text.format(**named)) for text in WALK_DIAGRAMS]
+    diagrams = [D for D in diagrams if A.dim ** _widest(D) <= A.max_dim]  # inside the dimension guard
+    rng = random.Random(20261021)
+    pools = {"units": units, "levels": (1, 2, 3, INF), "cost_limit": cost_limit}
+    diagrams += [_random_diagram(rng, A.dim, max_width, **pools) for _ in range(40)]
+    toks = [t for D in diagrams for sl in D.slices for t in sl]
+    assert {level(t.unit) for t in toks if t.kind == "tw"} == {1, 2, 3, INF}
+    assert {t.level for t in toks if t.kind == "tor"} == {1, 2, 3, INF}
+    for D in diagrams:
+        assert np.array_equal(evaluate_diagram(D, A).a, frobenius._contract(D, A, l)), str(D)
+
+
+def test_a_tor_diagonal_with_zeros_is_read_as_a_diagonal():
+    # tor(1) on C₉ kills the characters of order 9, so its diagonal holds
+    # zeros and no permutation can be read off it by argmax
+    A = DWAlgebra(cyclic(9), 19)
+    ensure_prechecked(A)
+    diagonal = A.splitting.form(TORUS(1))
+    assert 0 in diagonal.tolist() and len(set(diagonal.tolist())) > 1
+    texts = ("tor(1)", "cap; tor(1); cup", "tor(1); tor(1); d", "cap; tor(1); d; m; tor(2)", "id, tor(1); m; d")
+    for text in texts:
+        D = parse_diagram(text)
+        assert np.array_equal(evaluate_diagram(D, A).a, frobenius._contract(D, A, 19)), text
+
+
+def test_a_twisted_input_leg_keeps_its_own_map():
+    # the twist moves the strand's character, not the character its input leg reads
+    A = DWAlgebra(cyclic(9), 19)
+    ensure_prechecked(A)
+    for text in ("tw(16 mod 3^3); d", "tw(16 mod 3^3), id; m", "id, tw(16 mod 3^3); m; d; tw(16 mod 3^3), id"):
+        D = parse_diagram(text)
+        assert np.array_equal(evaluate_diagram(D, A).a, frobenius._contract(D, A, 19)), text
+
+
+@pytest.mark.parametrize(
+    "G, l",
+    [(cyclic(9), 7), (heisenberg(3), 19), (cyclic(3), 2**61 - 1)],
+    ids=["C9 mod 7", "Heis3 mod 19", "C3 mod 2^61-1"],
+)
+def test_a_prime_without_a_character_table_keeps_the_contraction(G, l):
+    # ℓ ≢ 1 mod exp Γ, ℓ < 2|Γ|, k·(ℓ−1)² ≥ 2⁶³: no splitting, and each still answers
+    A = DWAlgebra(G, l)
+    assert A.splitting is None
+    for text in SPLIT_DIAGRAMS[:6] + ["m; d", "cap; d; m; tor(1); cup"]:
+        D = parse_diagram(text)
+        assert np.array_equal(evaluate_diagram(D, A).a, frobenius._contract(D, A, l)), text
+
+
+def test_an_oversized_precheck_is_refused_before_any_law_runs(monkeypatch):
+    # (ℤ/3)⁵ has k = 243 classes: F3's sides would hold k⁴ ≈ 3.5·10⁹ entries,
+    # so no law, not even F1, is contracted
+    class Wide:
+        dim, p = 243, 3
+
+        def default_levels(self):
+            return (1, INF)
+
+    monkeypatch.setattr(frobenius, "_contract", lambda *args: pytest.fail("a law was contracted"))
+    with pytest.raises(ValidationError) as e:
+        check_axioms(Wide(), axioms=frobenius.STRUCTURAL_AXIOMS)
+    assert e.value.code == "bound-exceeded" and "F3" in e.value.message and "MAX_DENSE_ENTRIES" in e.value.message
