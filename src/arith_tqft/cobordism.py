@@ -14,13 +14,17 @@ Example: ``d; tw(4 mod 3^2), id; m`` is a twice-punctured torus of level 1.
 Every diagram carries a complete system of invariants per connected component —
 genus, orientability level, leg count, and boundary twist residues — computed
 from the gluing graph.  The rewrite rules R1–R12 and RS1–RS5 act locally and
-preserve these invariants; `canonicalize` is the resulting normal form.
+preserve these invariants; `canonicalize` is the resulting normal form.  A
+diagram is immutable, so its gluing graph is walked once, on first use, and
+the components and the canonical form are kept on it: a rewrite certifies
+itself with both sides' forms, and asking for them again costs nothing.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ComputationError, ValidationError
 from .units import (
@@ -137,6 +141,26 @@ class Diagram:
 
     def __str__(self):
         return print_diagram(self)
+
+    # Derived from the gluing graph on first use and kept, like the arities:
+    # a diagram never changes.  `cached_property` writes the instance dict, so
+    # equality, hash and repr, which read the fields only, stay those of the word.
+
+    @cached_property
+    def _components(self) -> tuple:
+        return _walk(self)
+
+    @cached_property
+    def _canonical(self) -> CanonicalForm:
+        comps = sorted(self._components, key=_component_sort_key)
+        has_twists = any(c.twists for c in comps)
+        return CanonicalForm(
+            in_arity=self.in_arity,
+            out_arity=self.out_arity,
+            p=self.p if has_twists else None,
+            precision=self.precision if has_twists else None,
+            components=tuple(comps),
+        )
 
 
 def identity_diagram(n: int) -> Diagram:
@@ -320,7 +344,8 @@ def _component_sort_key(c: Component):
     return (1, c.g, _level_key(c.r))
 
 
-def _components(D: Diagram):
+def _walk(D: Diagram) -> tuple:
+    """D's connected components in walk order, from one breadth-first pass over its gluing graph."""
     nodes, edges = _graph(D)
     adj = {}
     for e_idx, (a, b, _) in enumerate(edges):
@@ -388,28 +413,21 @@ def _components(D: Diagram):
                 twists=tuple(twists),
             )
         )
-    return components
+    return tuple(components)
 
 
 def invariant_of(D: Diagram):
     """Sorted multiset of (g, r, n, u) over the diagram's connected components."""
     return tuple(
         sorted(
-            (c.g, c.r, len(c.in_legs), len(c.out_legs)) for c in _components(D)
+            (c.g, c.r, len(c.in_legs), len(c.out_legs)) for c in D._components
         )
     )
 
 
 def canonicalize(D: Diagram) -> CanonicalForm:
-    comps = sorted(_components(D), key=_component_sort_key)
-    has_twists = any(c.twists for c in comps)
-    return CanonicalForm(
-        in_arity=D.in_arity,
-        out_arity=D.out_arity,
-        p=D.p if has_twists else None,
-        precision=D.precision if has_twists else None,
-        components=tuple(comps),
-    )
+    """D's normal form: the components sorted by their first leg, closed ones last."""
+    return D._canonical
 
 
 def diagrams_equal(D1: Diagram, D2: Diagram) -> bool:
@@ -730,20 +748,21 @@ def apply_relation(D: Diagram, rule_id: str, position, **kwargs) -> Diagram:
     """
     if rule_id not in RULES:
         raise ValidationError("bad-spec", f"unknown rule {rule_id!r}; known: {', '.join(rule_ids())}")
+    W = D  # the word the patterns match: a sliceless identity becomes one slice of strands
     if not D.slices and D.in_arity:
-        D = Diagram(((CYL,) * D.in_arity,))
+        W = Diagram(((CYL,) * D.in_arity,))
     reasons = []
     for variant in RULES[rule_id]:
         try:
-            bindings, windows = _match_at(D, variant.lhs, position)
+            bindings, windows = _match_at(W, variant.lhs, position)
             bindings.setdefault("inf_level", INF)
-            rhs_rows = variant.build(bindings, kwargs, D)
+            rhs_rows = variant.build(bindings, kwargs, W)
         except _NoMatch as e:
             if str(e) not in reasons:
                 reasons.append(str(e))
             continue
-        result = _replace(D, position[0], windows, rhs_rows)
-        if canonicalize(result) != canonicalize(D):
+        result = _replace(W, position[0], windows, rhs_rows)
+        if canonicalize(result) != canonicalize(D):  # D's own form, kept on it for the caller
             raise ComputationError(
                 "invariant", f"rewrite {rule_id} at {position} changed the canonical form"
             )

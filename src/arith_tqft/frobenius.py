@@ -59,6 +59,7 @@ from .units import INF, PadicUnit, format_unit, level, one, sample_units
 DEFAULT_MAX_LEVEL = 6
 AXIOMS = ("F1", "F2", "F3", "F4", "F5", "FS", "F6", "F7", "F8", "F9", "F10", "F11", "F12")
 STRUCTURAL_AXIOMS = AXIOMS[:6]  # need no units; every algebra checks them once before it evaluates
+_UNIT_LAWS = frozenset(("F6", "F7", "F8", "F9", "F10", "F12"))  # the laws that quantify over sampled units
 _LAW_LEGS = dict(zip(AXIOMS, (2, 2, 4, 4, 4, 3, 1, 1, 3, 3, 2, 1, 2)))  # inputs plus outputs of each law's sides
 
 # -- scalars -------------------------------------------------------------------------
@@ -314,7 +315,7 @@ class GenericMatrix:
     rows: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
+        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
         widths = {len(r) for r in self.rows}
         if len(widths) > 1:
             raise ValidationError("bad-spec", "ragged matrix rows")
@@ -506,15 +507,15 @@ def check_axioms(A, levels=None, sample_units=None, axioms=None):
     levels = tuple(levels)
     if INF not in levels:
         levels = levels + (INF,)
-    if sample_units is None:
-        sample_units = default_unit_samples(A.p, levels)
-    by_level = {}
-    for u in sample_units:
-        by_level.setdefault(level(u), []).append(u)
     wanted = AXIOMS if axioms is None else tuple(axioms)
     unknown = set(wanted) - set(AXIOMS)
     if unknown:
         raise ValidationError("bad-spec", f"unknown axioms {sorted(unknown)}; known: {', '.join(AXIOMS)}")
+    if sample_units is None:  # only F6–F10 and F12 read units, and a 2-group's ring has none to sample
+        sample_units = default_unit_samples(A.p, levels) if not _UNIT_LAWS.isdisjoint(wanted) else []
+    by_level = {}
+    for u in sample_units:
+        by_level.setdefault(level(u), []).append(u)
     if wanted:  # the widest law's matrix is refused before any law runs
         widest = max(wanted, key=_LAW_LEGS.get)
         check_dense(f"the contracted matrix of {widest}", A.dim ** _LAW_LEGS[widest])
@@ -1083,7 +1084,7 @@ def evaluate_diagram(D: Diagram, A):
             )
     l = _modulus(A)
     if l is None:
-        return GenericMatrix(_contract(D, A, l))
+        return GenericMatrix(_contract(D, A, l).tolist())  # the same scalars, unpacked in C
     if getattr(A, "splitting", None) is not None:
         M = A.splitting.matrix(D)
     else:

@@ -257,6 +257,19 @@ def test_criterion_7_relation_soundness():
     _passed(7, f"200 random rule instances sound (invariant, universal, C_3 mod 7/13; {narrow} also C_9 mod 19/37)", dt)
 
 
+def test_kept_forms_are_those_of_a_fresh_equal_diagram():
+    # both sides already carry the forms the rewrite certified itself with; a
+    # freshly built equal word computes the same ones, and keeping them
+    # changes neither equality, nor hash, nor repr
+    for i, rule, *sides in _criterion_7_instances():
+        for D in sides:
+            fresh = Diagram(D.slices, D.wires)
+            word = (hash(fresh), repr(fresh))
+            assert canonicalize(fresh) == canonicalize(D), (i, rule)
+            assert invariant_of(fresh) == invariant_of(D), (i, rule)
+            assert fresh == D and (hash(fresh), repr(fresh)) == word == (hash(D), repr(D)), (i, rule)
+
+
 def _permutation(order):
     """Adjacent swaps on len(order) strands whose output t carries input strand order[t]."""
     n, now, slices = len(order), list(range(len(order))), []

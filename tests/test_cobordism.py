@@ -259,6 +259,34 @@ def test_canonical_form_is_stable_under_rewrites():
     assert canonicalize(E) == canonicalize(D)
 
 
+@pytest.mark.parametrize(
+    "D, rule, position, kwargs",
+    [
+        (parse_diagram("d; tw(4 mod 3^2), id; m"), "R10", (0, 0), {}),
+        (parse_diagram("tw(4 mod 3^2), m; id, d"), "R5", (0, 1), {}),
+        (parse_diagram("id, cap, id; id, m"), "R1", (0, 1), {}),
+        (parse_diagram("tor(2); tor(1)"), "R11", (0, 0), {}),
+        (parse_diagram("cap; cup"), "R6", (0, 0), {"unit": u3(4, 2)}),
+        (identity_diagram(2), "R1", (0, 1), {}),
+    ],
+    ids=["R10", "R5 in context", "R1 in context", "R11", "R6 backward", "R1 on a sliceless identity"],
+)
+def test_a_rewrite_and_its_forms_walk_each_diagram_once(D, rule, position, kwargs, monkeypatch):
+    # the rewrite certifies itself with both canonical forms; those, the
+    # invariant and the equality asked for afterwards read what that walk kept
+    from arith_tqft import cobordism
+
+    D = Diagram(D.slices, D.wires)  # a fresh word with nothing kept on it
+    walked = []
+    graph = cobordism._graph
+    monkeypatch.setattr(cobordism, "_graph", lambda X: walked.append(X) or graph(X))
+    E = apply_relation(D, rule, position, **kwargs)
+    assert canonicalize(E) == canonicalize(D)
+    assert invariant_of(D) == invariant_of(E)
+    assert diagrams_equal(D, E)
+    assert len(walked) == 2 and walked[0] is E and walked[1] is D
+
+
 # -- rewrite rules -------------------------------------------------------------------
 
 

@@ -49,6 +49,7 @@ from arith_tqft.pgroup import (
     extraspecial_exp_p2,
     from_permutations,
     gl2,
+    group_from_spec,
     group_prime,
     heisenberg,
 )
@@ -261,6 +262,35 @@ def test_closed_surfaces_give_normalized_hom_counts():
     assert evaluate_dw(surface_diagram(1, 1, 0, 0), C9, 19).rows == ((3,),)
 
 
+D8 = {"kind": "perm", "degree": 4, "gens": [[1, 2, 3, 0], [3, 2, 1, 0]]}
+
+
+@pytest.mark.parametrize(
+    "spec", ["named:cyclic:4", "named:cyclic:8", "named:elementary_abelian:2:3", D8], ids=["C4", "C8", "E8", "D8"]
+)
+def test_two_groups_evaluate_closed_surfaces(spec):
+    # the structural precheck samples no units, so a 2-group's DW algebra
+    # evaluates; a twist still needs an odd prime and is refused typed
+    G = group_from_spec(spec)
+    l = split_primes(G, count=1)[0]
+    A = DWAlgebra(G, l)
+    for text, g, r in (
+        ("cap; cup", 0, INF),
+        ("cap; d; m; cup", 1, INF),
+        ("cap; d; m; d; m; cup", 2, INF),
+        ("cap; tor(1); cup", 1, 1),
+        ("cap; tor(2); tor(inf); cup", 2, 2),
+    ):
+        want = hom_count(RelatorSpec(g, r), G) * pow(G.order, -1, l) % l
+        assert evaluate_diagram(parse_diagram(text), A).rows == ((want,),), text
+    with pytest.raises(ValidationError) as e:
+        evaluate_diagram(parse_diagram("tw(3 mod 2^3)"), A)
+    assert e.value.code == "not-a-unit"
+    with pytest.raises(ValidationError) as e:
+        evaluate_diagram(parse_diagram("tw(4 mod 3^2)"), A)
+    assert e.value.code == "incompatible-units"
+
+
 def test_evaluation_respects_handle_rewrites():
     a = evaluate_dw(parse_diagram("tor(1); tor(2)"), C9, 19)
     b = evaluate_dw(parse_diagram("tor(inf); tor(1)"), C9, 19)
@@ -439,6 +469,29 @@ def test_epi_and_extension_counts():
     assert epi_count(RelatorSpec(2, 1), heisenberg(5)) == 46800000
     assert extension_count(FREE(2), C3) == 4
     assert extension_count(RelatorSpec(2, 1), C3) == 40
+
+
+@pytest.mark.parametrize("spec", [D8, "named:heisenberg:3", "named:extraspecial_exp_p2:3"], ids=["D8", "Heis3", "XSP3"])
+def test_one_frattini_labelling_per_query(spec, monkeypatch):
+    # the epimorphism walk and the automorphism count both read Γ/Φ(Γ); a
+    # cold query labels the group's elements once and keeps the labelling
+    from arith_tqft import dw, pgroup
+
+    labelled, calls = [], []
+    cosets = pgroup._frattini_cosets
+
+    def spy(G, p):
+        calls.append(G)
+        if "frattini" not in G._cache:
+            labelled.append(G)
+        return cosets(G, p)
+
+    monkeypatch.setattr(pgroup, "_frattini_cosets", spy)
+    monkeypatch.setattr(dw, "_frattini_cosets", spy)
+    G = group_from_spec(spec)
+    counting_summary(RelatorSpec(2, 1), G)
+    assert len(calls) >= 2 and labelled == [G]
+    assert not G._cache["frattini"].flags.writeable
 
 
 def test_yamagishi_count():

@@ -716,6 +716,25 @@ def test_zero_results_keep_their_shape(text, shape):
     assert all(v == 0 and str(v) == "0" for row in M.rows for v in row)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "cap; tor(1); tor(inf); cup",
+        "d; tw(4 mod 3^2), id; m",
+        "cap, id; tor(1), id; tor(inf), id; cup, id",
+        "d, d; id, m, id; m, tor(2); d, id",
+    ],
+)
+def test_universal_rows_are_the_contracted_scalars(text):
+    # the rows are tuples holding the very scalars of the contracted array
+    A = UniversalAlgebra()
+    D = parse_diagram(text)
+    rows = evaluate_diagram(D, A).rows
+    assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+    assert all(type(v) is UniversalScalar for row in rows for v in row)
+    assert rows == tuple(tuple(row) for row in frobenius._contract(D, A, None))
+
+
 # -- the walk in the character idempotent basis ------------------------------------
 
 # (group, split prime, widest slice of the seeded diagrams, their contraction cost bound)
