@@ -59,7 +59,7 @@ from .units import INF, PadicUnit, format_unit, level, one, sample_units
 DEFAULT_MAX_LEVEL = 6
 AXIOMS = ("F1", "F2", "F3", "F4", "F5", "FS", "F6", "F7", "F8", "F9", "F10", "F11", "F12")
 STRUCTURAL_AXIOMS = AXIOMS[:6]  # need no units; every algebra checks them once before it evaluates
-_UNIT_LAWS = frozenset(("F6", "F7", "F8", "F9", "F10", "F12"))  # the laws that quantify over sampled units
+UNIT_LAWS = frozenset(("F6", "F7", "F8", "F9", "F10", "F12"))  # the laws that quantify over sampled units
 _LAW_LEGS = dict(zip(AXIOMS, (2, 2, 4, 4, 4, 3, 1, 1, 3, 3, 2, 1, 2)))  # inputs plus outputs of each law's sides
 
 # -- scalars -------------------------------------------------------------------------
@@ -512,7 +512,7 @@ def check_axioms(A, levels=None, sample_units=None, axioms=None):
     if unknown:
         raise ValidationError("bad-spec", f"unknown axioms {sorted(unknown)}; known: {', '.join(AXIOMS)}")
     if sample_units is None:  # only F6–F10 and F12 read units, and a 2-group's ring has none to sample
-        sample_units = default_unit_samples(A.p, levels) if not _UNIT_LAWS.isdisjoint(wanted) else []
+        sample_units = default_unit_samples(A.p, levels) if not UNIT_LAWS.isdisjoint(wanted) else []
     by_level = {}
     for u in sample_units:
         by_level.setdefault(level(u), []).append(u)

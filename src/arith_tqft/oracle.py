@@ -6,27 +6,36 @@ a pure product of commutators) when its last prefix product is e.  So the
 count needs only the value of each prefix: it is a dynamic program over the
 letter pairs, which carries the number of prefixes with each value from pair
 to pair and reads the number at e.  That is the sum over every tuple, grouped
-by associativity.  It reads only `G.table`: no character theory, no Möbius
+by associativity.  Each step does only what the answer reads: the first
+pair's tallies are the states themselves, a middle pair folds its tally into
+them, and the last pair sums, over its letter choices, the prefixes that the
+choice takes to e.  It reads only `G.table`: no character theory, no Möbius
 inversion.  These numbers are obtained by a route disjoint from `dw`, so
 agreement is evidence rather than tautology.
 
 The epi and p-image tests need the order of the subgroup a tuple generates.
 There the state is (subgroup id, prefix value): the subgroup generated by the
-letters chosen so far, extended one letter at a time, ⟨H, x⟩, through a memo
-that runs `FiniteGroup.closure` once per (subgroup, element) pair.  A p-image
-state whose subgroup is not a p-group is dropped at once, since the
+letters chosen so far, extended one letter at a time, ⟨H, x⟩, through a dense
+memo with a row per subgroup, filled by `FiniteGroup.closure` at most once per
+(subgroup, element) pair, each closure filling a whole double coset.  A
+p-image state whose subgroup is not a p-group is dropped at once, since the
 generated subgroup only grows.  A free spec runs the same program one letter
 at a time, with no prefix value.
 
 The budget caps the program's work: states × letter choices summed over the
 pairs, checked before each pair allocates anything, plus, in a count that
 tracks subgroups, each state's fold, target subgroups × N², checked before
-the fold runs.  The reported "scanned" figure is the number of tuples the
-count accounts for.
+the fold runs.  The last pair runs no fold but is still charged for one, so
+the figures stay those of the fold model and overstate that pair's work.
+The reported "scanned" figure is the number of tuples the count accounts for.
+
+Decorated bundle counts read the one entry they return: a pair of pants
+gathers the table over K_i×K_j, a handle tallies one relator pair over Γ².
 """
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -40,6 +49,7 @@ from .pgroup import FiniteGroup, group_from_spec, is_power_of, unique_prime_fact
 from .units import INF, level_from_json, p_power
 
 DEFAULT_BUDGET = 10**8
+BLOCK_ENTRIES = 1 << 18  # (state, letter choice) entries a step holds at once, or one state's choices
 _TASK_KEYS = ("group", "spec", "p", "boundary", "p_image", "budget", "epis")
 
 
@@ -104,56 +114,83 @@ def _commutators(G: FiniteGroup) -> np.ndarray:
 
 
 def _powers(G: FiniteGroup, k: int) -> np.ndarray:
-    """x^k for every element x."""
-    return np.array([G.power(a, k) for a in range(G.order)], dtype=np.int64)
+    """x^k for every element x, by squaring and multiplying on the table: about 2·log₂ k gathers."""
+    t, out, base = G.table, np.full(G.order, G.identity), np.arange(G.order)
+    while k:
+        if k & 1:
+            out = t[out, base]
+        k >>= 1
+        if k:
+            base = t[base, base]
+    return out
 
 
 def _pair_values(G: FiniteGroup, comm, head, xs, ys) -> np.ndarray:
-    """head[x]·[x, y] for every x ∈ xs and y ∈ ys, as a (len(xs), len(ys)) array."""
-    return G.table[head[xs][:, None], comm[np.ix_(xs, ys)]]
+    """head[x]·[x, y] for every x ∈ xs and y ∈ ys, as a (len(xs), len(ys)) array; no head is x⁰ = e."""
+    values = comm[np.ix_(xs, ys)]
+    return values if head is None else G.table[head[xs][:, None], values]
 
 
 class _Joins:
-    """Subgroups met by one count, as integer ids, with a memo of ⟨H, x⟩.
+    """Subgroups met by one count, as integer ids, with a dense memo of ⟨H, x⟩.
 
-    `join(hs, xs)` gives the id of ⟨h, x⟩ for each pair of subgroup id h and
-    element x, or -1 where h is -1 or ⟨h, x⟩ fails the count's `keep` test
-    on its order.  The first time a pair comes up, `G.closure` runs on the
-    generators that first produced h plus x, and the answer is stored for the
-    whole coset H·x, as ⟨H, hx⟩ = ⟨H, x⟩.  Id 0 is the trivial subgroup, and
-    `members[h]` holds the elements of subgroup h.
+    `memo[h, x]` is the id of ⟨H, x⟩ for a subgroup id h and an element x: -1
+    until known, and 0 where ⟨H, x⟩ fails the count's `keep` test on its
+    order.  Id 0 is that dead subgroup, whose row is all 0, so a dead state
+    stays dead through every gather; id 1 is the trivial subgroup, and
+    `members[h]` holds the elements of subgroup h.  The memo has a row per
+    subgroup and doubles its rows as they fill.  A pair still unknown when
+    asked for runs `G.closure` once, on the generators that first produced H
+    plus x, and its answer is stored for every y in the double coset
+    H·{x^u : gcd(u, |x|) = 1}·H, as ⟨H, y⟩ = ⟨H, x⟩ for all of them.
     """
 
     def __init__(self, G: FiniteGroup, keep):
         self.G = G
         self.keep = keep
         self.ids: dict = {}
-        self.gens: list = []
-        self.members: list = []
-        self.rows: list = []  # rows[h][x]: the id of ⟨h, x⟩, -2 until asked for
+        self.gens: list = [()]
+        self.members: list = [np.zeros(0, dtype=np.int64)]
+        self.memo = np.full((4, G.order), -1)
+        self.memo[0] = 0
         self._register(frozenset((G.identity,)), ())
 
     def _register(self, elements: frozenset, gens: tuple) -> int:
+        if not self.keep(len(elements)):
+            return 0
         h = self.ids.get(elements)
         if h is None:
             h = self.ids[elements] = len(self.gens)
             self.gens.append(gens)
-            self.members.append(np.fromiter(elements, dtype=np.int64))
-            self.rows.append(None)
-        return h if self.keep(len(elements)) else -1
+            self.members.append(np.fromiter(elements, dtype=np.int64, count=len(elements)))
+            if h == len(self.memo):
+                check_dense("the oracle's join memo", 2 * self.memo.size)
+                self.memo = np.concatenate([self.memo, np.full_like(self.memo, -1)])
+            self.memo[h, self.members[h]] = h
+        return h
+
+    def _fill(self, h: int, x: int):
+        G = self.G
+        gens, t, n = self.gens[h] + (x,), G._t, G.order
+        joined = self._register(G.closure(gens), gens)
+        cycle = [x]  # cycle[u − 1] = x^u, ending at x^{|x|} = e
+        while cycle[-1] != G.identity:
+            cycle.append(t[cycle[-1] * n + x])
+        ends = [y for u, y in enumerate(cycle, 1) if math.gcd(u, len(cycle)) == 1]
+        H = self.members[h]
+        self.memo[h, G.table[G.table[H[:, None], ends][..., None], H]] = joined
 
     def join(self, hs: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        out = np.full(len(xs), -1)
-        for h in np.unique(hs[hs >= 0]).tolist():
-            if self.rows[h] is None:
-                self.rows[h] = np.full(self.G.order, -2)
-                self.rows[h][self.members[h]] = h
-            row, at = self.rows[h], np.flatnonzero(hs == h)
-            for x in np.unique(xs[at][row[xs[at]] == -2]).tolist():
-                if row[x] == -2:  # not filled by the coset of an earlier x
-                    gens = self.gens[h] + (x,)
-                    row[self.G.table[self.members[h], x]] = self._register(self.G.closure(gens), gens)
-            out[at] = row[xs[at]]
+        """The id of ⟨H, x⟩ for each subgroup id h in hs and element x in xs, broadcast together."""
+        out = self.memo[hs, xs]
+        miss = out < 0
+        if miss.any():
+            hs, xs = (a[miss] for a in np.broadcast_arrays(hs, xs))
+            pairs = np.divmod(np.unique(hs * self.G.order + xs), self.G.order)
+            for h, x in zip(*(a.tolist() for a in pairs)):
+                if self.memo.item(h, x) < 0:  # not filled by the double coset of an earlier pair
+                    self._fill(h, x)
+            out[miss] = self.memo[hs, xs]
         return out
 
 
@@ -161,13 +198,16 @@ def _scan(task: EnumerationTask, need_epi: bool):
     """Core count, a dynamic program over the letter pairs; returns (count, scanned).
 
     `scanned` is the number of tuples the count accounts for: the product of
-    the candidate-set sizes.  `states` maps a subgroup id (always 0 when no
-    subgroup is tracked) to the vector v of prefix counts by value.  A pair's
-    letter choices of value w that take subgroup h to subgroup j are tallied
-    in c_j(w), by one bincount, and fold into v′_j(g·w) += v_h(g)·c_j(w): one
-    product of the tally with v_h(g·w⁻¹).  Only the count at e is read after
-    the last pair, so there a choice of value w is joined only when some
-    prefix has value w⁻¹.  Counts are int64 while the tuples chosen so far
+    the candidate-set sizes.  The states are rows V[s] of prefix counts by
+    value, one per subgroup id hs[s] (a single row when no subgroup is
+    tracked).  A pair's letter choices of value w that take subgroup h to
+    subgroup j are tallied in c_j(w), by one bincount, and fold into
+    v′_j(g·w) += v_h(g)·c_j(w): one product of the tally with v_h(g·w⁻¹).
+    The first pair starts from v = δ_e, so its tallies are the new states.
+    After the last pair only the count at e is read: the sum of V[s, w⁻¹]
+    over the choices of value w whose subgroup passes, joined only where
+    V[s, w⁻¹] is not 0.  States go in blocks of at most `BLOCK_ENTRIES`
+    (state, choice) entries.  Counts are int64 while the tuples chosen so far
     number below 2⁶³, and exact Python integers past that.
     """
     G, spec = task.group, task.spec
@@ -178,31 +218,30 @@ def _scan(task: EnumerationTask, need_epi: bool):
     if not spec.is_free and spec.r != INF and p is None:
         raise ValidationError("bad-spec", "a finite relator level on a mixed-order group needs an explicit p")
 
-    cls = np.array(G.conjugacy_classes().class_of)
     bound = dict(task.boundary)
+    cls = np.array(G.conjugacy_classes().class_of) if bound else None
     cand = [np.flatnonzero(cls == cls[bound[i]]) if i in bound else np.arange(N) for i in range(spec.letters())]
-    scanned = 1
-    for c in cand:
-        scanned *= len(c)
+    scanned = math.prod(len(c) for c in cand)
     need_tuple = need_epi or task.p_image
     if spec.is_free and not need_tuple:
         return scanned, scanned  # no relator, class constraints are already per-letter
+    if not cand:  # the empty tuple, which generates the trivial group
+        return int(not need_epi or N == 1), scanned
 
     if spec.is_free:  # one letter a step and no prefix value: every value is 0, of a one-element group
-        steps, e, inv = [(c, None) for c in cand], 0, np.zeros(1, dtype=np.int64)
-        right = inv[:, None]
+        steps, e, inv, head = [(c, None) for c in cand], 0, np.zeros(1, dtype=np.int64), None
     else:
         steps, e, inv = [(cand[i], cand[i + 1]) for i in range(0, len(cand), 2)], G.identity, np.array(G.inverse)
-        comm, plain = _commutators(G), np.full(N, e)
-        first = _powers(G, p_power(p, spec.r) % G.exponent())
-        right = G.table[:, inv].T  # right[w, g] = g·w⁻¹
+        comm, q = _commutators(G), p_power(p, spec.r) % G.exponent()
+        head = _powers(G, q) if q else None
+    M = len(inv)
     joins = None
     if need_tuple:
         joins = _Joins(G, (lambda size: is_power_of(size, p)) if task.p_image else (lambda size: True))
     budget = _resolved_budget(task.budget)
-    v = np.zeros(len(inv), dtype=np.int64)
-    v[e] = 1
-    states, work, tuples = {0: v}, 0, 1
+    hs, V = np.ones(1, dtype=np.int64), np.zeros((1, M), dtype=np.int64)
+    V[0, e] = 1
+    work, tuples, right = 0, 1, None
 
     def charge(cost: int, i: int):
         nonlocal work
@@ -213,37 +252,64 @@ def _scan(task: EnumerationTask, need_epi: bool):
                 f"the count's work reaches {work} steps at step {i + 1} of {len(steps)}, over the budget {budget}",
             )
 
-    for i, (xs, ys) in enumerate(steps):
+    def fold(tally, v):
+        nonlocal right
+        if right is None:
+            right = G.table[:, inv].T if M > 1 else inv[:, None]  # right[w, g] = g·w⁻¹
+        return tally @ v[right]
+
+    def pair(i: int, xs, ys):
+        """Charge the pair's letter choices from every state; return its values and the states per block."""
+        nonlocal V, tuples
         choices = len(xs) * (1 if ys is None else len(ys))
-        charge(len(states) * choices, i)
-        if ys is None:
-            values = np.zeros(len(xs), dtype=np.int64)
-        else:
-            values = _pair_values(G, comm, first if i == 0 else plain, xs, ys)
+        charge(len(V) * choices, i)
         tuples *= choices
-        if tuples >= INT_EXACT:
-            states = {h: v.astype(object) for h, v in states.items()}
+        if tuples >= INT_EXACT and V.dtype != object:
+            V = V.astype(object)
+        if ys is None:
+            values = np.zeros((len(xs), 1), dtype=np.int64)
+        else:
+            values = _pair_values(G, comm, head if i == 0 else None, xs, ys)
+        return values, max(1, BLOCK_ENTRIES // values.size)
+
+    for i, (xs, ys) in enumerate(steps[:-1]):
+        values, rows = pair(i, xs, ys)
+        if joins is None:
+            tally = np.bincount(values.ravel(), minlength=M)[None]
+            V = tally if i == 0 else fold(tally, V[0])
+            continue
         folded: dict = {}
-        for h, v in states.items():
-            if joins is None:
-                ids, key = (0,), values.ravel()
-            else:
-                live = v[inv[values]] != 0 if i == len(steps) - 1 else np.ones(values.shape, dtype=bool)
-                at = np.nonzero(live)
-                J = np.full(values.shape, -1)
-                J[at] = joins.join(np.full(len(xs), h), xs)[at[0]]
-                if ys is not None:
-                    J[at] = joins.join(J[at], ys[at[1]])
-                ids, where = np.unique(J[J >= 0], return_inverse=True)
-                key = where * len(inv) + values[J >= 0]
-                ids = ids.tolist()
-                charge(len(ids) * len(inv) ** 2, i)  # the fold below: one (ids × N) by (N × N) product
-            tally = np.bincount(key, minlength=len(ids) * len(inv)).reshape(len(ids), len(inv))
-            for j, w in zip(ids, tally @ v[right]):
-                folded[j] = folded[j] + w if j in folded else w
-        states = folded
-    hits = [v[e] for h, v in states.items() if not need_epi or len(joins.members[h]) == N]
-    return int(sum(hits)), scanned
+        for lo in range(0, len(V), rows):
+            J = joins.join(hs[lo : lo + rows, None], xs)
+            J = joins.join(J[:, :, None], ys) if ys is not None else J[:, :, None]
+            for s, Js in enumerate(J, lo):
+                alive = Js > 0
+                ids, where = np.unique(Js[alive], return_inverse=True)
+                charge(len(ids) * M**2, i)  # the fold below: one (ids × N) by (N × N) product
+                tally = np.bincount(where * M + values[alive], minlength=len(ids) * M).reshape(len(ids), M)
+                for j, w in zip(ids.tolist(), tally if i == 0 else fold(tally, V[s])):
+                    folded[j] = folded[j] + w if j in folded else w
+        hs = np.fromiter(folded, dtype=np.int64, count=len(folded))
+        V = np.stack(list(folded.values())) if folded else np.zeros((0, M), dtype=V.dtype)
+
+    i, (xs, ys) = len(steps) - 1, steps[-1]
+    values, rows = pair(i, xs, ys)
+    if joins is None:
+        return int(np.bincount(values.ravel(), minlength=M) @ V[0][inv]), scanned
+    completes, count = inv[values], 0
+    for lo in range(0, len(V), rows):
+        W = V[lo : lo + rows][:, completes]  # W[s, a, b]: the prefixes that the choice (a, b) takes to e
+        s, a, b = np.nonzero(W)
+        J = joins.join(hs[lo + s], xs[a])
+        if ys is not None:
+            J = joins.join(J, ys[b])
+        alive, kinds = J > 0, len(joins.members)
+        reached = np.unique(s[alive] * kinds + J[alive]) // kinds  # the state of each (state, subgroup) reached
+        for ids in np.bincount(reached, minlength=len(W)).tolist():
+            charge(ids * M**2, i)  # the fold a middle pair would run: target subgroups × N²
+        passes = np.array([len(m) == N for m in joins.members])[J] if need_epi else alive
+        count += W[s, a, b][passes].sum()
+    return int(count), scanned
 
 
 def count_solutions(task: EnumerationTask) -> int:
@@ -299,40 +365,26 @@ def task_from_json(obj: dict):
 # -- decorated generator entries ---------------------------------------------------------
 
 
-def _pants_table(G: FiniteGroup):
-    """hits[i][j][m] = #{(x,y) ∈ K_i×K_j : xy ∈ K_m}, one pass over Γ²."""
-    key = ("oracle-pants",)
-    if key not in G._cache:
-        conj = G.conjugacy_classes()
-        k = len(conj)
-        check_dense("the decorated pants table", k**3)
-        cls = np.array(conj.class_of, dtype=np.int64)
-        cell = (cls[:, None] * k + cls[None, :]) * k + cls[G.table]  # the (i, j, m) of every pair (x, y)
-        G._cache[key] = np.bincount(cell.ravel(), minlength=k**3).reshape(k, k, k).tolist()
-    return G._cache[key]
+def _pants_count(G: FiniteGroup, cls, i: int, j: int, m: int) -> int:
+    """#{(x, y) ∈ K_i×K_j : xy ∈ K_m}, by one |K_i|×|K_j| gather of the table."""
+    return int(np.count_nonzero(cls[G.table[np.ix_(np.flatnonzero(cls == i), np.flatnonzero(cls == j))]] == m))
 
 
-def _torus_table(G: FiniteGroup, r):
-    """hits[i][o] = #{(x,a,b) ∈ K_i×Γ² : x·a^{p^r}·[a,b] ∈ K_o}.
+def _torus_count(G: FiniteGroup, cls, i: int, o: int, r) -> int:
+    """#{(x, a, b) ∈ K_i×Γ² : x·a^{p^r}·[a,b] ∈ K_o}.
 
     With c(w) = #{(a, b) : a^{p^r}·[a,b] = w}, the tally of one relator pair,
-    hits[i][o] = Σ_{x∈K_i} Σ_w c(w)·[x·w ∈ K_o]: one pass over Γ².
+    the count is Σ_w c(w)·#{x ∈ K_i : x·w ∈ K_o}: one tally over Γ², then one
+    |K_i|×N gather.
     """
     p = unique_prime_factor(G.order)
     if p is None:
         raise ValidationError("bad-spec", "decorated torus counts need a p-group target")
     q = p_power(p, r) % G.exponent()
-    key = ("oracle-torus", q)
-    if key not in G._cache:
-        conj = G.conjugacy_classes()
-        k, N = len(conj), G.order
-        cls = np.array(conj.class_of, dtype=np.int64)
-        every = np.arange(N)
-        c = np.bincount(_pair_values(G, _commutators(G), _powers(G, q), every, every).ravel(), minlength=N)
-        hits = np.zeros(k * k, dtype=np.int64)
-        np.add.at(hits, (cls[:, None] * k + cls[G.table]).ravel(), np.tile(c, N))
-        G._cache[key] = hits.reshape(k, k).tolist()
-    return G._cache[key]
+    every = np.arange(G.order)
+    values = _pair_values(G, _commutators(G), _powers(G, q) if q else None, every, every)
+    c = np.bincount(values.ravel(), minlength=G.order)
+    return int(c @ np.count_nonzero(cls[G.table[np.flatnonzero(cls == i)]] == o, axis=0))
 
 
 def _class_tuple(G: FiniteGroup, data, want: int, side: str):
@@ -363,11 +415,12 @@ def decorated_generator_count(G, token, p1, p2) -> Fraction:
     budget = _resolved_budget(None)
     if N * N > budget:
         raise ValidationError("budget-exceeded", f"Γ² scan needs {N * N} steps over budget {budget}")
+    cls = np.array(conj.class_of)
     if kind == "m":
         (i, j), (m,) = _class_tuple(G, p1, 2, "incoming"), _class_tuple(G, p2, 1, "outgoing")
-        return Fraction(conj.centralizers[m] * _pants_table(G)[i][j][m], N)
+        return Fraction(conj.centralizers[m] * _pants_count(G, cls, i, j, m), N)
     if kind == "d":
         (i,), (a, c) = _class_tuple(G, p1, 1, "incoming"), _class_tuple(G, p2, 2, "outgoing")
-        return Fraction(conj.centralizers[a] * conj.centralizers[c] * _pants_table(G)[a][c][i], N)
+        return Fraction(conj.centralizers[a] * conj.centralizers[c] * _pants_count(G, cls, a, c, i), N)
     (i,), (o,) = _class_tuple(G, p1, 1, "incoming"), _class_tuple(G, p2, 1, "outgoing")
-    return Fraction(conj.centralizers[o] * _torus_table(G, token.level)[i][o], N)
+    return Fraction(conj.centralizers[o] * _torus_count(G, cls, i, o, token.level), N)

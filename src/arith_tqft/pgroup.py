@@ -17,7 +17,7 @@ import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -49,7 +49,8 @@ class FiniteGroup:
     `table` is the group's one representation: a read-only (N, N) int64 array
     with table[a, b] = a·b.  Identity, inverses, element orders and conjugacy
     classes are derived from it; `_t`, the same table as a flat list, serves
-    the scalar `mul`/`closure`/`power` loops, where list indexing is faster.
+    the scalar `mul`/`closure`/`power` loops, where list indexing is faster,
+    and is built only when one of them first runs.
     """
 
     def __init__(self, table, names=None, check=True, max_order=MAX_ORDER):
@@ -72,7 +73,6 @@ class FiniteGroup:
         t.flags.writeable = False
         self.order = n
         self.table = t
-        self._t = t.ravel().tolist()
         self.names = list(names) if names is not None else [str(i) for i in range(n)]
         if len(self.names) != n:
             raise ValidationError("bad-spec", "names length does not match order")
@@ -95,6 +95,10 @@ class FiniteGroup:
             self._check_associativity()
 
     # -- table access ----------------------------------------------------
+
+    @cached_property
+    def _t(self) -> list:
+        return self.table.ravel().tolist()
 
     def mul(self, a: int, b: int) -> int:
         return self._t[a * self.order + b]

@@ -10,6 +10,10 @@ from pathlib import Path
 import pytest
 
 from arith_tqft.cli import run
+from arith_tqft.dw import DWAlgebra
+from arith_tqft.errors import ValidationError
+from arith_tqft.frobenius import check_axioms
+from arith_tqft.pgroup import group_from_spec
 
 
 def _lines(capsys):
@@ -98,6 +102,35 @@ def test_axioms_dw(capsys):
     lines, _ = _lines(capsys)
     assert lines[-1]["all_ok"] is True
     assert lines[-1]["modulus"] == 19
+    assert lines[-1]["checked"] == 13 and "not_applicable" not in lines[-1]  # an odd p leaves out no law
+
+
+_D8 = Path(__file__).resolve().parent.parent / "perfbench" / "groups" / "d8.json"
+
+
+def test_axioms_dw_on_a_2_group_checks_the_laws_that_read_no_unit(capsys):
+    assert run(["axioms", "--algebra", "dw", "--group", f"file:{_D8}"]) == 0
+    lines, _ = _lines(capsys)
+    summary = lines[-1]
+    assert [line["axiom"] for line in lines[:-1]] == ["F1", "F2", "F3", "F4", "F5", "FS", "F11"]
+    assert summary["all_ok"] is True and summary["checked"] == 7
+    assert sorted(summary["not_applicable"]) == sorted(["F6", "F7", "F8", "F9", "F10", "F12"])
+    assert all("odd p" in reason for reason in summary["not_applicable"].values())
+    # asked for explicitly, a unit law on a 2-group is still refused, typed
+    with pytest.raises(ValidationError) as e:
+        check_axioms(DWAlgebra(group_from_spec(f"file:{_D8}"), 17), axioms=("F1", "F6"))
+    assert e.value.code == "not-a-unit"
+
+
+def test_the_package_runs_as_a_module_from_a_checkout():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "arith_tqft", "homcount", "--group", "named:cyclic:3", "--n", "1", "--r", "1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["hom_count"] == 9
 
 
 def test_axioms_dw_needs_group(capsys):

@@ -1,6 +1,7 @@
 """Brute-force enumeration cross-checks for every closed-form count in the package."""
 
 from collections import Counter
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -13,11 +14,10 @@ from arith_tqft.dw import (
     epi_count,
     hom_count,
 )
+from arith_tqft import oracle
 from arith_tqft.errors import ValidationError
 from arith_tqft.oracle import (
     EnumerationTask,
-    _pants_table,
-    _torus_table,
     count_epis,
     count_solutions,
     decorated_generator_count,
@@ -165,6 +165,55 @@ def test_a_scan_closes_each_subgroup_element_pair_once():
     assert calls and max(calls.values()) == 1
 
 
+def test_an_epi_count_on_heis5_fills_a_double_coset_per_closure():
+    G = FiniteGroup(heisenberg(5).table)
+    calls = []
+
+    def closure(gens):
+        calls.append(tuple(gens))
+        return FiniteGroup.closure(G, gens)
+
+    G.closure = closure
+    assert count_epis(EnumerationTask(G, RelatorSpec(1, 1))) == 0
+    # a closure per (subgroup, coset) pair took 268; one per double coset H·{x^u}·H takes 67
+    assert 0 < len(calls) < 268 // 2
+
+
+def test_a_scan_with_no_boundary_reads_no_conjugacy_classes():
+    G = FiniteGroup(HEIS.table)
+
+    def classes():
+        raise AssertionError("conjugacy classes computed for a scan with no boundary")
+
+    G.conjugacy_classes = classes
+    for spec in (RelatorSpec(1, 1), RelatorSpec(2, INF), FREE(2)):
+        assert count_solutions(EnumerationTask(G, spec)) == hom_count(spec, HEIS)
+        assert count_epis(EnumerationTask(G, spec)) == epi_count(spec, HEIS)
+
+
+def test_tracked_counts_through_a_middle_pair_match_the_moebius_formula():
+    for G in (D8, HEIS):
+        for r in (1, 2, INF):
+            spec = RelatorSpec(3, r)
+            assert count_epis(EnumerationTask(G, spec)) == epi_count(spec, G), (G.order, str(r))
+
+
+def test_a_p_image_count_of_two_pairs_with_a_boundary_matches_a_closure_per_tuple():
+    G = gl2(3)
+    conj = G.conjugacy_classes()
+    third = next(r for r in conj.reps if G.element_order(r) == 3)
+    task = EnumerationTask(G, RelatorSpec(2, 1), p=3, p_image=True, boundary={0: third, 1: third, 3: third})
+    assert count_solutions(task) == _tuple_reference(task, epis=False)
+
+
+def test_counts_do_not_depend_on_the_state_blocks(monkeypatch):
+    tasks = [EnumerationTask(G, RelatorSpec(n, r)) for G in (D8, HEIS) for n in (2, 3) for r in (1, INF)]
+    tasks += [EnumerationTask(gl2(3), RelatorSpec(2, 1), p=3, p_image=True), EnumerationTask(E9, FREE(3))]
+    whole = [(count_solutions(task), count_epis(task)) for task in tasks]
+    monkeypatch.setattr(oracle, "BLOCK_ENTRIES", 1)  # one state per block
+    assert [(count_solutions(task), count_epis(task)) for task in tasks] == whole
+
+
 def test_scan_agrees_with_moebius_epi_formula():
     for G in (C9, HEIS):
         for spec in (RelatorSpec(1, 1), RelatorSpec(1, INF), FREE(2)):
@@ -306,13 +355,15 @@ def test_decorated_entries_match_the_gauge_theory_matrices():
 
 def test_decorated_tables_match_plain_loops():
     for G in (C9, HEIS, XSP):
-        classes, N = G.conjugacy_classes().class_of, G.order
-        k = max(classes) + 1
+        conj, N = G.conjugacy_classes(), G.order
+        classes, cent, k = conj.class_of, conj.centralizers, len(conj)
         pants = [[[0] * k for _ in range(k)] for _ in range(k)]
         for x in range(N):
             for y in range(N):
                 pants[classes[x]][classes[y]][classes[G.mul(x, y)]] += 1
-        assert _pants_table(G) == pants
+        for i, j, m in product(range(k), repeat=3):
+            assert decorated_generator_count(G, P21, (i, j), m) == Fraction(cent[m] * pants[i][j][m], N)
+            assert decorated_generator_count(G, P12, m, (i, j)) == Fraction(cent[i] * cent[j] * pants[i][j][m], N)
         for r in (1, 2, INF):
             torus = [[0] * k for _ in range(k)]
             for a in range(N):
@@ -321,7 +372,9 @@ def test_decorated_tables_match_plain_loops():
                     core = G.mul(head, G.commutator(a, b))
                     for x in range(N):
                         torus[classes[x]][classes[G.mul(x, core)]] += 1
-            assert _torus_table(G, r) == torus, (N, str(r))
+            for i, o in product(range(k), repeat=2):
+                got = decorated_generator_count(G, TORUS(r), i, o)
+                assert got == Fraction(cent[o] * torus[i][o], N), (N, str(r), i, o)
 
 
 def test_decorated_validation():

@@ -550,3 +550,16 @@ def test_is_prime_is_deterministic_up_to_its_limit():
         with pytest.raises(ValidationError) as e:
             is_prime(n)
         assert e.value.code == "bound-exceeded" and str(MAX_PRIME_TEST) in e.value.message
+
+
+def test_the_flat_table_is_built_only_by_a_scalar_loop():
+    from arith_tqft.dw import RelatorSpec, epi_count, hom_count
+
+    G = elementary_abelian(3, 6)
+    spec = RelatorSpec(3, 1)
+    gl6 = math.prod(3**6 - 3**i for i in range(6))
+    assert hom_count(spec, G) == 729**6  # every tuple solves the relator of an abelian group of exponent 3
+    assert epi_count(spec, G) == gl6
+    assert G.automorphism_count() == gl6
+    assert "_t" not in G.__dict__
+    assert G.mul(1, 2) == int(G.table[1, 2]) and "_t" in G.__dict__
