@@ -36,7 +36,7 @@ from .dw import (
     evaluate_dw,
 )
 from .errors import ComputationError, ValidationError
-from .frobenius import AXIOMS, UNIT_LAWS, UniversalAlgebra, check_axioms, evaluate_diagram
+from .frobenius import UniversalAlgebra, applicable_axioms, check_axioms, evaluate_diagram
 from .oracle import EnumerationTask, count_epis, count_solutions, run_task
 from .pgroup import group_from_spec
 from .units import INF, level_to_json
@@ -157,11 +157,9 @@ def _cmd_axioms(args):
         l = _default_prime(G, args.prime)
         A = DWAlgebra(G, l)
         extra = {"modulus": l}
-    wanted = AXIOMS
-    if A.p == 2:  # the laws that read a unit are left out, and named in the summary
-        wanted = tuple(name for name in AXIOMS if name not in UNIT_LAWS)
-        reason = "quantifies over principal units of ℤ_p, which are sampled for odd p only"
-        extra["not_applicable"] = {name: reason for name in AXIOMS if name in UNIT_LAWS}
+    wanted, skipped = applicable_axioms(A.p)
+    if skipped:  # named in the summary with the reason
+        extra["not_applicable"] = skipped
     levels = _parse_levels(args.levels) if args.levels else None
     report = check_axioms(A, levels=levels, axioms=wanted)
     lines = [

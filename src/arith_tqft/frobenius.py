@@ -59,7 +59,7 @@ from .units import INF, PadicUnit, format_unit, level, one, sample_units
 DEFAULT_MAX_LEVEL = 6
 AXIOMS = ("F1", "F2", "F3", "F4", "F5", "FS", "F6", "F7", "F8", "F9", "F10", "F11", "F12")
 STRUCTURAL_AXIOMS = AXIOMS[:6]  # need no units; every algebra checks them once before it evaluates
-UNIT_LAWS = frozenset(("F6", "F7", "F8", "F9", "F10", "F12"))  # the laws that quantify over sampled units
+_UNIT_LAWS = frozenset(("F6", "F7", "F8", "F9", "F10", "F12"))  # the laws that quantify over sampled units
 _LAW_LEGS = dict(zip(AXIOMS, (2, 2, 4, 4, 4, 3, 1, 1, 3, 3, 2, 1, 2)))  # inputs plus outputs of each law's sides
 
 # -- scalars -------------------------------------------------------------------------
@@ -492,6 +492,18 @@ def _first_diff(m1, m2, names, width):
     return "⊗".join(names[i] for i in np.unravel_index(cols[-1], (len(names),) * width))
 
 
+def applicable_axioms(p: int):
+    """The laws `check_axioms` can test at prime p, and {law: reason} for the others.
+
+    Units are sampled for odd p only, so at p = 2 the laws that read a unit
+    are left out and named with the reason.
+    """
+    if p != 2:
+        return AXIOMS, {}
+    reason = "quantifies over principal units of ℤ_p, which are sampled for odd p only"
+    return tuple(a for a in AXIOMS if a not in _UNIT_LAWS), {a: reason for a in AXIOMS if a in _UNIT_LAWS}
+
+
 def check_axioms(A, levels=None, sample_units=None, axioms=None):
     """Verify the extended-Frobenius axioms on the algebra A.
 
@@ -512,7 +524,7 @@ def check_axioms(A, levels=None, sample_units=None, axioms=None):
     if unknown:
         raise ValidationError("bad-spec", f"unknown axioms {sorted(unknown)}; known: {', '.join(AXIOMS)}")
     if sample_units is None:  # only F6–F10 and F12 read units, and a 2-group's ring has none to sample
-        sample_units = default_unit_samples(A.p, levels) if not UNIT_LAWS.isdisjoint(wanted) else []
+        sample_units = default_unit_samples(A.p, levels) if not _UNIT_LAWS.isdisjoint(wanted) else []
     by_level = {}
     for u in sample_units:
         by_level.setdefault(level(u), []).append(u)

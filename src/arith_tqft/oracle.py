@@ -16,10 +16,10 @@ agreement is evidence rather than tautology.
 The epi and p-image tests need the order of the subgroup a tuple generates.
 There the state is (subgroup id, prefix value): the subgroup generated by the
 letters chosen so far, extended one letter at a time, ⟨H, x⟩, through a dense
-memo with a row per subgroup, filled by `FiniteGroup.closure` at most once per
-(subgroup, element) pair, each closure filling a whole double coset.  A
-p-image state whose subgroup is not a p-group is dropped at once, since the
-generated subgroup only grows.  A free spec runs the same program one letter
+memo with a row for each subgroup joined from, filled by `FiniteGroup.closure`
+at most once per (subgroup, element) pair, each closure filling a whole double
+coset.  A p-image state whose subgroup is not a p-group is dropped at once,
+since the generated subgroup only grows.  A free spec runs the same program one letter
 at a time, with no prefix value.
 
 The budget caps the program's work: states × letter choices summed over the
@@ -44,7 +44,7 @@ from fractions import Fraction
 import numpy as np
 
 from .dw import FREE, RelatorSpec
-from .errors import INT_EXACT, ValidationError, check_dense
+from .errors import INT_EXACT, MAX_DENSE_ENTRIES, ValidationError, check_dense
 from .pgroup import FiniteGroup, group_from_spec, is_power_of, unique_prime_factor
 from .units import INF, level_from_json, p_power
 
@@ -134,25 +134,33 @@ def _pair_values(G: FiniteGroup, comm, head, xs, ys) -> np.ndarray:
 class _Joins:
     """Subgroups met by one count, as integer ids, with a dense memo of ⟨H, x⟩.
 
-    `memo[h, x]` is the id of ⟨H, x⟩ for a subgroup id h and an element x: -1
-    until known, and 0 where ⟨H, x⟩ fails the count's `keep` test on its
-    order.  Id 0 is that dead subgroup, whose row is all 0, so a dead state
-    stays dead through every gather; id 1 is the trivial subgroup, and
-    `members[h]` holds the elements of subgroup h.  The memo has a row per
-    subgroup and doubles its rows as they fill.  A pair still unknown when
-    asked for runs `G.closure` once, on the generators that first produced H
-    plus x, and its answer is stored for every y in the double coset
-    H·{x^u : gcd(u, |x|) = 1}·H, as ⟨H, y⟩ = ⟨H, x⟩ for all of them.
+    `memo[row[h], x]` is the id of ⟨H, x⟩ for a subgroup id h and an element
+    x: -1 until known, and 0 where ⟨H, x⟩ fails the count's `keep` test on
+    its order.  Id 0 is that dead subgroup, whose row 0 is all 0, so a dead
+    state stays dead through every gather; id 1 is the trivial subgroup, and
+    `whole` is the id of the whole group once met.  A subgroup gets a memo row
+    of its own the first time it is joined from; until then its row is row 1,
+    which stays all -1.  The rows double as they fill, up to the dense bound.
+    A pair still unknown when asked for runs `G.closure` once, on the
+    generators that first produced H plus x, and its answer is stored for
+    every y in the double coset H·{x^u : gcd(u, m) = 1}·H, where x^m is the
+    first power of x in H: ⟨H, y⟩ = ⟨H, x⟩ for all of them, as x is a power
+    of x^u times a power of x^m.  That is at most N·|H| entries a fill.
     """
 
     def __init__(self, G: FiniteGroup, keep):
         self.G = G
         self.keep = keep
         self.ids: dict = {}
+        self.sets: list = [frozenset()]  # sets[h]: the elements of subgroup h
         self.gens: list = [()]
-        self.members: list = [np.zeros(0, dtype=np.int64)]
+        self.members: dict = {}  # the elements of each subgroup with a row, as an array
+        self.row = np.ones(4, dtype=np.int64)
+        self.row[0] = 0
         self.memo = np.full((4, G.order), -1)
         self.memo[0] = 0
+        self.rows_used = 2
+        self.whole = -1
         self._register(frozenset((G.identity,)), ())
 
     def _register(self, elements: frozenset, gens: tuple) -> int:
@@ -161,36 +169,48 @@ class _Joins:
         h = self.ids.get(elements)
         if h is None:
             h = self.ids[elements] = len(self.gens)
+            self.sets.append(elements)
             self.gens.append(gens)
-            self.members.append(np.fromiter(elements, dtype=np.int64, count=len(elements)))
-            if h == len(self.memo):
-                check_dense("the oracle's join memo", 2 * self.memo.size)
-                self.memo = np.concatenate([self.memo, np.full_like(self.memo, -1)])
-            self.memo[h, self.members[h]] = h
+            if h == len(self.row):
+                self.row = np.concatenate([self.row, np.ones_like(self.row)])
+            if len(elements) == self.G.order:
+                self.whole = h
         return h
 
-    def _fill(self, h: int, x: int):
+    def _give_row(self, h: int):
+        r, n = self.rows_used, self.G.order
+        if r == len(self.memo):
+            grown = max(r + 1, min(2 * r, MAX_DENSE_ENTRIES // n))
+            check_dense("the oracle's join memo", grown * n)
+            self.memo = np.concatenate([self.memo, np.full((grown - r, n), -1)])
+        self.rows_used, self.row[h] = r + 1, r
+        H = self.members[h] = np.fromiter(self.sets[h], dtype=np.int64, count=len(self.sets[h]))
+        self.memo[r, H] = h
+
+    def _fill(self, h: int, r: int, x: int):
         G = self.G
         gens, t, n = self.gens[h] + (x,), G._t, G.order
         joined = self._register(G.closure(gens), gens)
-        cycle = [x]  # cycle[u − 1] = x^u, ending at x^{|x|} = e
-        while cycle[-1] != G.identity:
+        cycle = [x]  # cycle[u − 1] = x^u, ending at x^m, the first power in H (memo[r, y] = h just for y ∈ H)
+        while self.memo.item(r, cycle[-1]) != h:
             cycle.append(t[cycle[-1] * n + x])
         ends = [y for u, y in enumerate(cycle, 1) if math.gcd(u, len(cycle)) == 1]
-        H = self.members[h]
-        self.memo[h, G.table[G.table[H[:, None], ends][..., None], H]] = joined
+        left = G.table[self.members[h][:, None], ends]  # φ(m) disjoint cosets H·x^u: at most N elements
+        self.memo[r, G.table[left[..., None], self.members[h]]] = joined
 
     def join(self, hs: np.ndarray, xs: np.ndarray) -> np.ndarray:
         """The id of ⟨H, x⟩ for each subgroup id h in hs and element x in xs, broadcast together."""
-        out = self.memo[hs, xs]
+        out = self.memo[self.row[hs], xs]
         miss = out < 0
         if miss.any():
             hs, xs = (a[miss] for a in np.broadcast_arrays(hs, xs))
-            pairs = np.divmod(np.unique(hs * self.G.order + xs), self.G.order)
-            for h, x in zip(*(a.tolist() for a in pairs)):
-                if self.memo.item(h, x) < 0:  # not filled by the double coset of an earlier pair
-                    self._fill(h, x)
-            out[miss] = self.memo[hs, xs]
+            ph, px = np.divmod(np.unique(hs * self.G.order + xs), self.G.order)
+            for h in dict.fromkeys(ph[self.row[ph] == 1].tolist()):  # the subgroups joined from for the first time
+                self._give_row(h)
+            for h, r, x in zip(ph.tolist(), self.row[ph].tolist(), px.tolist()):
+                if self.memo.item(r, x) < 0:  # not filled by the double coset of an earlier pair
+                    self._fill(h, r, x)
+            out[miss] = self.memo[self.row[hs], xs]
         return out
 
 
@@ -303,11 +323,11 @@ def _scan(task: EnumerationTask, need_epi: bool):
         J = joins.join(hs[lo + s], xs[a])
         if ys is not None:
             J = joins.join(J, ys[b])
-        alive, kinds = J > 0, len(joins.members)
+        alive, kinds = J > 0, len(joins.gens)
         reached = np.unique(s[alive] * kinds + J[alive]) // kinds  # the state of each (state, subgroup) reached
         for ids in np.bincount(reached, minlength=len(W)).tolist():
             charge(ids * M**2, i)  # the fold a middle pair would run: target subgroups × N²
-        passes = np.array([len(m) == N for m in joins.members])[J] if need_epi else alive
+        passes = J == joins.whole if need_epi else alive
         count += W[s, a, b][passes].sum()
     return int(count), scanned
 

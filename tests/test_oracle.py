@@ -1,9 +1,11 @@
 """Brute-force enumeration cross-checks for every closed-form count in the package."""
 
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from arith_tqft.cobordism import P12, P21, TORUS, Token
@@ -177,6 +179,39 @@ def test_an_epi_count_on_heis5_fills_a_double_coset_per_closure():
     assert count_epis(EnumerationTask(G, RelatorSpec(1, 1))) == 0
     # a closure per (subgroup, coset) pair took 268; one per double coset H·{x^u}·H takes 67
     assert 0 < len(calls) < 268 // 2
+
+
+def test_a_double_coset_fill_holds_no_more_than_the_table():
+    G = cyclic(729)
+    G.table, G._t  # built before tracing: only the scan's own arrays are measured
+    tracemalloc.start()
+    try:
+        assert count_epis(EnumerationTask(G, FREE(2))) == 729**2 - 243**2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # joining C₂₄₃ with a generator x fills the two cosets H·x and H·x² times H, 486 × 243 entries;
+    # the |H| × φ(|x|) × |H| gather of H·{x^u : gcd(u, 729) = 1}·H, with repeats, would take 230 MB
+    assert peak < 32 * 2**20
+
+
+def test_the_join_memo_holds_rows_only_for_subgroups_joined_from(monkeypatch):
+    made, joined_from = [], set()
+    join = oracle._Joins.join
+
+    def spy(self, hs, xs):
+        made.append(self)
+        joined_from.update(np.unique(hs).tolist())
+        return join(self, hs, xs)
+
+    monkeypatch.setattr(oracle._Joins, "join", spy)
+    E27 = elementary_abelian(3, 3)
+    assert count_epis(EnumerationTask(E27, FREE(2))) == 0
+    joins = made[-1]
+    with_rows = {h for h in range(len(joins.gens)) if joins.row[h] > 1}
+    assert with_rows == joined_from - {0}
+    # the trivial group and the 13 lines are joined from; the 13 planes, met at the last letter, are not
+    assert len(with_rows) == 14 and len(joins.gens) == 28
 
 
 def test_a_scan_with_no_boundary_reads_no_conjugacy_classes():
