@@ -407,7 +407,7 @@ class Splitting:
             out = _mod((out[:, :, None] * (M if s is ident else M[s])[:, None, :]).reshape(self.k, -1), self.l)
         return out
 
-    def _piece(self, w, outs, ins):
+    def _factor(self, w, outs, ins):
         """U·diag(w)·Vᵀ for the maps σ of a piece's output legs and τ of its input legs.
 
         U's columns are ⊗_o P[:, σ_o(χ)] and V's ⊗_i P⁻¹[τ_i(χ), :]; diag(w)
@@ -433,7 +433,7 @@ class Splitting:
         to the first.  Δ, cup and tor multiply w by their weights at σ, tw
         composes σ with its permutation, and swap and id only relabel strands.
         The groups left are the connected pieces of D.  One with no legs is the
-        scalar Σ_χ w(χ); each other is U·diag(w)·Vᵀ on its own legs (`_piece`),
+        scalar Σ_χ w(χ); each other is U·diag(w)·Vᵀ on its own legs (`_factor`),
         and several are tensored together by `frobenius._assemble`.
         """
         l, ident, ops = self.l, self._ident, self._ops
@@ -506,7 +506,7 @@ class Splitting:
         if scalar != 1:  # the closed groups, folded into one open one
             w = factors[0][0]
             factors[0][0] = np.full(self.k, scalar) if w is None else w * scalar % l
-        factors = [(self._piece(w, out_maps, in_maps), ins, o) for w, out_maps, in_maps, ins, o in factors]
+        factors = [(self._factor(w, out_maps, in_maps), ins, o) for w, out_maps, in_maps, ins, o in factors]
         return factors[0][0] if len(factors) == 1 else _assemble(factors, self.k, l)
 
 
@@ -752,10 +752,7 @@ def epi_count(spec: RelatorSpec, G) -> int:
         elif _commutative(G, h):
             value = _abelian_hom_count(spec, orders[h], p)
         else:
-            key = ("frattini-subgroup", h.tobytes())
-            if key not in G._cache:
-                G._cache[key] = G.subgroup_as_group(h)[0]
-            value = hom_count(spec, G._cache[key])
+            value = hom_count(spec, _subgroup_group(G, h))
         total += mu * value
     return total
 
@@ -781,12 +778,14 @@ def yamagishi_count(N: int, r, G) -> int:
     return hom_count(RelatorSpec(N // 2 + 1, r), G)
 
 
-def _subgroup_group(G: FiniteGroup, elements: frozenset) -> FiniteGroup:
+def _subgroup_group(G: FiniteGroup, elements) -> FiniteGroup:
+    """The subgroup on `elements` (any iterable of indices) as its own group, cached on Γ by its sorted elements."""
     if len(elements) == G.order:
         return G  # Γ itself: reuse its table and counts
-    key = ("subgroup-group", elements)
+    members = np.sort(np.fromiter(elements, dtype=np.int64, count=len(elements)))
+    key = ("subgroup-group", members.tobytes())
     if key not in G._cache:
-        G._cache[key] = G.subgroup_as_group(elements)[0]
+        G._cache[key] = G.subgroup_as_group(members)[0]
     return G._cache[key]
 
 

@@ -26,14 +26,12 @@ The axiom checks, and every evaluation in an algebra without a `splitting`,
 go through one contraction, `_contract`, in which every generator acts on its
 own strands of a single state, and an input strand joins the state only when
 a token first reads it (a strand no token reads is the identity, put in once
-at the end); over 𝔽_ℓ an open diagram is contracted one connected piece at a
-time and the pieces are tensored back together (`_assemble`).  The state is
-integer arithmetic throughout: one array per monomial h^i·t^j·[r] that
-occurs, and each token written once per algebra as a few (monomial, int64
-matrix) pairs (`TokenTerms`); a DW token is the one monomial 1.  `swap` is the
-symmetric structure, the same in every algebra: it exchanges two strand axes
-of the state, or only relabels strands outside it, and needs no token matrix
-to evaluate.
+at the end).  The state is integer arithmetic throughout: one array per
+monomial h^i·t^j·[r] that occurs, and each token written once per algebra as
+a few (monomial, int64 matrix) pairs (`TokenTerms`); a DW token is the one
+monomial 1.  `swap` is the symmetric structure, the same in every algebra:
+it exchanges two strand axes of the state, or only relabels strands outside
+it, and needs no token matrix to evaluate.
 
 A DW algebra over a split prime carries a `splitting` (dw.Splitting): the
 algebra in its basis of character idempotents, a product of one-dimensional
@@ -52,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cobordism import CYL, TORUS, Diagram, Token, identity_diagram
+from .cobordism import TORUS, Diagram, Token, identity_diagram
 from .errors import INT_EXACT, ComputationError, ValidationError, check_dense
 from .units import INF, PadicUnit, format_unit, level, one, sample_units
 
@@ -816,9 +814,8 @@ def _contract(D: Diagram, A, l):
     are independent, so a block of them goes on alone once the stack would
     pass `_STATE_ENTRIES` entries: halved while it has more than one column,
     else split along the values of the strands its next token reads first.
-    Over 𝔽_ℓ in an algebra without a splitting, `evaluate_diagram` hands it
-    one connected piece at a time.  A result of more than `MAX_DENSE_ENTRIES`
-    entries is refused before any work.
+    A result of more than `MAX_DENSE_ENTRIES` entries is refused before any
+    work.
 
     Exact scalars (l is None) are int64 while an entry bound, grown by each
     token's `grow`, stays below 2⁶³; a bound that would pass it is first
@@ -929,72 +926,6 @@ def _contract(D: Diagram, A, l):
     return out.T if reverse else out
 
 
-class Piece(NamedTuple):
-    """One connected piece of a diagram and the diagram's input and output legs it owns, in order."""
-
-    diagram: Diagram
-    ins: tuple
-    outs: tuple
-
-
-def _pieces(D: Diagram) -> list:
-    """The connected pieces of D, open ones in order of their first leg, then closed ones.
-
-    One pass tracks which piece each strand belongs to, joining pieces at every
-    token with two inputs, as `cobordism._graph` follows wires.  A piece keeps
-    its own tokens in slice order.  Its strands keep their relative order
-    through every slice, so a `swap` of two strands of one piece is a swap of
-    adjacent strands there too, and a `swap` of strands of two pieces drops out
-    of both, an `id` in each: it only permutes the diagram's legs.  Slices left
-    with nothing but `id` are dropped, so a bare strand is a sliceless
-    identity.  A diagram of one piece is returned whole.
-    """
-    parent = list(range(D.in_arity))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    strands, placed = list(range(D.in_arity)), []
-    for s, sl in enumerate(D.slices):
-        new, pos = [], 0
-        for tok in sl:
-            a, b = tok.arity
-            ends = strands[pos : pos + a]
-            pos += a
-            if tok.kind == "swap":
-                new += ends[::-1]
-            else:
-                if not a:
-                    ends = [len(parent)]
-                    parent.append(ends[0])
-                root = find(ends[0])
-                for x in ends[1:]:
-                    parent[find(x)] = root
-                new += [root] * b
-            placed.append((s, tok, ends))
-        strands = new
-    if len({find(x) for x in range(len(parent))}) == 1:  # every piece holds an input or a cap
-        return [Piece(D, tuple(range(D.in_arity)), tuple(range(D.out_arity)))]
-    rows = {}
-    for s, tok, ends in placed:
-        roots = {find(x) for x in ends}
-        for root in roots:  # a swap of two pieces leaves a plain strand in each
-            rows.setdefault(root, {}).setdefault(s, []).append(tok if len(roots) == 1 else CYL)
-    legs = {}
-    for i in range(D.in_arity):
-        legs.setdefault(find(i), ([], []))[0].append(i)
-    for j, x in enumerate(strands):
-        legs.setdefault(find(x), ([], []))[1].append(j)
-    pieces = []
-    for root in list(legs) + [r for r in rows if r not in legs]:
-        ins, outs = legs.get(root, ((), ()))
-        slices = [sl for sl in rows.get(root, {}).values() if any(t.kind != "id" for t in sl)]
-        pieces.append(Piece(Diagram(slices, None if slices else len(ins)), tuple(ins), tuple(outs)))
-    return pieces
-
-
 def _products(values, B, l):
     """(v·B) mod ℓ for each v of the sorted `values` in [0, ℓ), stacked: int64 while (ℓ−1)² < 2⁶³, else Python ints."""
     if (l - 1) ** 2 >= INT_EXACT:
@@ -1026,41 +957,19 @@ def _placement(legs, k):
     return np.arange(k ** len(legs)).reshape((k,) * len(legs)).transpose(np.argsort(legs)).ravel()
 
 
-def _piece(P: Piece, A, l):
-    """The matrix over 𝔽_ℓ of one piece, contracted at its own width.
-
-    A lone token is its own matrix, and a bare strand the identity.
-    """
-    slices = P.diagram.slices
-    if not slices:
-        return np.eye(A.dim, dtype=np.int64)
-    if len(slices) == 1 and len(slices[0]) == 1:
-        return A.token_matrix(slices[0][0]).a
-    return _contract(P.diagram, A, l)
-
-
 def _assemble(factors, k, l):
     """The matrix over 𝔽_ℓ of a diagram from the (matrix, input legs, output legs) of its pieces.
 
-    It is their Kronecker product with the legs put back in place.  Closed
-    pieces (no legs) are scalars, folded into the smallest factor.  The
-    product is folded from the right and taken on the factors, never on the
-    result (`_kron`).  When the pieces come in order of their inputs, the
-    columns are in place unless a `swap` between pieces crosses the inputs;
-    the rows are put in place by the last fold's gather, and the columns,
-    when needed, by one more.
+    Every factor has legs.  The result is their Kronecker product with the
+    legs put back in place.  The product is folded from the right and taken
+    on the factors, never on the result (`_kron`).  When the pieces come in
+    order of their inputs, the columns are in place unless a `swap` between
+    pieces crosses the inputs; the rows are put in place by the last fold's
+    gather, and the columns, when needed, by one more.
     """
-    scalar, mats, ins, outs = None, [], [], []
-    for M, i, o in factors:
-        if i or o:
-            mats.append(M)
-            ins += i
-            outs += o
-        else:
-            scalar = int(M[0, 0]) * (1 if scalar is None else scalar) % l
-    if scalar is not None:  # also copies a lone open factor, which may be a token's own matrix
-        small = min(range(len(mats)), key=lambda i: mats[i].size)
-        mats[small] = _products(np.array([scalar], dtype=np.int64), mats[small], l)[0]
+    mats = [M for M, _, _ in factors]
+    ins = [a for _, i, _ in factors for a in i]
+    outs = [b for _, _, o in factors for b in o]
     rows = _placement(outs, k)
     T = mats.pop()
     while mats:
@@ -1081,11 +990,7 @@ def evaluate_diagram(D: Diagram, A):
     the diagram in its character idempotent basis, in one walk over the
     tokens (dw.Splitting.matrix).  Otherwise every generator acts on its own
     strands of one state (`_contract`), never through a matrix of its whole
-    slice, and over 𝔽_ℓ an open diagram of several connected pieces is the
-    tensor product of their values with its legs permuted, as for any
-    symmetric monoidal functor: each piece (`_pieces`) is contracted at its
-    own width and the product is assembled on the factors (`_assemble`).
-    Either way the dimension guard reads the whole diagram first.
+    slice.  Either way the dimension guard reads the whole diagram first.
     """
     ensure_prechecked(A)
     for width in (D.in_arity, *(sum(t.arity[1] for t in sl) for sl in D.slices)):
@@ -1097,12 +1002,6 @@ def evaluate_diagram(D: Diagram, A):
     l = _modulus(A)
     if l is None:
         return GenericMatrix(_contract(D, A, l).tolist())  # the same scalars, unpacked in C
-    if getattr(A, "splitting", None) is not None:
-        M = A.splitting.matrix(D)
-    else:
-        pieces = _pieces(D) if D.in_arity or D.out_arity else ()
-        if len(pieces) < 2:
-            M = _contract(D, A, l)
-        else:
-            M = _assemble([(_piece(P, A, l), P.ins, P.outs) for P in pieces], A.dim, l)
+    splitting = getattr(A, "splitting", None)
+    M = _contract(D, A, l) if splitting is None else splitting.matrix(D)
     return ModMatrix.reduced(M, l)

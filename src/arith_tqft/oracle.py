@@ -29,8 +29,9 @@ the fold runs.  The last pair runs no fold but is still charged for one, so
 the figures stay those of the fold model and overstate that pair's work.
 The reported "scanned" figure is the number of tuples the count accounts for.
 
-Decorated bundle counts read the one entry they return: a pair of pants
-gathers the table over K_i×K_j, a handle tallies one relator pair over Γ².
+Decorated bundle counts read the one entry they return, and the budget is
+charged what each reads: a pair of pants gathers the table over K_i×K_j, a
+handle tallies one relator pair over Γ².
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ from fractions import Fraction
 import numpy as np
 
 from .dw import FREE, RelatorSpec
-from .errors import INT_EXACT, MAX_DENSE_ENTRIES, ValidationError, check_dense
-from .pgroup import FiniteGroup, group_from_spec, is_power_of, unique_prime_factor
+from .errors import INT_EXACT, MAX_DENSE_ENTRIES, ValidationError, check_dense, check_int
+from .pgroup import FiniteGroup, group_from_spec, is_power_of, is_prime, unique_prime_factor
 from .units import INF, level_from_json, p_power
 
 DEFAULT_BUDGET = 10**8
@@ -55,9 +56,9 @@ _TASK_KEYS = ("group", "spec", "p", "boundary", "p_image", "budget", "epis")
 
 def _resolved_budget(value) -> int:
     if value is not None:
-        return int(value)
+        return check_int(value, "budget")
     env = os.environ.get("ARITH_TQFT_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
+    return check_int(env, "ARITH_TQFT_BUDGET") if env else DEFAULT_BUDGET
 
 
 @dataclass(frozen=True)
@@ -70,8 +71,9 @@ class EnumerationTask:
     that element's class.  `p_image` additionally requires the generated
     subgroup to have p-power order.  `p` may be omitted when the target is a
     p-group; a finite relator level or a p-image check on a mixed-order group
-    needs it spelled out.  `budget` caps the count's work (default 10^8, or
-    the ARITH_TQFT_BUDGET environment variable).
+    needs it spelled out, and it must be a prime.  `budget` caps the count's
+    work (default 10^8, or the ARITH_TQFT_BUDGET environment variable).
+    Indices, elements, p and the budget are integers, or strings of one.
     """
 
     group: FiniteGroup
@@ -85,10 +87,21 @@ class EnumerationTask:
         object.__setattr__(self, "group", group_from_spec(self.group))
         if not isinstance(self.spec, RelatorSpec):
             raise ValidationError("bad-spec", f"expected a RelatorSpec, got {type(self.spec).__name__}")
+        if self.p is not None:
+            object.__setattr__(self, "p", check_int(self.p, "p"))
+            if not is_prime(self.p):
+                raise ValidationError("bad-spec", f"p={self.p} is not a prime")
+        if self.budget is not None:
+            object.__setattr__(self, "budget", check_int(self.budget, "budget"))
         bound = self.boundary
-        if isinstance(bound, dict):
-            bound = tuple(sorted(bound.items()))
-        object.__setattr__(self, "boundary", tuple((int(i), int(g)) for i, g in bound))
+        try:
+            pairs = [
+                (check_int(i, "a boundary index"), check_int(g, "a boundary element"))
+                for i, g in (bound.items() if isinstance(bound, dict) else bound)
+            ]
+        except (TypeError, ValueError):  # neither a mapping nor pairs
+            raise ValidationError("bad-spec", f"a boundary maps letter indices to elements, got {bound!r}") from None
+        object.__setattr__(self, "boundary", tuple(sorted(pairs) if isinstance(bound, dict) else pairs))
         letters = self.spec.letters()
         for i, g in self.boundary:
             if not 0 <= i < letters:
@@ -344,7 +357,7 @@ def count_epis(task: EnumerationTask) -> int:
 
 def run_task(task, mode: str | None = None) -> dict:
     """Batch entry point: run one task and report {"count", "scanned", "seconds"}."""
-    if isinstance(task, dict):
+    if not isinstance(task, EnumerationTask):
         task, json_mode = task_from_json(task)
         mode = mode or json_mode
     start = time.perf_counter()
@@ -354,6 +367,8 @@ def run_task(task, mode: str | None = None) -> dict:
 
 def task_from_json(obj: dict):
     """Decode a task description; returns (task, mode) with mode "solutions" or "epis"."""
+    if not isinstance(obj, dict):
+        raise ValidationError("bad-spec", f"a task is a JSON object, got {obj!r}")
     if "group" not in obj or "spec" not in obj:
         raise ValidationError("bad-spec", "a task needs at least \"group\" and \"spec\"")
     unknown = sorted(set(obj) - set(_TASK_KEYS))
@@ -363,14 +378,14 @@ def task_from_json(obj: dict):
         )
     spec_obj = obj["spec"]
     if isinstance(spec_obj, dict) and "free" in spec_obj:
-        spec = FREE(int(spec_obj["free"]))
-    elif isinstance(spec_obj, dict):
-        spec = RelatorSpec(int(spec_obj["n"]), level_from_json(spec_obj["r"]))
+        spec = FREE(check_int(spec_obj["free"], "free"))
+    elif isinstance(spec_obj, dict) and "n" in spec_obj and "r" in spec_obj:
+        spec = RelatorSpec(check_int(spec_obj["n"], "n"), level_from_json(spec_obj["r"]))
     else:
-        raise ValidationError("bad-spec", f"unrecognized spec {spec_obj!r}")
+        raise ValidationError("bad-spec", f"a spec is {{\"n\", \"r\"}} or {{\"free\"}}, got {spec_obj!r}")
     boundary = obj.get("boundary") or {}
-    if isinstance(boundary, dict):
-        boundary = {int(k): int(v) for k, v in boundary.items()}
+    if not isinstance(boundary, dict):
+        raise ValidationError("bad-spec", f"boundary must be an object of letter index to element, got {boundary!r}")
     task = EnumerationTask(
         group=group_from_spec(obj["group"]),
         spec=spec,
@@ -433,14 +448,20 @@ def decorated_generator_count(G, token, p1, p2) -> Fraction:
     if kind not in ("m", "d", "tor"):
         raise ValidationError("unknown-token", f"decorated counts cover P21, P12 and TORUS(r), not {token!r}")
     budget = _resolved_budget(None)
-    if N * N > budget:
-        raise ValidationError("budget-exceeded", f"Γ² scan needs {N * N} steps over budget {budget}")
+
+    def charge(steps: int, what: str):
+        if steps > budget:
+            raise ValidationError("budget-exceeded", f"{what} needs {steps} steps over budget {budget}")
+
     cls = np.array(conj.class_of)
     if kind == "m":
         (i, j), (m,) = _class_tuple(G, p1, 2, "incoming"), _class_tuple(G, p2, 1, "outgoing")
+        charge(conj.sizes[i] * conj.sizes[j], "the K_i×K_j gather")
         return Fraction(conj.centralizers[m] * _pants_count(G, cls, i, j, m), N)
     if kind == "d":
         (i,), (a, c) = _class_tuple(G, p1, 1, "incoming"), _class_tuple(G, p2, 2, "outgoing")
+        charge(conj.sizes[a] * conj.sizes[c], "the K_a×K_c gather")
         return Fraction(conj.centralizers[a] * conj.centralizers[c] * _pants_count(G, cls, a, c, i), N)
     (i,), (o,) = _class_tuple(G, p1, 1, "incoming"), _class_tuple(G, p2, 1, "outgoing")
+    charge(N * N, "the Γ² tally")
     return Fraction(conj.centralizers[o] * _torus_count(G, cls, i, o, token.level), N)

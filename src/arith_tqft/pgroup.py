@@ -21,7 +21,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ComputationError, ValidationError, check_dense
+from .errors import ComputationError, ValidationError, check_dense, check_int
 
 MAX_ORDER = 10_000
 MAX_SUBGROUP_ORDER = 200
@@ -754,7 +754,10 @@ def from_permutations(gens, degree: int, max_order: int = MAX_ORDER) -> FiniteGr
     product-by-g_i array.
     """
     ident = tuple(range(degree))
-    gens = [tuple(g) for g in gens]
+    try:
+        gens = [tuple(check_int(x, "a permutation image") for x in g) for g in gens]
+    except TypeError:
+        raise ValidationError("bad-spec", f"permutation generators must be a list of image lists, got {gens!r}") from None
     for g in gens:
         if sorted(g) != list(ident):
             raise ValidationError("bad-spec", f"not a permutation of 0..{degree - 1}: {g}")
@@ -808,8 +811,15 @@ def group_from_spec(spec) -> FiniteGroup:
         return spec
     if isinstance(spec, str):
         if spec.startswith("file:"):
-            with open(spec[5:], "r", encoding="utf-8") as fh:
-                return group_from_spec(json.load(fh))
+            path = spec[5:]
+            try:
+                with open(path, "r", encoding="utf-8") as fh:
+                    obj = json.load(fh)
+            except OSError as e:
+                raise ValidationError("bad-spec", f"cannot read group file {path!r}: {e.strerror or e}") from None
+            except ValueError as e:  # undecodable text or invalid JSON
+                raise ValidationError("bad-spec", f"group file {path!r} is not valid JSON: {e}") from None
+            return group_from_spec(obj)
         if spec.startswith("named:"):
             parts = spec.split(":")
             name = parts[1]
@@ -828,23 +838,27 @@ def group_from_spec(spec) -> FiniteGroup:
         kind = spec.get("kind")
         if kind == "named":
             name = spec.get("name")
-            if name not in _NAMED:
+            if not isinstance(name, str) or name not in _NAMED:
                 raise ValidationError("bad-spec", f"unknown named group {name!r}")
             fn, arity = _NAMED[name]
             params = spec.get("params")
             if params is None:
                 params = [spec[key] for key in ("p", "m", "k") if key in spec]
-            if len(params) != arity:
+            if not isinstance(params, (list, tuple)) or len(params) != arity:
                 raise ValidationError("bad-spec", f"named {name} takes {arity} parameter(s)")
-            return fn(*(int(a) for a in params))
+            return fn(*(check_int(a, f"named {name} parameter") for a in params))
         if kind == "cayley":
             return FiniteGroup(spec.get("mul") or spec.get("table"), names=spec.get("names"))
         if kind == "perm":
-            return from_permutations(spec["gens"], int(spec["degree"]))
+            missing = [key for key in ("gens", "degree") if key not in spec]
+            if missing:
+                raise ValidationError("bad-spec", f"a perm spec needs {' and '.join(map(repr, missing))}")
+            return from_permutations(spec["gens"], check_int(spec["degree"], "perm degree"))
         if kind == "product":
-            factors = [group_from_spec(s) for s in spec["factors"]]
-            if len(factors) < 2:
-                raise ValidationError("bad-spec", "product needs at least two factors")
+            factors = spec.get("factors")
+            if not isinstance(factors, (list, tuple)) or len(factors) < 2:
+                raise ValidationError("bad-spec", f"product needs a list of at least two factors, got {factors!r}")
+            factors = [group_from_spec(s) for s in factors]
             out = factors[0]
             for f in factors[1:]:
                 out = direct_product(out, f)

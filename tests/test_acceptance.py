@@ -10,18 +10,14 @@ import random
 import time
 from fractions import Fraction
 
-from arith_tqft import frobenius
 from arith_tqft.chartab import character_table_mod, split_primes
 from arith_tqft.cobordism import (
-    CYL,
     P12,
     P21,
-    SWAP,
     TORUS,
     Diagram,
     apply_relation,
     canonicalize,
-    compose,
     identity_diagram,
     invariant_of,
     parse_diagram,
@@ -268,38 +264,6 @@ def test_kept_forms_are_those_of_a_fresh_equal_diagram():
             assert canonicalize(fresh) == canonicalize(D), (i, rule)
             assert invariant_of(fresh) == invariant_of(D), (i, rule)
             assert fresh == D and (hash(fresh), repr(fresh)) == word == (hash(D), repr(D)), (i, rule)
-
-
-def _permutation(order):
-    """Adjacent swaps on len(order) strands whose output t carries input strand order[t]."""
-    n, now, slices = len(order), list(range(len(order))), []
-    for t, want in enumerate(order):
-        for u in range(now.index(want), t, -1):
-            now[u - 1], now[u] = now[u], now[u - 1]
-            slices.append((CYL,) * (u - 1) + (SWAP,) + (CYL,) * (n - u - 1))
-    return Diagram(tuple(slices), None if slices else n)
-
-
-def test_pieces_recompose_to_the_same_canonical_form():
-    # DW evaluation splits a diagram into pieces and permutes their legs back;
-    # on criterion 7's diagrams, both sides of each rewrite, those pieces with
-    # those permutations put together are the same cobordism
-    split = 0
-    for i, rule, *sides in _criterion_7_instances():
-        for D in sides:
-            pieces = frobenius._pieces(D)
-            split += len(pieces) > 1
-            ins = [a for P in pieces for a in P.ins]
-            outs = [b for P in pieces for b in P.outs]
-            assert sorted(ins) == list(range(D.in_arity)) and sorted(outs) == list(range(D.out_arity))
-            middle = identity_diagram(0)
-            for P in pieces:
-                assert len(canonicalize(P.diagram).components) == 1, (i, rule, str(D))
-                middle = tensor(middle, P.diagram)
-            back = _permutation(sorted(range(len(outs)), key=outs.__getitem__))
-            whole = compose(compose(_permutation(ins), middle), back)
-            assert canonicalize(whole) == canonicalize(D), (i, rule, str(D))
-    assert split > 100
 
 
 def test_criterion_8_character_table_properties():

@@ -273,3 +273,49 @@ def test_pretty_output_is_not_json(capsys):
     assert run(["homcount", "--group", "named:cyclic:3", "--n", "1", "--r", "1", "--pretty"]) == 0
     out, _ = capsys.readouterr()
     assert "hom_count" in out and "{" not in out
+
+
+_GL2_P_IMAGE = {"group": "named:gl2:3", "spec": {"n": 1, "r": 1}, "p_image": True}
+_C3_TASK = {"group": "named:cyclic:3", "spec": {"n": 1, "r": 1}}
+
+
+@pytest.mark.parametrize(
+    "command, payload, said",
+    [
+        ("group", None, "cannot read group file"),  # a file: path that does not exist
+        ("group", "{bad", "is not valid JSON"),
+        ("group", {"kind": "perm", "degree": 3}, "needs 'gens'"),
+        ("group", {"kind": "perm", "degree": "x", "gens": [[1, 2, 0]]}, "perm degree must be an integer"),
+        ("group", {"kind": "named", "name": "cyclic", "params": ["x"]}, "parameter must be an integer"),
+        ("group", {"kind": "product", "factors": "nn"}, "list of at least two factors"),
+        ("task", [], "a task is a JSON object"),
+        ("task", "abc", "a task is a JSON object"),
+        ("task", None, "a task is a JSON object"),
+        ("task", {"group": "named:cyclic:3", "spec": {"n": 1}}, "a spec is"),
+        ("task", {"group": "named:cyclic:3", "spec": {"n": "x", "r": 1}}, "n must be an integer"),
+        ("task", {"group": "named:cyclic:3", "spec": {"free": "x"}}, "free must be an integer"),
+        ("task", {**_C3_TASK, "budget": "x"}, "budget must be an integer"),
+        ("task", {**_C3_TASK, "boundary": {"x": 0}}, "boundary index must be an integer"),
+        ("task", {**_C3_TASK, "boundary": {"0": "x"}}, "boundary element must be an integer"),
+        ("task", {**_C3_TASK, "boundary": [0]}, "boundary must be an object"),
+        ("task", {"group": "named:cyclic:3", "spec": {"n": 1.5, "r": 1}}, "n must be an integer"),
+        ("task", {**_GL2_P_IMAGE, "p": "x"}, "p must be an integer"),
+        ("task", {**_GL2_P_IMAGE, "p": 0}, "p=0 is not a prime"),
+        ("task", {**_GL2_P_IMAGE, "p": 4}, "p=4 is not a prime"),
+        ("task", {**_C3_TASK, "p": "x"}, "p must be an integer"),
+    ],
+)
+def test_malformed_groups_and_tasks_exit_one_with_a_typed_error(command, payload, said, capsys, tmp_path):
+    # in process through cli.run: no traceback, one JSON error naming the field
+    if command == "group":
+        path = tmp_path / "group.json"
+        if payload is not None:
+            path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+        argv = ["homcount", "--group", f"file:{path}", "--n", "1", "--r", "1"]
+    else:
+        argv = ["oracle", "--task", json.dumps(payload)]
+    assert run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    error = json.loads(err)
+    assert error["error"] == "bad-spec" and said in error["message"], err

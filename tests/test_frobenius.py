@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from arith_tqft import frobenius
-from arith_tqft.cobordism import TORUS, TWIST, Diagram, Token, parse_diagram, surface_diagram
+from arith_tqft.cobordism import TORUS, TWIST, Diagram, Token, canonicalize, parse_diagram, surface_diagram
 from arith_tqft.dw import DWAlgebra
 from arith_tqft.errors import ComputationError, ValidationError
 from arith_tqft.frobenius import (
@@ -547,8 +547,8 @@ def test_evaluation_matches_a_kronecker_reference(name):
 
 # each splits into pieces: strands of different pieces crossing, a swap inside one
 # piece, twisted bare strands, closed pieces beside open ones, cap and cup pieces,
-# and pieces whose legs interleave on both boundaries; the first six are cheap
-# enough for the Kronecker reference at every k here
+# and pieces whose legs interleave on both boundaries; the first five are cheap
+# enough for the Kronecker reference at every k here, the sixth at k = 3
 SPLIT_DIAGRAMS = [
     "tor(1), tor(2); swap",  # two pieces cross
     "d, cup; swap",  # a swap inside the d piece, beside a cup
@@ -583,20 +583,22 @@ def _split_algebras():
 
 @pytest.mark.parametrize("name, make", list(_split_algebras()))
 def test_split_evaluation_matches_a_kronecker_reference(name, make):
-    # every diagram also against the whole-diagram contraction, which the split
-    # bypasses; the Kronecker reference where its cost allows
+    # the idempotent walk also against the whole-diagram contraction, which it
+    # bypasses; without a splitting the evaluation is that contraction, so the
+    # Kronecker reference where its cost allows is the check
     A = make()
     diagrams = [parse_diagram(text) for text in SPLIT_DIAGRAMS]
     rng = random.Random(20261019)
     while len(diagrams) < len(SPLIT_DIAGRAMS) + 20:  # random ones that split, up to 3 strands wide
         D = _random_diagram(rng, A.dim, 3)
-        if D.in_arity + D.out_arity and len(frobenius._pieces(D)) > 1:
+        if D.in_arity + D.out_arity and len(canonicalize(D).components) > 1:
             diagrams.append(D)
     referenced = 0
     for D in diagrams:
-        assert len(frobenius._pieces(D)) > 1, str(D)
+        assert len(canonicalize(D).components) > 1, str(D)
         got = evaluate_diagram(D, A)
-        assert np.array_equal(got.a, frobenius._contract(D, A, A.l)), str(D)
+        if A.splitting is not None:
+            assert np.array_equal(got.a, frobenius._contract(D, A, A.l)), str(D)
         if _reference_cost(D, A.dim) <= REFERENCE_COST:
             referenced += 1
             assert got.rows == _kron_reference(D, A), str(D)
@@ -658,7 +660,10 @@ def test_idle_inputs_match_a_kronecker_reference(name, make):
     diagrams += [_idle_diagram(rng, A.dim, max_width, **pools) for _ in range(20)]
     assert any(D.out_arity < D.in_arity for D in diagrams) and len(diagrams) >= 29
     l, referenced = frobenius._modulus(A), 0
-    for D in diagrams:  # the Kronecker reference where its cost allows, else the split evaluation
+    # the Kronecker reference where its cost allows, else the idempotent walk or
+    # the universal rows; without a splitting the evaluation is the contraction
+    # itself, and at k = 3 every diagram meets the reference
+    for D in diagrams:
         got = tuple(map(tuple, frobenius._contract(D, A, l).tolist()))
         assert got == evaluate_diagram(D, A).rows, str(D)
         if _reference_cost(D, A.dim) <= REFERENCE_COST:
@@ -675,13 +680,13 @@ def test_the_widest_gauge_cell_reaches_the_contraction_piece_by_piece(monkeypatc
     ensure_prechecked(A)
     D = parse_diagram("swap, d, m, tor(inf), id; m, id, id, id, id, id")
     whole = frobenius._contract(D, A, 7)
-    piece, widths = A.splitting._piece, []
+    factor, widths = A.splitting._factor, []
 
     def spy(w, outs, ins):
         widths.append(max(len(outs), len(ins)))
-        return piece(w, outs, ins)
+        return factor(w, outs, ins)
 
-    monkeypatch.setattr(A.splitting, "_piece", spy)
+    monkeypatch.setattr(A.splitting, "_factor", spy)
     got = evaluate_diagram(D, A)
     monkeypatch.undo()
     assert widths and A.dim ** max(widths) <= 3**3
@@ -822,12 +827,42 @@ def test_a_twisted_input_leg_keeps_its_own_map():
     ids=["C9 mod 7", "Heis3 mod 19", "C3 mod 2^61-1"],
 )
 def test_a_prime_without_a_character_table_keeps_the_contraction(G, l):
-    # ℓ ≢ 1 mod exp Γ, ℓ < 2|Γ|, k·(ℓ−1)² ≥ 2⁶³: no splitting, and each still answers
+    # ℓ ≢ 1 mod exp Γ, ℓ < 2|Γ|, k·(ℓ−1)² ≥ 2⁶³: no splitting, and each still
+    # answers; the evaluation is the whole-diagram contraction, so the check is
+    # the Kronecker reference, wherever its cost allows
     A = DWAlgebra(G, l)
     assert A.splitting is None
-    for text in SPLIT_DIAGRAMS[:6] + ["m; d", "cap; d; m; tor(1); cup"]:
+    texts, referenced = SPLIT_DIAGRAMS[:6] + ["m; d", "cap; d; m; tor(1); cup"], 0
+    for text in texts:
         D = parse_diagram(text)
-        assert np.array_equal(evaluate_diagram(D, A).a, frobenius._contract(D, A, l)), text
+        got = evaluate_diagram(D, A)
+        assert got.shape == (A.dim**D.out_arity, A.dim**D.in_arity), text
+        if _reference_cost(D, A.dim) <= REFERENCE_COST:
+            referenced += 1
+            assert got.rows == _kron_reference(D, A), text
+    assert referenced >= len(texts) - 1
+
+
+def test_without_a_splitting_the_whole_diagram_is_one_contraction(monkeypatch):
+    # 5 ≢ 1 mod 3: C₃ mod 5 has no splitting, and a diagram of three pieces,
+    # two of them closed, is contracted once, whole, and never assembled
+    A = DWAlgebra(cyclic(3), 5)
+    assert A.splitting is None
+    ensure_prechecked(A)
+    D = parse_diagram("cap, cap, id; tor(inf), cup, d; cup, id, id")
+    assert len(canonicalize(D).components) == 3
+    contract, calls = frobenius._contract, []
+
+    def spy(E, B, l):
+        calls.append(E)
+        return contract(E, B, l)
+
+    monkeypatch.setattr(frobenius, "_contract", spy)
+    monkeypatch.setattr(frobenius, "_assemble", lambda *args: pytest.fail("the pieces were assembled"))
+    got = evaluate_diagram(D, A)
+    monkeypatch.undo()
+    assert calls == [D] and calls[0] is D
+    assert got.rows == _kron_reference(D, A)
 
 
 def test_an_oversized_precheck_is_refused_before_any_law_runs(monkeypatch):

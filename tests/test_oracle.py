@@ -424,6 +424,21 @@ def test_decorated_validation():
     assert e.value.code == "bad-spec"
 
 
+def test_decorated_entries_are_charged_what_they_read(monkeypatch):
+    # Heis(3) under a budget of 700 < 27²: a pants entry on two central
+    # classes reads 1×1 products and answers, while the handle tallies Γ²
+    conj = HEIS.conjugacy_classes()
+    i, j = [c for c, size in enumerate(conj.sizes) if size == 1][1:3]
+    m = conj.class_of[HEIS.mul(conj.reps[i], conj.reps[j])]
+    want = decorated_generator_count(HEIS, P21, (i, j), m), decorated_generator_count(HEIS, P12, m, (i, j))
+    assert want[0] > 0
+    monkeypatch.setenv("ARITH_TQFT_BUDGET", "700")
+    assert (decorated_generator_count(HEIS, P21, (i, j), m), decorated_generator_count(HEIS, P12, m, (i, j))) == want
+    with pytest.raises(ValidationError) as e:
+        decorated_generator_count(HEIS, TORUS(1), i, i)
+    assert e.value.code == "budget-exceeded" and "729" in e.value.message
+
+
 # -- batch JSON ---------------------------------------------------------------------------
 
 

@@ -20,7 +20,7 @@ dw.hom_count(dw.RelatorSpec(2, 1), pgroup.heisenberg(3))
 frobenius.evaluate_diagram(cobordism.parse_diagram("m; d"), frobenius.UniversalAlgebra())
 dw.evaluate_dw(cobordism.parse_diagram("m; d"), pgroup.cyclic(9), 19)
 split = cobordism.parse_diagram("swap, d, m, tor(inf), id; m, id, id, id, id, id")  # five pieces
-assert len(frobenius._pieces(split)) == 5
+assert len(cobordism.canonicalize(split).components) == 5
 dw.evaluate_dw(split, pgroup.cyclic(3), 7)
 print(json.dumps(tracer.metrics()))
 """
