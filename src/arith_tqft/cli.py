@@ -201,7 +201,7 @@ def _cmd_evaluate(args):
             "algebra": "dw",
             "modulus": l,
             "shape": list(M.shape),
-            "entries": [list(map(int, row)) for row in M.rows],
+            "entries": list(map(list, M.rows)),
         }
     ]
 

@@ -49,6 +49,7 @@ from .frobenius import (
     _assemble,
     _mod,
     evaluate_diagram,
+    residue_dtype,
 )
 from .pgroup import (
     CHUNK_ENTRIES,
@@ -65,6 +66,7 @@ from .pgroup import (
 )
 from .units import INF, PadicUnit, is_valid_level, level_to_json, p_power
 
+_FLOAT32_EXACT = 2**24  # float32 holds every integer below this exactly
 
 # -- relator specs -------------------------------------------------------------------
 
@@ -288,6 +290,15 @@ def _splitting(A: DWAlgebra):
     return Splitting(A, table)
 
 
+def _exact_float(k: int, l: int):
+    """The float in which a k-term dot product of residues mod ℓ and its reduction are exact (`Splitting._mul`).
+
+    float32 while k·(ℓ−1)² + ℓ < 2²⁴, else float64 while that is below 2⁵³, else None.
+    """
+    bound = k * (l - 1) ** 2 + l
+    return np.float32 if bound < _FLOAT32_EXACT else np.float64 if bound < _FLOAT_EXACT else None
+
+
 class Splitting:
     """A DW algebra over a split prime ℓ in its basis of character idempotents e_χ.
 
@@ -310,7 +321,8 @@ class Splitting:
     def __init__(self, A: DWAlgebra, table):
         l, k = A.l, A.dim
         self.algebra, self.l, self.k = A, l, k
-        self._float = k * (l - 1) ** 2 < _FLOAT_EXACT  # a k-term dot product of reduced entries is exact in float64
+        self._dtype = residue_dtype(l)  # the dtype of the walk's results
+        self._float = _exact_float(k, l)
         chi = np.array(table.rows, dtype=np.int64)
         degrees = np.array(table.degrees, dtype=np.int64)
         inv_degrees = np.array([pow(d, -1, l) for d in table.degrees], dtype=np.int64)
@@ -323,23 +335,37 @@ class Splitting:
         for kind in ("m", "d", "cup", "cap"):
             self.form(Token(kind))
 
-    def _mul(self, a, b):
-        """a·b mod ℓ for int64 a, b with entries in [0, ℓ) over an inner dimension of k.
+    def _mul(self, a, b, dtype=np.int64):
+        """a·b mod ℓ as a `dtype` array, for int64 a, b with entries in [0, ℓ) over an inner dimension of k.
 
-        In float64 BLAS when that is exact and the product large enough to pay
-        for the conversions, else in int64.  A block of a's rows at a time is
-        written into the result and reduced there, so no temporary outgrows
-        `_MOD_BLOCK` entries.
+        In BLAS, in the float `_exact_float` names, when there is one and the
+        product is large enough to pay for the conversions; otherwise in
+        int64.  A block of a's rows at a time is multiplied, reduced and
+        written into the result, so no temporary outgrows `_MOD_BLOCK` entries.
+
+        A float block R is reduced in its own float as R − ⌊R/ℓ⌋·ℓ, exactly.
+        Let 2^p be the float's bound (p = 24 or 53), so R + ℓ < 2^p: every
+        partial sum of R is an integer below 2^p, hence exact, and so are ℓ
+        and q = ⌊R/ℓ⌋.  Rounding is monotone, so q ≤ fl(R/ℓ) ≤ q + 1.  It
+        cannot be q + 1: R/ℓ ≤ q + 1 − 1/ℓ, and a value rounds up to q + 1
+        only from within half the float spacing below q + 1, at most
+        (q + 1)·2^−p, which is below 1/ℓ because (q + 1)·ℓ ≤ R + ℓ < 2^p.  So
+        ⌊fl(R/ℓ)⌋ = q, and q·ℓ ≤ R and R − q·ℓ are integers below 2^p, exact.
         """
-        cols = b.shape[1]
-        if self._float and len(a) * cols * self.k > _SMALL:
-            a, b = a.astype(np.float64), b.astype(np.float64)
-        out = np.empty((len(a), cols), dtype=np.int64)
+        rows, cols, l = len(a), b.shape[1], self.l
+        out = np.empty((rows, cols), dtype=dtype)
         step = max(1, _MOD_BLOCK // cols)
-        for i in range(0, len(a), step):
-            block = out[i : i + step]
-            block[...] = a[i : i + step] @ b
-            _mod(block, self.l)
+        if self._float is None or rows * cols * self.k <= _SMALL:
+            for i in range(0, rows, step):
+                out[i : i + step] = _mod(a[i : i + step] @ b, l)
+            return out
+        a, b = a.astype(self._float), b.astype(self._float)
+        for i in range(0, rows, step):
+            R = a[i : i + step] @ b
+            q = R / l
+            np.floor(q, out=q)
+            q *= l
+            np.subtract(R, q, out=out[i : i + step], casting="unsafe")
         return out
 
     def form(self, tok: Token):
@@ -347,7 +373,7 @@ class Splitting:
         A = self.algebra
         key = _generator_key(A.group, A.p, tok)
         if key not in self._forms:
-            self._read(key, str(tok), A.token_matrix(tok).a)
+            self._read(key, str(tok), A.token_matrix(tok).a.astype(np.int64))
         self._ops[tok] = form = self._forms[key]
         return form
 
@@ -355,11 +381,11 @@ class Splitting:
         """The permutation of characters of the power map g ↦ g^u, for u a unit mod exp Γ: the form of tw(u)."""
         key = ("tw", u % self.algebra.group.exponent())
         if key not in self._forms:
-            self._read(key, f"the power map g ↦ g^{u}", self.algebra._matrix(key).a)
+            self._read(key, f"the power map g ↦ g^{u}", self.algebra._matrix(key).a.astype(np.int64))
         return self._forms[key]
 
     def _read(self, key: tuple, label: str, M: np.ndarray):
-        """Conjugate the class matrix M of the generator `key` into this basis and keep its form.
+        """Conjugate the int64 class matrix M of the generator `key` into this basis and keep its form.
 
         m and cap are checked whole and leave no data; Δ leaves μ, cup λ, a
         tw its permutation π with π[ψ] the image of ψ, and a tor its diagonal,
@@ -411,7 +437,8 @@ class Splitting:
         """U·diag(w)·Vᵀ for the maps σ of a piece's output legs and τ of its input legs.
 
         U's columns are ⊗_o P[:, σ_o(χ)] and V's ⊗_i P⁻¹[τ_i(χ), :]; diag(w)
-        goes on the smaller of the two, and the product is one reduction mod ℓ.
+        goes on the smaller of the two, and the product is one reduction mod ℓ,
+        written in `residue_dtype(ℓ)`.
         """
         U, V = self._columns(self._P_rows, outs), self._columns(self.P_inv, ins)
         if w is not None:
@@ -419,10 +446,10 @@ class Splitting:
                 U = U * w[:, None] % self.l
             else:
                 V = V * w[:, None] % self.l
-        return self._mul(U.T, V)
+        return self._mul(U.T, V, self._dtype)
 
     def matrix(self, D: Diagram) -> np.ndarray:
-        """The class-basis int64 matrix of D in [0, ℓ), from one walk over its tokens.
+        """The class-basis matrix of D in [0, ℓ), in `residue_dtype(ℓ)`, from one walk over its tokens.
 
         Each strand carries a map σ (an int array) from the root character of
         its group to its own character, and each group of joined strands a
@@ -502,7 +529,7 @@ class Splitting:
             ins, o = sorted(legs[g]), outs.get(g, [])
             factors.append([w, [sigma[j] for j in o], [legs[g][i] for i in ins], tuple(ins), tuple(o)])
         if not factors:
-            return np.array([[scalar]], dtype=np.int64)
+            return np.array([[scalar]], dtype=self._dtype)
         if scalar != 1:  # the closed groups, folded into one open one
             w = factors[0][0]
             factors[0][0] = np.full(self.k, scalar) if w is None else w * scalar % l

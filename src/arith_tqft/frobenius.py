@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import groupby
 from typing import NamedTuple
 
@@ -327,16 +328,27 @@ class GenericMatrix:
         return GenericMatrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
 
-class ModMatrix:
-    """Dense matrix over 𝔽_ℓ; entries are int64 reduced into [0, ℓ).
+@lru_cache(maxsize=None)
+def residue_dtype(l: int) -> np.dtype:
+    """The dtype of residues mod ℓ: the narrowest of uint8, uint16 and uint32 that holds ℓ − 1, else int64."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if l - 1 <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
 
-    A read-only result container: the products behind it happen in `_contract`.
+
+class ModMatrix:
+    """Dense matrix over 𝔽_ℓ; entries reduced into [0, ℓ), stored in `residue_dtype(ℓ)`.
+
+    A read-only result container: the products behind it happen in `_contract`
+    or in the idempotent walk.  A narrow array is no arithmetic operand
+    (uint8 products wrap), so whatever computes with `a` upcasts it first.
     """
 
     __slots__ = ("a", "l", "_rows")
 
     def __init__(self, a, l: int):
-        self.a = np.asarray(a, dtype=np.int64) % l
+        self.a = (np.asarray(a, dtype=np.int64) % l).astype(residue_dtype(l), copy=False)
         self.l = l
         self._rows = None
         if self.a.ndim != 2:
@@ -344,9 +356,10 @@ class ModMatrix:
 
     @classmethod
     def reduced(cls, a: np.ndarray, l: int) -> "ModMatrix":
-        """Wrap a 2-dimensional int64 array whose entries already lie in [0, ℓ), without another pass."""
+        """Wrap a 2-dimensional integer array whose entries already lie in [0, ℓ); no pass when its dtype is ℓ's."""
+        dtype = residue_dtype(l)
         M = cls.__new__(cls)
-        M.a, M.l, M._rows = a, l, None
+        M.a, M.l, M._rows = a if a.dtype == dtype else a.astype(dtype), l, None
         return M
 
     @property
@@ -356,7 +369,7 @@ class ModMatrix:
     @property
     def rows(self):
         if self._rows is None:
-            self._rows = tuple(tuple(int(x) for x in row) for row in self.a)
+            self._rows = tuple(tuple(row.tolist()) for row in self.a)  # one row's list alive at a time
         return self._rows
 
     def __eq__(self, other):
@@ -655,8 +668,8 @@ class TokenTerms(NamedTuple):
     @staticmethod
     def of(M) -> "TokenTerms":
         """The terms of a `ModMatrix` (the one monomial 1) or of a matrix of universal scalars."""
-        if isinstance(M, ModMatrix):
-            codes, stack = _UNIT, M.a[None]
+        if isinstance(M, ModMatrix):  # upcast: the bounds below would promote a narrow sum to float64
+            codes, stack = _UNIT, M.a.astype(np.int64)[None]
         else:
             parts = {}
             for row, entries in enumerate(M.rows):
@@ -927,12 +940,19 @@ def _contract(D: Diagram, A, l):
 
 
 def _products(values, B, l):
-    """(v·B) mod ℓ for each v of the sorted `values` in [0, ℓ), stacked: int64 while (ℓ−1)² < 2⁶³, else Python ints."""
-    if (l - 1) ** 2 >= INT_EXACT:
-        return (np.multiply.outer(values.astype(object), B.astype(object)) % l).astype(np.int64)
-    out = np.multiply.outer(values, B)
-    skip = values.searchsorted(2)  # 0·B and 1·B are reduced already
-    np.remainder(out[skip:], l, out=out[skip:])
+    """(v·B) mod ℓ for each v of the sorted `values` in [0, ℓ), stacked in `residue_dtype(ℓ)`, the dtype of B.
+
+    0·B and 1·B are reduced already and only copied.  Every other v·B is
+    computed in int64, exact because only the walk assembles, and it runs
+    where (ℓ−1)² < 2⁶³ (`dw._splitting`), then narrowed as it is reduced, so
+    the gather from the table writes narrow bytes.
+    """
+    skip = int(values.searchsorted(2))
+    out = np.empty((len(values), *B.shape), dtype=residue_dtype(l))
+    for i in range(skip):
+        out[i] = B if values[i] else 0
+    if skip < len(values):  # narrow operands, upcast in the product
+        np.remainder(np.multiply.outer(values[skip:], B, dtype=np.int64), l, out=out[skip:], casting="unsafe")
     return out
 
 
@@ -958,7 +978,7 @@ def _placement(legs, k):
 
 
 def _assemble(factors, k, l):
-    """The matrix over 𝔽_ℓ of a diagram from the (matrix, input legs, output legs) of its pieces.
+    """The `residue_dtype(ℓ)` matrix of a diagram from the (matrix, input legs, output legs) of its pieces.
 
     Every factor has legs.  The result is their Kronecker product with the
     legs put back in place.  The product is folded from the right and taken
@@ -984,7 +1004,9 @@ def evaluate_diagram(D: Diagram, A):
     The leftmost strand is the most significant tensor index, and a closed
     diagram yields a 1×1 matrix.  Universal results are `GenericMatrix`es of
     `UniversalScalar`s (a shared zero where an entry vanishes), DW results
-    `ModMatrix`es around the reduced int64 array.
+    `ModMatrix`es around the reduced array in `residue_dtype(ℓ)`: the walk
+    writes that dtype itself, and a contraction's int64 result is narrowed
+    once, by `ModMatrix.reduced`.
 
     An algebra with a `splitting` (a DW algebra over a split prime) evaluates
     the diagram in its character idempotent basis, in one walk over the

@@ -391,10 +391,18 @@ def task_from_json(obj: dict):
         spec=spec,
         p=obj.get("p"),
         boundary=boundary,
-        p_image=bool(obj.get("p_image", False)),
+        p_image=_flag(obj, "p_image"),
         budget=obj.get("budget"),
     )
-    return task, ("epis" if obj.get("epis") else "solutions")
+    return task, ("epis" if _flag(obj, "epis") else "solutions")
+
+
+def _flag(obj: dict, key: str) -> bool:
+    """A task's boolean flag, false when absent; any other value is refused, so no string reads as true."""
+    value = obj.get(key, False)
+    if not isinstance(value, bool):
+        raise ValidationError("bad-spec", f"{key} must be true or false, got {value!r}")
+    return value
 
 
 # -- decorated generator entries ---------------------------------------------------------

@@ -303,6 +303,11 @@ _C3_TASK = {"group": "named:cyclic:3", "spec": {"n": 1, "r": 1}}
         ("task", {**_GL2_P_IMAGE, "p": 0}, "p=0 is not a prime"),
         ("task", {**_GL2_P_IMAGE, "p": 4}, "p=4 is not a prime"),
         ("task", {**_C3_TASK, "p": "x"}, "p must be an integer"),
+        ("task", {**_C3_TASK, "epis": "false"}, "epis must be true or false"),
+        ("task", {**_C3_TASK, "epis": 1}, "epis must be true or false"),
+        ("task", {**_C3_TASK, "epis": None}, "epis must be true or false"),
+        ("task", {**_GL2_P_IMAGE, "p_image": "no"}, "p_image must be true or false"),
+        ("task", {**_GL2_P_IMAGE, "p_image": 0}, "p_image must be true or false"),
     ],
 )
 def test_malformed_groups_and_tasks_exit_one_with_a_typed_error(command, payload, said, capsys, tmp_path):

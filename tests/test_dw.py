@@ -41,7 +41,7 @@ from arith_tqft.dw import (
     yamagishi_count,
 )
 from arith_tqft.errors import ComputationError, ValidationError
-from arith_tqft.frobenius import check_axioms, default_unit_samples, ensure_prechecked, evaluate_diagram
+from arith_tqft.frobenius import check_axioms, default_unit_samples, ensure_prechecked, evaluate_diagram, residue_dtype
 from arith_tqft.pgroup import (
     cyclic,
     direct_product,
@@ -306,7 +306,7 @@ def test_swap_needs_no_dense_matrix_and_results_come_reduced():
     ensure_prechecked(A)
     out = evaluate_diagram(parse_diagram("swap; m"), A)
     assert ("dw-exact", "swap") not in G._cache
-    assert out.a.dtype == np.int64 and out.shape == (29, 841)
+    assert out.a.dtype == residue_dtype(251) == np.uint8 and out.shape == (29, 841)
     assert out.a.min() >= 0 and out.a.max() < 251
     assert out == evaluate_diagram(parse_diagram("m"), A)  # m is commutative
 

@@ -878,3 +878,69 @@ def test_an_oversized_precheck_is_refused_before_any_law_runs(monkeypatch):
     with pytest.raises(ValidationError) as e:
         check_axioms(Wide(), axioms=frobenius.STRUCTURAL_AXIOMS)
     assert e.value.code == "bound-exceeded" and "F3" in e.value.message and "MAX_DENSE_ENTRIES" in e.value.message
+
+
+@pytest.mark.parametrize(
+    "G, l, dtype, split",
+    [
+        (cyclic(3), 7, np.uint8, True),
+        (heisenberg(5), 251, np.uint8, True),
+        (cyclic(9), 271, np.uint16, True),
+        (cyclic(3), 65539, np.uint32, True),
+        (cyclic(3), 2**61 - 1, np.int64, False),
+        (cyclic(9), 7, np.uint8, False),
+    ],
+    ids=["C3 mod 7", "Heis5 mod 251", "C9 mod 271", "C3 mod 65539", "C3 mod 2^61-1", "C9 mod 7"],
+)
+def test_results_come_in_the_narrowest_residue_dtype(G, l, dtype, split):
+    # the walk writes ℓ's dtype itself; a contraction without a splitting is
+    # narrowed once; either way the values are the contraction's
+    A = DWAlgebra(G, l)
+    ensure_prechecked(A)
+    assert frobenius.residue_dtype(l) == dtype and (A.splitting is not None) == split
+    for text in ("m; d; swap", "cap; d; m; tor(1); cup", "swap, tor(1); m, id", "d, id; id, m"):
+        D = parse_diagram(text)
+        if A.dim ** _widest(D) > A.max_dim:
+            continue
+        got = evaluate_diagram(D, A)
+        assert got.a.dtype == dtype and A.token_matrix(Token("m")).a.dtype == dtype, text
+        assert np.array_equal(got.a, frobenius._contract(D, A, l)), text
+        assert got.rows == tuple(tuple(int(x) for x in row) for row in got.a), text
+
+
+@pytest.mark.parametrize("k, route", [(268, np.float32), (269, np.float64)])
+def test_the_narrow_product_is_exact_on_either_side_of_the_float32_bound(k, route):
+    # ℓ = 251: k·(ℓ−1)² + ℓ is 16,750,251 < 2²⁴ at k = 268 and 16,812,751 past
+    # it at k = 269; entries ℓ − 1 reach the bound, and the odd products
+    # (ℓ−2)² in a few entries make sums that float32 could not hold past it
+    from types import SimpleNamespace
+
+    from arith_tqft.dw import Splitting, _exact_float
+
+    l, rows, cols = 251, 40, 600
+    assert _exact_float(k, l) is route
+    rng = np.random.default_rng(k)
+    a = np.full((rows, k), l - 1, dtype=np.int64)
+    b = np.full((k, cols), l - 1, dtype=np.int64)
+    a[1::2, 0] -= 1
+    b[0, 1::2] -= 1
+    a[-8:] = rng.integers(0, l, (8, k))
+    S = SimpleNamespace(l=l, k=k, _float=route)
+    want = a @ b % l
+    assert want.max() > 0 and len(np.unique(want)) > 2
+    for dtype in (np.uint8, np.int64):
+        got = Splitting._mul(S, a, b, dtype)
+        assert got.dtype == dtype and np.array_equal(got, want)
+
+
+def test_token_terms_upcast_a_narrow_token_matrix():
+    # a uint8 Δ on Heis(5) mod 251 gives the same bounds and int64 matrices as
+    # its int64 copy: no narrow sum is promoted to float64
+    A = DWAlgebra(heisenberg(5), 251)
+    narrow = A.token_matrix(Token("d"))
+    wide = frobenius.ModMatrix.__new__(frobenius.ModMatrix)
+    wide.a, wide.l, wide._rows = narrow.a.astype(np.int64), 251, None
+    got, want = frobenius.TokenTerms.of(narrow), frobenius.TokenTerms.of(wide)
+    assert narrow.a.dtype == np.uint8 and got.grow == want.grow
+    assert all(type(g) is int for g in got.grow)
+    assert all(m.dtype == np.int64 and np.array_equal(m, w) for m, w in zip(got.mats, want.mats))
