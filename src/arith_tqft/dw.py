@@ -39,7 +39,6 @@ from .chartab import char_sum, character_table_mod, recover_integer, split_prime
 from .cobordism import Diagram, Token
 from .errors import INT_EXACT, MAX_DENSE_ENTRIES, ComputationError, EngineError, ValidationError
 from .frobenius import (
-    _FLOAT_EXACT,
     _MOD_BLOCK,
     _SMALL,
     STRUCTURAL_AXIOMS,
@@ -203,7 +202,12 @@ def dw_generator_map_exact(G, token: Token) -> GenericMatrix:
 
 
 def dw_generator_map(G, l: int, token: Token) -> ModMatrix:
-    """The generator token's matrix reduced mod ℓ (ℓ prime, not dividing |Γ|)."""
+    """The generator token's matrix reduced mod ℓ (ℓ prime, not dividing |Γ|).
+
+    Its `.a` is in `residue_dtype(ℓ)`, uint8 for ℓ ≤ 256, where products
+    wrap without warning: upcast it (`.a.astype(np.int64)`) before any
+    arithmetic on it.
+    """
     return _algebra(G, l).token_matrix(token)
 
 
@@ -290,15 +294,6 @@ def _splitting(A: DWAlgebra):
     return Splitting(A, table)
 
 
-def _exact_float(k: int, l: int):
-    """The float in which a k-term dot product of residues mod ℓ and its reduction are exact (`Splitting._mul`).
-
-    float32 while k·(ℓ−1)² + ℓ < 2²⁴, else float64 while that is below 2⁵³, else None.
-    """
-    bound = k * (l - 1) ** 2 + l
-    return np.float32 if bound < _FLOAT32_EXACT else np.float64 if bound < _FLOAT_EXACT else None
-
-
 class Splitting:
     """A DW algebra over a split prime ℓ in its basis of character idempotents e_χ.
 
@@ -322,7 +317,7 @@ class Splitting:
         l, k = A.l, A.dim
         self.algebra, self.l, self.k = A, l, k
         self._dtype = residue_dtype(l)  # the dtype of the walk's results
-        self._float = _exact_float(k, l)
+        self._float = k * (l - 1) ** 2 + l < _FLOAT32_EXACT  # a k-term product of residues is reduced exactly in float32
         chi = np.array(table.rows, dtype=np.int64)
         degrees = np.array(table.degrees, dtype=np.int64)
         inv_degrees = np.array([pow(d, -1, l) for d in table.degrees], dtype=np.int64)
@@ -338,28 +333,28 @@ class Splitting:
     def _mul(self, a, b, dtype=np.int64):
         """a·b mod ℓ as a `dtype` array, for int64 a, b with entries in [0, ℓ) over an inner dimension of k.
 
-        In BLAS, in the float `_exact_float` names, when there is one and the
-        product is large enough to pay for the conversions; otherwise in
-        int64.  A block of a's rows at a time is multiplied, reduced and
-        written into the result, so no temporary outgrows `_MOD_BLOCK` entries.
+        In float32 BLAS while k·(ℓ−1)² + ℓ < 2²⁴ and the product is large
+        enough to pay for the conversions; otherwise in int64.  A block of a's
+        rows at a time is multiplied, reduced and written into the result, so
+        no temporary outgrows `_MOD_BLOCK` entries.
 
-        A float block R is reduced in its own float as R − ⌊R/ℓ⌋·ℓ, exactly.
-        Let 2^p be the float's bound (p = 24 or 53), so R + ℓ < 2^p: every
-        partial sum of R is an integer below 2^p, hence exact, and so are ℓ
-        and q = ⌊R/ℓ⌋.  Rounding is monotone, so q ≤ fl(R/ℓ) ≤ q + 1.  It
-        cannot be q + 1: R/ℓ ≤ q + 1 − 1/ℓ, and a value rounds up to q + 1
-        only from within half the float spacing below q + 1, at most
-        (q + 1)·2^−p, which is below 1/ℓ because (q + 1)·ℓ ≤ R + ℓ < 2^p.  So
-        ⌊fl(R/ℓ)⌋ = q, and q·ℓ ≤ R and R − q·ℓ are integers below 2^p, exact.
+        A float32 block R is reduced in float32 as R − ⌊R/ℓ⌋·ℓ, exactly.
+        R + ℓ < 2²⁴, so every partial sum of R is an integer below 2²⁴, hence
+        exact, and so are ℓ and q = ⌊R/ℓ⌋.  Rounding is monotone, so
+        q ≤ fl(R/ℓ) ≤ q + 1.  It cannot be q + 1: R/ℓ ≤ q + 1 − 1/ℓ, and a
+        value rounds up to q + 1 only from within half the float32 spacing
+        below q + 1, at most (q + 1)·2⁻²⁴, which is below 1/ℓ because
+        (q + 1)·ℓ ≤ R + ℓ < 2²⁴.  So ⌊fl(R/ℓ)⌋ = q, and q·ℓ ≤ R and R − q·ℓ
+        are integers below 2²⁴, exact.
         """
         rows, cols, l = len(a), b.shape[1], self.l
         out = np.empty((rows, cols), dtype=dtype)
         step = max(1, _MOD_BLOCK // cols)
-        if self._float is None or rows * cols * self.k <= _SMALL:
+        if not self._float or rows * cols * self.k <= _SMALL:
             for i in range(0, rows, step):
                 out[i : i + step] = _mod(a[i : i + step] @ b, l)
             return out
-        a, b = a.astype(self._float), b.astype(self._float)
+        a, b = a.astype(np.float32), b.astype(np.float32)
         for i in range(0, rows, step):
             R = a[i : i + step] @ b
             q = R / l

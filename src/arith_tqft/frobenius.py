@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import groupby
 from typing import NamedTuple
 
@@ -328,13 +327,9 @@ class GenericMatrix:
         return GenericMatrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
 
-@lru_cache(maxsize=None)
 def residue_dtype(l: int) -> np.dtype:
     """The dtype of residues mod ℓ: the narrowest of uint8, uint16 and uint32 that holds ℓ − 1, else int64."""
-    for dtype in (np.uint8, np.uint16, np.uint32):
-        if l - 1 <= np.iinfo(dtype).max:
-            return np.dtype(dtype)
-    return np.dtype(np.int64)
+    return np.dtype(np.uint8 if l <= 2**8 else np.uint16 if l <= 2**16 else np.uint32 if l <= 2**32 else np.int64)
 
 
 class ModMatrix:

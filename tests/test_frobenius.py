@@ -908,29 +908,33 @@ def test_results_come_in_the_narrowest_residue_dtype(G, l, dtype, split):
         assert got.rows == tuple(tuple(int(x) for x in row) for row in got.a), text
 
 
-@pytest.mark.parametrize("k, route", [(268, np.float32), (269, np.float64)])
-def test_the_narrow_product_is_exact_on_either_side_of_the_float32_bound(k, route):
-    # ℓ = 251: k·(ℓ−1)² + ℓ is 16,750,251 < 2²⁴ at k = 268 and 16,812,751 past
-    # it at k = 269; entries ℓ − 1 reach the bound, and the odd products
-    # (ℓ−2)² in a few entries make sums that float32 could not hold past it
+@pytest.mark.parametrize("k, in_float32", [(268, True), (269, False)])
+def test_the_narrow_product_is_exact_on_either_side_of_the_float32_bound(k, in_float32):
+    # ℓ = 251: k·(ℓ−1)² + ℓ is 16,750,251 < 2²⁴ at k = 268 (float32) and
+    # 16,812,751 past it at k = 269 (int64); entries ℓ − 1 reach the bound,
+    # and the odd products (ℓ−2)² in a few entries make sums that float32
+    # could not hold past it, so float32 there gives wrong entries
     from types import SimpleNamespace
 
-    from arith_tqft.dw import Splitting, _exact_float
+    from arith_tqft.dw import Splitting
 
     l, rows, cols = 251, 40, 600
-    assert _exact_float(k, l) is route
+    assert (k * (l - 1) ** 2 + l < 2**24) is in_float32
     rng = np.random.default_rng(k)
     a = np.full((rows, k), l - 1, dtype=np.int64)
     b = np.full((k, cols), l - 1, dtype=np.int64)
     a[1::2, 0] -= 1
     b[0, 1::2] -= 1
     a[-8:] = rng.integers(0, l, (8, k))
-    S = SimpleNamespace(l=l, k=k, _float=route)
+    S = SimpleNamespace(l=l, k=k, _float=in_float32)
     want = a @ b % l
     assert want.max() > 0 and len(np.unique(want)) > 2
     for dtype in (np.uint8, np.int64):
         got = Splitting._mul(S, a, b, dtype)
         assert got.dtype == dtype and np.array_equal(got, want)
+    if not in_float32:
+        S._float = True
+        assert not np.array_equal(Splitting._mul(S, a, b, np.int64), want)
 
 
 def test_token_terms_upcast_a_narrow_token_matrix():
