@@ -12,8 +12,9 @@ mod a prime ℓ and plugs into the generic evaluator and axiom checker in
 prime the algebra is a product of one-dimensional summands, one per
 irreducible character, which the unit group permutes: `Splitting` writes
 every generator in that basis of character idempotents, where each is
-monomial, and evaluates diagrams there; `classification_data` returns its
-data.
+monomial, with its data taken from the character table and the class power
+map, and prechecks and evaluates diagrams there; `classification_data`
+returns its data.
 
 On top of the algebra sit the counting formulas: `hom_count` recovers the
 number of homomorphisms from a one-relator surface group into Γ from integer
@@ -37,7 +38,7 @@ import numpy as np
 
 from .chartab import char_sum, character_table_mod, recover_integer, split_primes
 from .cobordism import Diagram, Token
-from .errors import INT_EXACT, MAX_DENSE_ENTRIES, ComputationError, EngineError, ValidationError
+from .errors import INT_EXACT, ComputationError, EngineError, ValidationError
 from .frobenius import (
     _MOD_BLOCK,
     _SMALL,
@@ -47,6 +48,7 @@ from .frobenius import (
     TokenTerms,
     _assemble,
     _mod,
+    ensure_prechecked,
     evaluate_diagram,
     residue_dtype,
 )
@@ -220,15 +222,18 @@ class DWAlgebra:
     Satisfies the same protocol as the universal algebra (`dim`, `max_dim`,
     `basis_names`, `token_matrix`, `token_terms`, `default_levels`, `p`,
     `precheck`), so `frobenius.check_axioms` and `frobenius.evaluate_diagram`
-    drive it unchanged.  The precheck contracts in the class basis, where
-    every token is the one monomial 1 and the state is float64 BLAS products,
-    reduced mod ℓ only when exactness needs it.  Over a split prime the
-    algebra also carries its `splitting` into the character idempotent basis
-    (`Splitting`, built here), in which `evaluate_diagram` walks the whole
-    diagram once; it is None when ℓ has no character table, and such an
-    algebra is contracted in the class basis throughout.  `swap` is a strand
-    relabelling on both routes, so its k²×k² matrix is built only when
-    `token_matrix` is asked for it.
+    drive it unchanged.  Over a split prime the algebra carries its
+    `splitting` into the character idempotent basis (`Splitting`, built here
+    from the character table and the class power map alone): it is
+    prechecked on those forms and `evaluate_diagram` walks the whole diagram
+    once over them, so no class-basis matrix of m, Δ, tw or tor is built.
+    `splitting` is None when ℓ has no character table; such an algebra is
+    prechecked and contracted in the class basis, where every token is the
+    one monomial 1 and the state is float64 BLAS products, reduced mod ℓ only
+    when exactness needs it.  The class-basis generators stay the reference
+    either way: `check_axioms` (the `axioms` command) contracts them.  `swap`
+    is a strand relabelling on both routes, so its k²×k² matrix is built only
+    when `token_matrix` is asked for it.
     Basis: indicator functions of conjugacy classes, in the group's class order.
     """
 
@@ -280,12 +285,13 @@ def _splitting(A: DWAlgebra):
     """A's `Splitting`, or None when ℓ gives Γ no character table to split by.
 
     That is decided by the table's own preconditions (ℓ ≡ 1 mod exp Γ,
-    ℓ > 2|Γ|, k·(ℓ−1)² < 2⁶³) and by a typed refusal from it.  An algebra
-    whose F3–F5 sides would pass `MAX_DENSE_ENTRIES` (k⁴ entries) gets none
-    either: its precheck refuses it, so it evaluates nothing.
+    ℓ > 2|Γ|, k·(ℓ−1)² < 2⁶³) and by a typed refusal from it, such as its k³
+    structure constants passing `MAX_DENSE_ENTRIES`.  The splitting reads
+    only the table and the class power map, so a group whose table is built
+    gets one, whatever k⁴ is.
     """
     G, l, k = A.group, A.l, A.dim
-    if (l - 1) % G.exponent() or l <= 2 * G.order or k * (l - 1) ** 2 >= INT_EXACT or k**4 > MAX_DENSE_ENTRIES:
+    if (l - 1) % G.exponent() or l <= 2 * G.order or k * (l - 1) ** 2 >= INT_EXACT:
         return None
     try:
         table = character_table_mod(G, l)
@@ -299,36 +305,58 @@ class Splitting:
 
     Each irreducible character χ gives e_χ = Σ_j P[j, χ]·C_j over the class
     indicators C_j, with P[j, χ] = χ(1)·χ(g_j⁻¹)/|Γ|, and P⁻¹[χ, j] =
-    |K_j|·χ(g_j)/χ(1) reads class coordinates back (the orthogonality
-    relations); characters are in table row order.  The algebra is the
-    product of the lines 𝔽_ℓ·e_χ, so every generator is monomial here:
+    |K_j|·χ(g_j)/χ(1) reads class coordinates back; characters are in table
+    row order.  The algebra is the product of the lines 𝔽_ℓ·e_χ, so every
+    generator is monomial here:
 
         m(e_χ⊗e_ψ) = δ_χψ·e_χ,   Δ(e_χ) = μ_χ·e_χ⊗e_χ,   ε(e_χ) = λ_χ,   1 = Σ_χ e_χ,
         tw(u)(e_χ) = e_{π_u(χ)},   tor(r)(e_χ) = τ_r(χ)·e_χ.
 
-    Each form is read off the generator's own matrix (`DWAlgebra.token_matrix`,
-    the one the precheck validates) conjugated into this basis: m, Δ, ε and
-    the unit when the algebra is built, m and Δ one tensor axis at a time
-    (k⁴ steps), and a tw or tor at its first use.  An entry off its form is an
-    `axiom-failure` naming the token.  `matrix` evaluates a diagram on the forms.
+    The forms come from the character table and the class power map alone
+    (Isaacs, *Character Theory of Finite Groups*, ch. 2 and 9): λ_χ =
+    χ(1)²/|Γ|², μ_χ = |Γ|²/χ(1)², π_u(χ) the row of the Galois conjugate
+    χ∘(g ↦ g^{1/u}), and τ_r(χ) = μ_χ·[π_c(χ) = χ] for the level-r handle's
+    exponent c = (1 − p^r) mod exp Γ, since tor(r) is Δ, then tw(c) on one
+    leg, then m.  m and the unit carry no data; λ and μ are built with the
+    splitting, each π_u and τ_r at its first use.  They are the class-basis
+    generators (`_generator`) conjugated by P, because P⁻¹·P = I is row
+    orthogonality, which `character_table_mod` has validated; `read_off`
+    computes them that way, as the reference, and no run-time path calls it.
+
+    The precheck is on the forms.  With m = δ, the unit Σ_χ e_χ and Δ
+    diagonal, F1, F3, F4, F5 and FS hold identically, and F2 is λ·μ ≡ 1
+    (`precheck`).  Each π_u is checked as it is built: it must map the
+    table's rows onto its rows (F9, F6), and λ and μ must be constant on its
+    orbits (F7, F8).  A failure is an `axiom-failure` naming the law.
+    `matrix` evaluates a diagram on the forms.
     """
 
     def __init__(self, A: DWAlgebra, table):
-        l, k = A.l, A.dim
+        l, k, n = A.l, A.dim, A.group.order
         self.algebra, self.l, self.k = A, l, k
         self._dtype = residue_dtype(l)  # the dtype of the walk's results
         self._float = k * (l - 1) ** 2 + l < _FLOAT32_EXACT  # a k-term product of residues is reduced exactly in float32
         chi = np.array(table.rows, dtype=np.int64)
         degrees = np.array(table.degrees, dtype=np.int64)
         inv_degrees = np.array([pow(d, -1, l) for d in table.degrees], dtype=np.int64)
-        self.P = chi[:, list(table.inverse_class)].T * degrees % l * pow(A.group.order, -1, l) % l
+        self.P = chi[:, list(table.inverse_class)].T * degrees % l * pow(n, -1, l) % l
         self.P_inv = chi * np.array(table.sizes, dtype=np.int64) % l * inv_degrees[:, None] % l
         self._P_rows = np.ascontiguousarray(self.P.T)  # row χ: the class coordinates of e_χ
         self._ident, self._ones = np.arange(k), np.ones((k, 1), dtype=np.int64)
-        self._forms: dict = {}  # generator key → its form
+        self._chi, self._row = chi, {row.tobytes(): i for i, row in enumerate(chi)}
+        self.lam = degrees * degrees % l * pow(n * n, -1, l) % l  # ε(e_χ) = χ(1)²/|Γ|²
+        self.mu = inv_degrees * inv_degrees % l * (n * n % l) % l  # Δ(e_χ) = |Γ|²/χ(1)²·e_χ⊗e_χ
+        self._forms: dict = {("m",): None, ("cap",): None, ("d",): self.mu, ("cup",): self.lam}  # generator key → form
         self._ops: dict = {}  # token → its form
-        for kind in ("m", "d", "cup", "cap"):
-            self.form(Token(kind))
+
+    def _refuse(self, law: str, chi: int, why: str):
+        raise ValidationError("axiom-failure", f"{law} fails on {self.algebra.name}: witness e_χ{chi} ({why})")
+
+    def precheck(self):
+        """F1–F5 and FS on the forms, in O(k): all but F2 hold identically, and F2 (Δ then ε on one leg) is λ·μ ≡ 1."""
+        bad = np.flatnonzero(self.lam * self.mu % self.l != 1)
+        if len(bad):
+            self._refuse("F2", int(bad[0]), "λ_χ·μ_χ ≢ 1")
 
     def _mul(self, a, b, dtype=np.int64):
         """a·b mod ℓ as a `dtype` array, for int64 a, b with entries in [0, ℓ) over an inner dimension of k.
@@ -364,29 +392,59 @@ class Splitting:
         return out
 
     def form(self, tok: Token):
-        """The form of a token, read off its matrix at its first use."""
+        """The form of a token, built at its first use: None for m and cap, μ for Δ, λ for cup, π_u, τ_r."""
         A = self.algebra
         key = _generator_key(A.group, A.p, tok)
         if key not in self._forms:
-            self._read(key, str(tok), A.token_matrix(tok).a.astype(np.int64))
+            if key[0] == "tw":
+                self.power_map(key[1])
+            else:  # tor(r): Δ, then tw(c) on one leg, then m
+                self._forms[key] = self.mu * (self.power_map(key[1]) == self._ident)
         self._ops[tok] = form = self._forms[key]
         return form
 
     def power_map(self, u: int):
-        """The permutation of characters of the power map g ↦ g^u, for u a unit mod exp Γ: the form of tw(u)."""
-        key = ("tw", u % self.algebra.group.exponent())
+        """π_u, the permutation e_χ ↦ e_{π_u(χ)} of tw(u), for u a unit mod exp Γ: π_u(χ) is the row of χ∘(g ↦ g^{1/u}).
+
+        Read off the class power map and checked at once: each conjugate must
+        be a row of the table, or tw(u) would not be multiplicative (F9); no
+        two rows may share one, or tw(u) would not fix the unit Σ_χ e_χ (F6);
+        and λ and μ must be constant on the orbits, or tw(u) would not keep ε
+        (F7) or commute with Δ (F8).
+        """
+        G = self.algebra.group
+        e = G.exponent()
+        key = ("tw", u % e)
         if key not in self._forms:
-            self._read(key, f"the power map g ↦ g^{u}", self.algebra._matrix(key).a.astype(np.int64))
+            v = pow(u, -1, e)
+            image = self._chi[:, [G.class_power(j, v) for j in range(self.k)]]
+            pi = np.array([self._row.get(row.tobytes(), -1) for row in image], dtype=np.int64)
+            label = f"the power map g ↦ g^{key[1]}"
+            if (pi < 0).any():
+                self._refuse("F9", int(np.argmin(pi)), f"{label} takes it to no character")
+            hits = np.bincount(pi, minlength=self.k)
+            if (hits != 1).any():
+                j = int(np.argmax(hits != 1))
+                self._refuse("F6", j, f"{label} is no permutation: {hits[j]} characters go to it")
+            for law, weights, name in (("F7", self.lam, "λ"), ("F8", self.mu, "μ")):
+                moved = np.flatnonzero(weights[pi] != weights)
+                if len(moved):
+                    self._refuse(law, int(moved[0]), f"{name} is not constant on the orbits of {label}")
+            self._forms[key] = pi
         return self._forms[key]
 
-    def _read(self, key: tuple, label: str, M: np.ndarray):
-        """Conjugate the int64 class matrix M of the generator `key` into this basis and keep its form.
+    def read_off(self, key: tuple):
+        """The form of a generator read off its class-basis matrix conjugated by P: the reference the built forms equal.
 
-        m and cap are checked whole and leave no data; Δ leaves μ, cup λ, a
-        tw its permutation π with π[ψ] the image of ψ, and a tor its diagonal,
-        which may hold zeros.
+        `key` is the generator's `_generator_key`.  m and cap are checked
+        whole and give None, Δ gives μ, cup λ, a tw its permutation π with
+        π[ψ] the image of ψ, and a tor its diagonal, which may hold zeros.  An
+        entry off the form is an `axiom-failure` naming the generator.  m and
+        Δ are conjugated one tensor axis at a time (k⁴ steps on k³ entries),
+        so this is for small groups, and only the tests call it.
         """
         k, kind, ident = self.k, key[0], self._ident
+        M = self.algebra._matrix(key).a.astype(np.int64)
         if kind == "m":  # M[c, (a, b)] → X[χ, b, a]
             X = self._mul(self._mul(self.P_inv, M).reshape(k * k, k), self.P).reshape(k, k, k)
             X = self._mul(X.transpose(0, 2, 1).reshape(k * k, k), self.P).reshape(k, k, k)
@@ -414,9 +472,9 @@ class Splitting:
         if bad:
             raise ValidationError(
                 "axiom-failure",
-                f"{label} leaves its monomial form in the character idempotent basis on {self.algebra.name}",
+                f"the generator {key} leaves its monomial form in the character idempotent basis on {self.algebra.name}",
             )
-        self._forms[key] = form
+        return form
 
     def _columns(self, M, maps):
         """One row per root character χ: ⊗ over `maps` of the rows M[σ(χ)], reduced mod ℓ after each factor."""
@@ -560,12 +618,15 @@ def _unit_generators(p: int, e: int) -> list:
 def classification_data(G, l: int) -> dict | None:
     """The DW algebra of Γ over 𝔽_ℓ as the classification sees it: one line 𝔽_ℓ·e_χ per character χ.
 
-    Read from the forms the evaluator walks with (`Splitting`), in table row
-    order: `lambda` holds λ_χ = ε(e_χ), `tor` the diagonal τ_r of tor(r) for
-    each level r of `default_levels()`, and `tw` the permutation π_u of the
-    characters (e_χ ↦ e_{π_u[χ]}) of the power map g ↦ g^u for each generator
-    u of (ℤ/exp Γ)^×.  None when Γ is no nontrivial p-group (it has no DW
-    algebra here) or ℓ gives its algebra no splitting.
+    The forms the evaluator walks with (`Splitting`), built from the
+    character table and the class power map and prechecked on themselves, in
+    table row order: `lambda` holds λ_χ = ε(e_χ) = χ(1)²/|Γ|², `tor` the
+    diagonal τ_r of tor(r) for each level r of `default_levels()`, and `tw`
+    the permutation π_u of the characters (e_χ ↦ e_{π_u[χ]}) of the power map
+    g ↦ g^u for each generator u of (ℤ/exp Γ)^×.  No class-basis matrix is
+    built, so this answers wherever the table does.  None when Γ is no
+    nontrivial p-group (it has no DW algebra here) or ℓ gives its algebra no
+    splitting.
     """
     G = group_from_spec(G)
     if unique_prime_factor(G.order) is None:
@@ -574,6 +635,7 @@ def classification_data(G, l: int) -> dict | None:
     S = A.splitting
     if S is None:
         return None
+    ensure_prechecked(A)
     e = A.group.exponent()
     return {
         "lambda": S.form(Token("cup")).tolist(),

@@ -35,10 +35,12 @@ it, and needs no token matrix to evaluate.
 
 A DW algebra over a split prime carries a `splitting` (dw.Splitting): the
 algebra in its basis of character idempotents, a product of one-dimensional
-summands, where every generator is monomial.  `evaluate_diagram` hands it the
-whole diagram, which it evaluates in one walk over the tokens: a closed
-surface is a k-term sum and an open piece one rank-k product, tensored with
-the other pieces by `_assemble`.
+summands, where every generator is monomial and its data comes from the
+character table.  `ensure_prechecked` checks it on those forms, with no
+contraction, and `evaluate_diagram` hands it the whole diagram, which it
+evaluates in one walk over the tokens: a closed surface is a k-term sum and
+an open piece one rank-k product, tensored with the other pieces by
+`_assemble`.
 """
 
 from __future__ import annotations
@@ -608,14 +610,25 @@ def check_axioms(A, levels=None, sample_units=None, axioms=None):
 
 
 def ensure_prechecked(A):
-    """Run the algebra's `precheck` axioms once; abort evaluation on failure."""
+    """Check the algebra's `precheck` laws once; abort evaluation with `axiom-failure` naming the first that fails.
+
+    An algebra with a `splitting` (dw.Splitting) is checked on its forms in
+    the character idempotent basis, in O(k): there the laws hold identically
+    but for F2, which is λ·μ ≡ 1, and each twist is checked as its
+    permutation is built.  Every other algebra contracts the laws' two sides
+    in its own basis (`check_axioms`).
+    """
     if getattr(A, "_precheck_ok", False):
         return
-    report = check_axioms(A, axioms=A.precheck)
-    for name in A.precheck:
-        ok, witness = report[name]
-        if not ok:
-            raise ValidationError("axiom-failure", f"{name} fails on {A.name}: witness {witness}")
+    splitting = getattr(A, "splitting", None)
+    if splitting is not None:
+        splitting.precheck()
+    else:
+        report = check_axioms(A, axioms=A.precheck)
+        for name in A.precheck:
+            ok, witness = report[name]
+            if not ok:
+                raise ValidationError("axiom-failure", f"{name} fails on {A.name}: witness {witness}")
     A._precheck_ok = True
 
 

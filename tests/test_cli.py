@@ -228,28 +228,54 @@ sys.exit(run(sys.argv[1:]))
 _PRODUCT = {"kind": "product", "factors": ["named:heisenberg:5", "named:elementary_abelian:5:2"]}
 
 
+def _run_capped(argv):
+    """The CLI run as a fresh process under `_CAPPED`'s address-space limit."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", _CAPPED, *argv], capture_output=True, text=True, env=env, timeout=120)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        # (Z/3)^5 has k = 243 classes: an associativity side of the precheck is a k^4-entry matrix
-        ["evaluate", "--algebra", "dw", "--group", "named:elementary_abelian:3:5", "--dsl", "cap; cup"],
+        # (Z/3)^6 has k = 729 classes: its structure constants hold k^3 entries, so it has no
+        # character table and no splitting, and an associativity side of the class-basis
+        # precheck is a k^4-entry matrix
+        ["evaluate", "--algebra", "dw", "--group", "named:elementary_abelian:3:6", "--dsl", "cap; cup"],
         # Heis(5)×(Z/5)^2 (order 3,125) has k = 725 classes: its structure constants hold k^3 entries
         ["homcount", "--group", "file:{product}", "--n", "1", "--r", "1"],
     ],
-    ids=["evaluate-e243", "homcount-heis5xe25"],
+    ids=["evaluate-e729", "homcount-heis5xe25"],
 )
 def test_dense_arrays_past_the_limit_are_refused_typed(argv, tmp_path):
     product = tmp_path / "product.json"
     product.write_text(json.dumps(_PRODUCT))
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    argv = [a.format(product=product) for a in argv]
-    done = subprocess.run(
-        [sys.executable, "-c", _CAPPED, *argv], capture_output=True, text=True, env=env, timeout=120
-    )
+    done = _run_capped([a.format(product=product) for a in argv])
     assert done.returncode == 1, done.stderr
     err = json.loads(done.stderr)
     assert err["error"] == "bound-exceeded" and "MAX_DENSE_ENTRIES" in err["message"]
+
+
+@pytest.mark.parametrize(
+    "group, l, order",
+    [("named:cyclic:125", 251, 125), ("named:elementary_abelian:3:5", 487, 243)],
+    ids=["C125", "e243"],
+)
+def test_split_algebras_past_k4_answer_closed_surfaces(group, l, order):
+    # k⁴ passes MAX_DENSE_ENTRIES on both, but the splitting reads only the
+    # table, so the sphere Σ_χ λ_χ = k/|Γ|² = 1/|Γ| answers
+    done = _run_capped(["evaluate", "--algebra", "dw", "--group", group, "--dsl", "cap; cup"])
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout)
+    assert out["modulus"] == l and out["entries"] == [[pow(order, -1, l)]]
+
+
+def test_chartab_prints_the_classification_past_k4():
+    done = _run_capped(["chartab", "--group", "named:cyclic:125"])
+    assert done.returncode == 0, done.stderr
+    data = json.loads(done.stdout)["classification"]
+    assert data["lambda"] == [pow(125 * 125, -1, 251)] * 125
+    assert set(data["tor"]) == {"1", "2", "3", "inf"} and len(data["tw"]["2"]) == 125
 
 
 def test_closed_stdout_exits_cleanly(monkeypatch, tmp_path):

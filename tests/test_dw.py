@@ -322,17 +322,28 @@ def test_swap_needs_no_dense_matrix_and_results_come_reduced():
 )
 def test_precheck_catches_one_perturbed_entry(G, l, kind, entry, witnesses):
     # one entry of m or Δ moved by 1 through the token terms the contraction
-    # reads; the witnesses are the first failing input basis tensors
+    # reads; the witnesses are the first failing input basis tensors.  A split
+    # algebra is prechecked on its forms and reads no token terms, so the
+    # evaluation is refused at 5 ≢ 1 mod 3, where neither group has a
+    # character table and the class-basis precheck runs
     from arith_tqft.frobenius import TokenTerms
 
-    A = DWAlgebra(G, l)
-    M = A.token_matrix(Token(kind)).a.copy()
-    M[entry] = (M[entry] + 1) % l
-    bad, terms = TokenTerms.of(ModMatrix(M, l)), A.token_terms
-    A.token_terms = lambda tok: bad if tok.kind == kind else terms(tok)
+    def perturbed(l):
+        A = DWAlgebra(G, l)
+        M = A.token_matrix(Token(kind)).a.copy()
+        M[entry] = (M[entry] + 1) % l
+        bad, terms = TokenTerms.of(ModMatrix(M, l)), A.token_terms
+        A.token_terms = lambda tok: bad if tok.kind == kind else terms(tok)
+        return A
+
+    A = perturbed(l)
     report = check_axioms(A, axioms=A.precheck)
     for name, witness in witnesses.items():
         assert report[name] == (False, witness)
+    A = perturbed(5)
+    assert A.splitting is None
+    report = check_axioms(A, axioms=A.precheck)
+    assert all(report[name] == (False, witness) for name, witness in witnesses.items())
     with pytest.raises(ValidationError) as e:
         evaluate_diagram(parse_diagram("d; m"), A)
     assert e.value.code == "axiom-failure"
@@ -341,28 +352,105 @@ def test_precheck_catches_one_perturbed_entry(G, l, kind, entry, witnesses):
 
 
 @pytest.mark.parametrize(
-    "G, l, tok, text",
+    "group, fault, law",
     [
-        (C3, 7, TORUS(1), "d; tor(1), id"),
-        (HEIS, 61, TWIST(unit(4, 3, 2)), "tw(4 mod 3^2); d"),
+        ("named:cyclic:9", "lambda", "F2"),
+        ("named:cyclic:9", "orbit", "F7"),
+        ("named:cyclic:9", "collapse", "F6"),
+        ("named:heisenberg:3", "collapse", "F9"),
     ],
-    ids=["tor(1) on C3", "tw on Heis3"],
+    ids=["F2 on C9", "F7 on C9", "F6 on C9", "F9 on Heis3"],
 )
-def test_a_generator_off_its_monomial_form_is_refused(G, l, tok, text):
-    # one entry moved through token_matrix: the structural precheck reads no
-    # tor or tw and the class-basis contraction would take the matrix as it
-    # is, but the walk reads the token's form off that matrix and refuses it
-    from arith_tqft import frobenius
+def test_a_form_that_breaks_a_law_is_refused(group, fault, law, monkeypatch):
+    # faults in the forms the walk reads: λ·μ ≢ 1 at one character breaks F2
+    # (Δ, then ε on one leg); λ and μ scaled inversely per character keep F2
+    # but are not constant on the orbits of tw(4) (F7); a class power map
+    # that sends every class to the identity sends every character to one
+    # class function, the trivial character on C₉ (no permutation, F6) and a
+    # constant 3 on Heis(3), no character at all (F9)
+    G = group_from_spec(group)
+    A = DWAlgebra(G, split_primes(G, count=1)[0])
+    S, l = A.splitting, A.l
+    if fault == "lambda":
+        S.mu[-1] = S.mu[-1] * 2 % l
+    elif fault == "orbit":
+        w = np.arange(1, A.dim + 1)
+        S.lam[:] = S.lam * w % l
+        S.mu[:] = S.mu * [pow(int(x), -1, l) for x in w] % l
+    else:
+        e = G.conjugacy_classes().class_of[G.identity]
+        monkeypatch.setattr(G, "class_power", lambda j, power: e)
+    with pytest.raises(ValidationError) as err:
+        evaluate_diagram(parse_diagram("tw(4 mod 3^3); d"), A)
+    assert err.value.code == "axiom-failure" and err.value.message.startswith(f"{law} fails on {A.name}")
 
-    A = DWAlgebra(G, l)
+
+SD16 = {"kind": "perm", "degree": 8, "gens": [[1, 2, 3, 4, 5, 6, 7, 0], [0, 3, 6, 1, 4, 7, 2, 5]]}  # i ↦ 3i mod 8
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "named:cyclic:3",
+        "named:cyclic:9",
+        "named:cyclic:27",
+        D8,
+        "named:heisenberg:3",
+        "named:extraspecial_exp_p2:3",
+        "named:heisenberg:5",
+        SD16,
+    ],
+    ids=["C3", "C9", "C27", "D8", "Heis3", "XSP3", "Heis5", "SD16"],
+)
+def test_forms_from_the_table_equal_the_class_basis_read_off(spec):
+    # the forms built from the character table and the class power map are
+    # the class-basis generators conjugated into the idempotent basis
+    from arith_tqft.dw import _generator_key, _unit_generators
+
+    G = group_from_spec(spec)
+    A = DWAlgebra(G, split_primes(G, count=1)[0])
+    S = A.splitting
+    for kind in ("m", "cap"):  # m = δ and the unit Σ_χ e_χ: the read-off checks the shape; no data
+        assert S.form(Token(kind)) is None and S.read_off((kind,)) is None
+    for kind in ("d", "cup"):
+        assert np.array_equal(S.form(Token(kind)), S.read_off((kind,)))
+    for r in A.default_levels():
+        assert np.array_equal(S.form(TORUS(r)), S.read_off(_generator_key(G, A.p, TORUS(r))))
+    e = G.exponent()
+    for u in _unit_generators(A.p, e):
+        pi = S.power_map(u)
+        assert sorted(pi.tolist()) == list(range(A.dim))
+        assert np.array_equal(pi, S.read_off(("tw", u % e)))
+    if spec is SD16:
+        # tor(1) fixes what g ↦ g^{-1} fixes; g ↦ g³ also fixes the character with value ζ₈ + ζ₈³
+        assert S.form(TORUS(1)).tolist() == [10, 10, 10, 10, 23, 0, 0]
+        assert (S.mu * (S.power_map(3) == np.arange(A.dim)) % A.l).tolist() == [10, 10, 10, 10, 23, 23, 23]
+
+
+def test_a_split_algebra_builds_no_class_basis_matrix(monkeypatch):
+    # set-up, precheck and walk on Heis(5) mod 251 read the character table
+    # and the class power map: no diagram is contracted and no class matrix
+    # of m, Δ, tw or tor is built
+    from arith_tqft import dw, frobenius
+
+    generator = dw._generator
+
+    def spy(G, key):
+        if key[0] in ("m", "d", "tw", "tor"):
+            pytest.fail(f"the class matrix of {key} was built")
+        return generator(G, key)
+
+    monkeypatch.setattr(frobenius, "_contract", lambda *args: pytest.fail("a diagram was contracted"))
+    monkeypatch.setattr(dw, "_generator", spy)
+    G = heisenberg(5)
+    A = DWAlgebra(G, 251)
     ensure_prechecked(A)
-    M = A.token_matrix(tok).a
-    M[0, 1] = (M[0, 1] + 1) % l
-    D = parse_diagram(text)
-    frobenius._contract(D, A, l)
-    with pytest.raises(ValidationError) as e:
-        evaluate_diagram(D, A)
-    assert e.value.code == "axiom-failure" and str(tok) in e.value.message
+    diagrams = [parse_diagram(text) for text in ("m; d; swap", "tw(6 mod 5^2); d", "id, tor(1); m")]
+    got = [evaluate_diagram(D, A) for D in diagrams + [surface_diagram(3, 1, 0, 0)]]
+    monkeypatch.undo()
+    for D, M in zip(diagrams, got):
+        assert np.array_equal(M.a, frobenius._contract(D, A, 251)), str(D)
+    assert got[-1].rows == ((hom_count(RelatorSpec(3, 1), G) * pow(G.order, -1, 251) % 251,),)
 
 
 @pytest.mark.parametrize("G", [C9, HEIS, cyclic(27)], ids=["C9", "Heis3", "C27"])
