@@ -29,7 +29,7 @@ E9 = elementary_abelian(3, 2)
 HEIS = heisenberg(3)
 
 # ---------------------------------------------------------------------------
-# Hom counts from the character formula (exact: one split prime, a centered lift per character).
+# Hom counts from the character formula (exact: the characters the handle fixes, summed in ℤ; genus 1 reads no table).
 
 for n, r in ((1, 1), (1, INF), (2, 1)):
     print(f"hom(surface n={n} r={r} -> C_3)  =", hom_count(RelatorSpec(n, r), C3))

@@ -23,7 +23,10 @@ All arithmetic is numpy int64 mod ℓ; k·(ℓ−1)² < 2⁶³ keeps every dot p
 A character sum S_ρ = Σ_g χ_ρ(g^e)·χ_ρ(g) is a rational integer (the Galois
 action g ↦ g^a permutes Γ and fixes it) with |S_ρ| ≤ |Γ|·χ_ρ(1)² ≤ |Γ|·|Γ:Z(Γ)|.
 So one split prime above 2|Γ|·|Γ:Z(Γ)| recovers every S_ρ exactly by a
-centered lift, one character at a time.
+centered lift, one character at a time.  `dw.hom_count` no longer counts
+this way (it reads which characters the handle's Galois action fixes), so
+`char_sum` and `recover_integer` are the tests' independent reference for
+its counts.
 """
 
 from __future__ import annotations
@@ -336,7 +339,7 @@ def char_sum(table: CharacterTableMod, r, p: int | None = None) -> tuple:
             raise ValidationError("bad-spec", "char_sum needs an explicit p for a mixed-order group")
     e = p_power_minus_one(p, r)
     k = len(table.rows)
-    power_class = [G.class_power(j, e) for j in range(k)]
+    power_class = G.class_powers(e).tolist()
     return tuple(
         sum(table.sizes[j] * row[power_class[j]] * row[j] for j in range(k)) % table.l
         for row in table.rows

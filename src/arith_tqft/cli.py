@@ -7,14 +7,17 @@ failures, so batch drivers can tell the two apart.  Flags that take a diagram
 or a task accept either a literal string or a path to a file holding one.
 
 `homcount` and `extensions` record the prime and the seed of the character
-table their count used (null when no table was needed: an abelian group is
-counted through its dual group), making each count a reproducible artifact.
+table their count used, making each count a reproducible artifact: the DW
+algebra's split prime for a non-abelian group at genus n ≥ 2, and
+``[]`` with a null seed when no table was needed (genus 1 is read off the
+class power map, and an abelian group is counted through its dual group).
 Both print an extension count as a JSON number when it is an integer and as
 an ``"a/b"`` string otherwise.
 Tables never retry a seed, so the seed is always 0.  When |Aut Γ| is refused
 at a limit, `homcount` still prints its hom and epi counts, with
 ``"extensions": null`` and the refusal under ``extensions_refused``;
-`extensions` exits with the refusal.
+`extensions` exits with the refusal.  No epimorphism means no extension:
+an epi count of 0 prints 0 extensions without counting |Aut Γ|.
 """
 
 from __future__ import annotations

@@ -16,16 +16,21 @@ monomial, with its data taken from the character table and the class power
 map, and prechecks and evaluates diagrams there; `classification_data`
 returns its data.
 
-On top of the algebra sit the counting formulas: `hom_count` recovers the
-number of homomorphisms from a one-relator surface group into Γ from integer
-character sums, each a centered lift from one character table mod one split
-prime, and reads it off the element orders when Γ is abelian (its character
-table is its dual group).  `epi_count` inverts it by P. Hall's Möbius sum over
-the subgroups containing the Frattini subgroup Φ(Γ), enumerated as the
-subspaces of Γ/Φ(Γ) ≅ 𝔽_p^d, a sum that takes a closed form in d when Γ is
-abelian; `extension_count`, `yamagishi_count` and
-`general_gauge_count` are the derived quantities.  Everything here has an
-independent brute-force twin in `oracle`.
+On top of the algebra sit the counting formulas: `hom_count` reads the
+number of homomorphisms from a one-relator surface group into Γ off the
+same forms, as |Γ| times the closed surface's value summed in ℤ: the
+characters fixed by the handle's Galois permutation π_c, weighted by
+(|Γ|/χ(1))^{2n−2}.  At genus 1 that is the number of classes fixed by the
+power map, with no table; at higher genus the degrees and π_c come from
+the split prime's table; an abelian Γ is read off its element orders (its
+character table is its dual group).  `epi_count` inverts it by P. Hall's
+Möbius sum over the subgroups containing the Frattini subgroup Φ(Γ),
+enumerated as the subspaces of Γ/Φ(Γ) ≅ 𝔽_p^d, a sum that takes a closed
+form in d when Γ is abelian and is 0 when d exceeds the spec's letters;
+`extension_count`, `yamagishi_count` and `general_gauge_count` are the
+derived quantities.  Everything here has an independent brute-force twin in
+`oracle`; the hom counts also have the integer character sums of
+`chartab.char_sum`, which the tests compare them against.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .chartab import char_sum, character_table_mod, recover_integer, split_primes
+from .chartab import character_table_mod, split_primes
 from .cobordism import Diagram, Token
 from .errors import INT_EXACT, ComputationError, EngineError, ValidationError
 from .frobenius import (
@@ -183,7 +188,7 @@ def _generator(G: FiniteGroup, key: tuple) -> np.ndarray:
         sc = G.structure_constants()[list(conj.inverse_class)]
         mat = (np.array(conj.centralizers)[:, None, None] * sc).transpose(0, 2, 1).reshape(k * k, k)
     else:  # tw is the class permutation K ↦ K^c, and tor = m∘(tw⊗id)∘d
-        perm = [G.class_power(i, key[1]) for i in range(k)]
+        perm = G.class_powers(key[1])
         mat = np.eye(k, dtype=np.int64)[:, perm]
         if kind == "tor":
             m = _generator(G, ("m",)).reshape(k, k, k)
@@ -417,7 +422,7 @@ class Splitting:
         key = ("tw", u % e)
         if key not in self._forms:
             v = pow(u, -1, e)
-            image = self._chi[:, [G.class_power(j, v) for j in range(self.k)]]
+            image = self._chi[:, G.class_powers(v)]
             pi = np.array([self._row.get(row.tobytes(), -1) for row in image], dtype=np.int64)
             label = f"the power map g ↦ g^{key[1]}"
             if (pi < 0).any():
@@ -665,13 +670,19 @@ def _abelian_hom_count(spec: RelatorSpec, orders: np.ndarray, p: int) -> int:
 
 
 def _surface_hom_count(G: FiniteGroup, n: int, r) -> tuple[int, list[int]]:
-    """(#Hom(G_{n,r} → Γ), [ℓ]): Σ_ρ (|Γ|/dim ρ)^{2n−2}·S_ρ(r), summed in ℤ.
+    """(#Hom(G_{n,r} → Γ), primes used): |Γ|·Σ_{χ : π_c(χ) = χ} (|Γ|/χ(1))^{2n−2}, c = 1 − p^r.
 
-    Each character sum S_ρ(r) is an integer with |S_ρ| ≤ |Γ|·|Γ:Z(Γ)|, so one
-    table at the smallest split prime ℓ above 2|Γ|·|Γ:Z(Γ)| gives every S_ρ
-    exactly by a centered lift mod ℓ, whatever the genus n.  An abelian Γ is
-    its own character group: its count is read from the element orders, with
-    no table and no prime ([]).
+    This is |Γ| times the DW value of the closed genus-n surface with level-r
+    handles: the cap weighs e_χ by λ_χ = χ(1)²/|Γ|² and each handle by
+    τ_r(χ) = μ_χ·[π_c(χ) = χ] (`Splitting`).  At n = 1 every weight is 1, and
+    by Brauer's permutation lemma (Isaacs, *Character Theory of Finite
+    Groups*, 6.32) π_c fixes as many characters as g ↦ g^c fixes classes, so
+    the count is |Γ|·#{K : K^c = K}, read off the class power map with no
+    table and no prime ([]).  At n ≥ 2 the degrees and π_c come from the one
+    character table at the DW algebra's split prime ℓ ([ℓ]), π_c by
+    `Splitting.power_map`, which checks it; the sum itself is in ℤ, so ℓ need
+    not bound it.  An abelian Γ is its own character group: its count is
+    read from the element orders, with no table and no prime ([]).
     """
     if G.order == 1 or n == 0:
         return 1, []
@@ -679,22 +690,19 @@ def _surface_hom_count(G: FiniteGroup, n: int, r) -> tuple[int, list[int]]:
     if cache_key in G._cache:
         return G._cache[cache_key]
     p = group_prime(G)
+    c = _torus_exponent(G, p, r)
     if G.is_abelian():
         G._cache[cache_key] = (_abelian_hom_count(RelatorSpec(n, r), G.element_orders(), p), [])
-        return G._cache[cache_key]
-    centre = G.conjugacy_classes().sizes.count(1)
-    bound = G.order * (G.order // centre)
-    l = split_primes(G, count=1, above=2 * bound)[0]
-    table = character_table_mod(G, l)
-    sums = char_sum(table, r, p=p)
-    value = sum(
-        (G.order // deg) ** (2 * n - 2) * recover_integer(s_rho, l)
-        for deg, s_rho in zip(table.degrees, sums)
-    )
-    if value < 0:
-        raise ComputationError("invariant", f"character sums produced a negative count {value}")
-    G._cache[cache_key] = (value, [l])
-    return value, [l]
+    elif n == 1:
+        classes = G.class_powers(c)
+        G._cache[cache_key] = (G.order * int((classes == np.arange(len(classes))).sum()), [])
+    else:
+        l = split_primes(G, count=1)[0]
+        degrees = character_table_mod(G, l).degrees  # raises the table's refusal, and caches it for the splitting
+        fixed = _algebra(G, l).splitting.power_map(c) == np.arange(len(degrees))
+        value = sum((G.order // d) ** (2 * n - 2) for d, f in zip(degrees, fixed.tolist()) if f)
+        G._cache[cache_key] = (G.order * value, [l])
+    return G._cache[cache_key]
 
 
 def hom_count(spec: RelatorSpec, G) -> int:
@@ -710,10 +718,10 @@ def hom_count(spec: RelatorSpec, G) -> int:
 def uncached_hom_count(spec: RelatorSpec, G) -> int:
     """hom_count with the memoized result discarded first: the true formula cost.
 
-    The character table stays warm — it is a per-group asset amortized over
-    every (n, r) query — so timing this measures the character sums, their
-    centered lifts and the weighted sum in ℤ, which is what a marginal count
-    actually costs.
+    The character table and its splitting stay warm — they are per-group
+    assets amortized over every (n, r) query — so timing this measures the
+    class power map at genus 1, or the weighted sum over the characters π_c
+    fixes at higher genus, which is what a marginal count actually costs.
     """
     G = group_from_spec(G)
     if isinstance(spec, RelatorSpec) and not spec.is_free:
@@ -817,9 +825,12 @@ def epi_count(spec: RelatorSpec, G) -> int:
     """Number of SURJECTIVE homomorphisms onto Γ: Σ_{H ⊇ Φ(Γ)} μ(H)·#Hom(spec → H).
 
     An abelian Γ takes the closed form of `_abelian_epi_count`, with no walk.
-    Otherwise an abelian H takes the dual-group value from the element orders;
-    only a non-abelian H is relabelled as its own group and counted through
-    its character table.
+    Otherwise no epimorphism exists when Γ needs more generators than the
+    spec has letters: d(Γ) = dim Γ/Φ(Γ), and an epimorphism maps the
+    Frattini quotient (𝔽_p^{2n} for G_{n,r}, 𝔽_p^k for FREE(k)) onto
+    Γ/Φ(Γ) ≅ 𝔽_p^d.  Then the walk runs: an abelian H takes the dual-group
+    value from the element orders; only a non-abelian H is relabelled as its
+    own group and counted through its character table.
     """
     if not isinstance(spec, RelatorSpec):
         raise ValidationError("bad-spec", f"expected a RelatorSpec, got {type(spec).__name__}")
@@ -829,6 +840,8 @@ def epi_count(spec: RelatorSpec, G) -> int:
     p = group_prime(G)
     if G.is_abelian():
         return _abelian_epi_count(spec, G, p)
+    if len(_frattini_cosets(G, p)) > p ** spec.letters():  # p^d cosets of Φ(Γ): d > letters
+        return 0
     orders, total = G.element_orders(), 0
     for h, mu in _frattini_subgroups(G):
         if len(h) == G.order:
@@ -850,6 +863,8 @@ def extension_count(spec: RelatorSpec, G) -> Fraction:
 def _extensions(G: FiniteGroup, epis: int) -> Fraction:
     if epis < 0:
         raise ComputationError("invariant", f"negative epimorphism count {epis}")
+    if epis == 0:  # no epimorphism, no extension: |Aut Γ| is not needed
+        return Fraction(0)
     return Fraction(epis, G.automorphism_count())
 
 

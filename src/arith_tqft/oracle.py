@@ -126,18 +126,6 @@ def _commutators(G: FiniteGroup) -> np.ndarray:
     return t[t, t[inv][:, inv]]
 
 
-def _powers(G: FiniteGroup, k: int) -> np.ndarray:
-    """x^k for every element x, by squaring and multiplying on the table: about 2·log₂ k gathers."""
-    t, out, base = G.table, np.full(G.order, G.identity), np.arange(G.order)
-    while k:
-        if k & 1:
-            out = t[out, base]
-        k >>= 1
-        if k:
-            base = t[base, base]
-    return out
-
-
 def _pair_values(G: FiniteGroup, comm, head, xs, ys) -> np.ndarray:
     """head[x]·[x, y] for every x ∈ xs and y ∈ ys, as a (len(xs), len(ys)) array; no head is x⁰ = e."""
     values = comm[np.ix_(xs, ys)]
@@ -266,7 +254,7 @@ def _scan(task: EnumerationTask, need_epi: bool):
     else:
         steps, e, inv = [(cand[i], cand[i + 1]) for i in range(0, len(cand), 2)], G.identity, np.array(G.inverse)
         comm, q = _commutators(G), p_power(p, spec.r) % G.exponent()
-        head = _powers(G, q) if q else None
+        head = G.powers(q) if q else None
     M = len(inv)
     joins = None
     if need_tuple:
@@ -425,7 +413,7 @@ def _torus_count(G: FiniteGroup, cls, i: int, o: int, r) -> int:
         raise ValidationError("bad-spec", "decorated torus counts need a p-group target")
     q = p_power(p, r) % G.exponent()
     every = np.arange(G.order)
-    values = _pair_values(G, _commutators(G), _powers(G, q) if q else None, every, every)
+    values = _pair_values(G, _commutators(G), G.powers(q) if q else None, every, every)
     c = np.bincount(values.ravel(), minlength=G.order)
     return int(c @ np.count_nonzero(cls[G.table[np.flatnonzero(cls == i)]] == o, axis=0))
 

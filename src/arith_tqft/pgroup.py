@@ -50,7 +50,8 @@ class FiniteGroup:
     with table[a, b] = a·b.  Identity, inverses, element orders and conjugacy
     classes are derived from it; `_t`, the same table as a flat list, serves
     the scalar `mul`/`closure`/`power` loops, where list indexing is faster,
-    and is built only when one of them first runs.
+    and is built only when one of them first runs.  `powers` and
+    `class_powers` gather on `table` instead, so they never build it.
     """
 
     def __init__(self, table, names=None, check=True, max_order=MAX_ORDER):
@@ -203,10 +204,27 @@ class FiniteGroup:
         self._cache["conj"] = data
         return data
 
-    def class_power(self, j: int, k: int) -> int:
-        """Class id of rep_j^k (well defined: conjugation commutes with powers)."""
+    def powers(self, k: int, xs=None) -> np.ndarray:
+        """x^k for every x in `xs` (every element when None), by square-and-multiply gathers on the table.
+
+        k is reduced mod exp G first, so it may be negative; about 2·log₂ exp G gathers of len(xs) entries.
+        """
+        t, k = self.table, k % self.exponent()
+        base = np.arange(self.order) if xs is None else np.asarray(xs, dtype=np.int64)
+        out = np.full(len(base), self.identity)
+        while k:
+            if k & 1:
+                out = t[out, base]
+            k >>= 1
+            if k:
+                base = t[base, base]
+        return out
+
+    def class_powers(self, k: int) -> np.ndarray:
+        """The class id of rep_j^k for every class j (well defined: conjugation commutes with powers)."""
         conj = self.conjugacy_classes()
-        return conj.class_of[self.power(conj.reps[j], k)]
+        class_of = conj.class_of
+        return np.array([class_of[x] for x in self.powers(k, conj.reps).tolist()], dtype=np.int64)
 
     def structure_constants(self) -> np.ndarray:
         """a[i, j, m] = #{(x, y) ∈ K_i×K_j : xy = rep_m}, the class-algebra constants.

@@ -40,7 +40,11 @@ def test_homcount_with_verification(capsys):
     assert run(["homcount", "--group", "named:heisenberg:3", "--n", "1", "--r", "1", "--verify"]) == 0
     out = _lines(capsys)[0][0]
     assert (out["hom_count"], out["epi_count"], out["verified"]) == (297, 0, True)
-    assert out["primes_used"] == [487]
+    assert out["primes_used"] == [] and out["seed"] is None  # genus 1 reads the class power map: no table
+    assert run(["homcount", "--group", "named:heisenberg:3", "--n", "2", "--r", "1"]) == 0
+    out = _lines(capsys)[0][0]
+    assert out["hom_count"] == 181521
+    assert out["primes_used"] == [61]  # the DW algebra's split prime
     assert out["seed"] == 0  # a table never retries: the count used seed 0
 
 
@@ -242,8 +246,9 @@ def _run_capped(argv):
         # character table and no splitting, and an associativity side of the class-basis
         # precheck is a k^4-entry matrix
         ["evaluate", "--algebra", "dw", "--group", "named:elementary_abelian:3:6", "--dsl", "cap; cup"],
-        # Heis(5)×(Z/5)^2 (order 3,125) has k = 725 classes: its structure constants hold k^3 entries
-        ["homcount", "--group", "file:{product}", "--n", "1", "--r", "1"],
+        # Heis(5)×(Z/5)^2 (order 3,125) has k = 725 classes: its structure constants hold k^3
+        # entries, so it has no character table, which a genus-2 count reads
+        ["homcount", "--group", "file:{product}", "--n", "2", "--r", "1"],
     ],
     ids=["evaluate-e729", "homcount-heis5xe25"],
 )
@@ -254,6 +259,30 @@ def test_dense_arrays_past_the_limit_are_refused_typed(argv, tmp_path):
     assert done.returncode == 1, done.stderr
     err = json.loads(done.stderr)
     assert err["error"] == "bound-exceeded" and "MAX_DENSE_ENTRIES" in err["message"]
+
+
+_HEIS3_SQUARED_C3 = {"kind": "product", "factors": ["named:heisenberg:3", "named:heisenberg:3", "named:cyclic:3"]}
+
+
+@pytest.mark.parametrize(
+    "spec, argv, want",
+    [
+        # genus 1 is |Γ|·#{K : K^c = K}; c = 1 − p^r ≡ 1 mod exp Γ here, so every class counts,
+        # and d(Γ) = 4 and 5 generators exceed the 2 letters, so there is no epimorphism
+        (_PRODUCT, ["homcount", "--n", "1", "--r", "1"], {"hom_count": 3125 * 725, "epi_count": 0, "extensions": 0}),
+        (_HEIS3_SQUARED_C3, ["homcount", "--n", "1", "--r", "1"], {"hom_count": 2187 * 363, "epi_count": 0, "extensions": 0}),
+        (_HEIS3_SQUARED_C3, ["extensions", "--free", "4"], {"extensions": 0, "epi_count": 0, "spec": "free(4)"}),
+    ],
+    ids=["homcount-heis5xe25", "homcount-heis3sqxc3", "extensions-heis3sqxc3"],
+)
+def test_counts_that_read_no_table_answer_under_the_cap(spec, argv, want, tmp_path):
+    # no character table, structure constants or Hall walk: each used to crash or be refused
+    group = tmp_path / "group.json"
+    group.write_text(json.dumps(spec))
+    done = _run_capped([argv[0], "--group", f"file:{group}", *argv[1:]])
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout)
+    assert out.pop("primes_used", []) == [] and out.pop("seed") is None and out == want
 
 
 @pytest.mark.parametrize(

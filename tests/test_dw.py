@@ -53,7 +53,7 @@ from arith_tqft.pgroup import (
     group_prime,
     heisenberg,
 )
-from arith_tqft.units import INF, level_from_json, one, unit
+from arith_tqft.units import INF, level_from_json, one, p_power, unit
 
 C3 = cyclic(3)
 C9 = cyclic(9)
@@ -379,7 +379,7 @@ def test_a_form_that_breaks_a_law_is_refused(group, fault, law, monkeypatch):
         S.mu[:] = S.mu * [pow(int(x), -1, l) for x in w] % l
     else:
         e = G.conjugacy_classes().class_of[G.identity]
-        monkeypatch.setattr(G, "class_power", lambda j, power: e)
+        monkeypatch.setattr(G, "class_powers", lambda power: np.full(A.dim, e))
     with pytest.raises(ValidationError) as err:
         evaluate_diagram(parse_diagram("tw(4 mod 3^3); d"), A)
     assert err.value.code == "axiom-failure" and err.value.message.startswith(f"{law} fails on {A.name}")
@@ -474,7 +474,7 @@ def test_classification_data_gives_the_closed_surface_counts(G):
         u_inv = pow(int(u), -1, G.exponent())
         assert sorted(perm) == list(range(len(perm)))
         for chi, image in enumerate(perm):
-            assert table.rows[image] == tuple(table.rows[chi][G.class_power(j, u_inv)] for j in range(len(perm)))
+            assert table.rows[image] == tuple(table.rows[chi][j] for j in G.class_powers(u_inv).tolist())
 
 
 def test_dimension_guard():
@@ -619,8 +619,8 @@ def test_counting_summary():
     assert out == {"hom_count": 9, "epi_count": 8, "extensions": 4, "primes_used": []}
     free = counting_summary(FREE(2), C3)
     assert free["hom_count"] == 9 and free["primes_used"] == []
-    assert counting_summary(RelatorSpec(1, 1), HEIS)["primes_used"] == [487]
-    assert len(counting_summary(RelatorSpec(14, INF), HEIS)["primes_used"]) == 1
+    assert counting_summary(RelatorSpec(1, 1), HEIS)["primes_used"] == []  # genus 1: the class power map
+    assert counting_summary(RelatorSpec(14, INF), HEIS)["primes_used"] == [61]  # the split prime's table
 
 
 # -- Hall–Frattini Möbius sums and dual-group counts ------------------------------------
@@ -667,18 +667,58 @@ def test_hall_frattini_sum_matches_the_lattice_mobius_sum(name):
         assert epi_count(spec, G) == sum(m * hom_count(spec, groups[h]) for h, m in mu.items()), (name, spec)
 
 
+def _character_sum_count(G, n, r):
+    """Σ_ρ (|Γ|/ρ(1))^{2n−2}·S_ρ(r), each character sum a centered lift mod a split prime ℓ > 2|Γ|·|Γ:Z(Γ)|."""
+    centre = G.conjugacy_classes().sizes.count(1)
+    l = split_primes(G, count=1, above=2 * G.order * (G.order // centre))[0]
+    table = character_table_mod(G, l)
+    sums = char_sum(table, r, p=group_prime(G))
+    return sum((G.order // d) ** (2 * n - 2) * recover_integer(s, l) for d, s in zip(table.degrees, sums))
+
+
 @pytest.mark.parametrize("name", [k for k, G in HALL_GROUPS.items() if G.is_abelian()])
 def test_dual_group_hom_count_matches_the_character_sum(name):
     # the element-order count of an abelian group against Σ_ρ (|Γ|/χ(1))^{2n−2}·S_ρ from a Dixon table
     G = HALL_GROUPS[name]
-    p = group_prime(G)
-    l = split_primes(G, count=1, above=2 * G.order)[0]
-    table = character_table_mod(G, l)
     for n in (1, 2, 3):
         for r in (1, 2, 3, INF):
-            sums = char_sum(table, r, p=p)
-            want = sum((G.order // d) ** (2 * n - 2) * recover_integer(s, l) for d, s in zip(table.degrees, sums))
-            assert hom_count(RelatorSpec(n, r), G) == want, (name, n, r)
+            assert hom_count(RelatorSpec(n, r), G) == _character_sum_count(G, n, r), (name, n, r)
+
+
+# ten non-abelian groups, 16 (n, r) cells each: the fixity count's grid
+FIXITY_GROUPS = {
+    **{name: HALL_GROUPS[name] for name in ("Heis3", "XSP3", "D8", "Q8", "D16", "Heis3xC3")},
+    "Heis5": heisenberg(5),
+    "XSP5": extraspecial_exp_p2(5),
+    "Heis7": heisenberg(7),
+    "SD16": group_from_spec(SD16),
+}
+
+
+@pytest.mark.parametrize("name", FIXITY_GROUPS)
+def test_fixity_count_matches_the_character_sums(name):
+    # |Γ|·Σ_{π_c(χ) = χ} (|Γ|/χ(1))^{2n−2} (genus 1 from the class power map, else from the
+    # split prime's table) against the integer character sums at a prime that bounds them
+    G = FIXITY_GROUPS[name]
+    for n in (1, 2, 3, 6):
+        for r in (1, 2, 3, INF):
+            assert hom_count(RelatorSpec(n, r), G) == _character_sum_count(G, n, r), (name, n, r)
+
+
+@pytest.mark.parametrize("name", FIXITY_GROUPS)
+def test_genus_one_fixed_classes_equal_fixed_characters(name):
+    # Brauer's permutation lemma: g ↦ g^u fixes as many classes as its Galois action π_u fixes
+    # characters, for every unit u mod exp Γ; at u = c = 1 − p^r that is the genus-1 count over |Γ|
+    G = FIXITY_GROUPS[name]
+    e, p = G.exponent(), group_prime(G)
+    S = DWAlgebra(G, split_primes(G, count=1)[0]).splitting
+    ident = np.arange(S.k)
+    for u in range(1, e):
+        if u % p:
+            assert (G.class_powers(u) == ident).sum() == (S.power_map(u) == ident).sum(), (name, u)
+    for r in (1, 2, 3, INF):
+        fixed = (S.power_map((1 - p_power(p, r)) % e) == ident).sum()
+        assert hom_count(RelatorSpec(1, r), G) == G.order * fixed, (name, r)
 
 
 def _mednykh(order, degrees, n):
@@ -766,8 +806,11 @@ def test_the_subspace_bound_refuses_before_enumerating(monkeypatch):
     monkeypatch.setattr(dw, "_subspaces", lambda p, d: pytest.fail("subspaces enumerated past the bound"))
     G = elementary_abelian(2, 10)  # 𝔽_2^10 has 229,755,605 subspaces
     assert epi_count(FREE(10), G) == _surjections(2, 10, 10)  # abelian: the closed form walks none
-    # D8×(Z/2)^6 is not abelian, and its Γ/Φ(Γ) ≅ 𝔽_2^8 has 417,199 subspaces
-    for count in (lambda: hall_mobius(G), lambda: epi_count(RelatorSpec(1, 1), direct_product(D8, elementary_abelian(2, 6)))):
+    # D8×(Z/2)^6 is not abelian, and its Γ/Φ(Γ) ≅ 𝔽_2^8 has 417,199 subspaces; it needs
+    # 8 generators, so a spec with fewer letters has no epimorphism and walks none either
+    big = direct_product(D8, elementary_abelian(2, 6))
+    assert epi_count(RelatorSpec(1, 1), big) == 0 == epi_count(FREE(7), big)
+    for count in (lambda: hall_mobius(G), lambda: epi_count(RelatorSpec(4, 1), big)):
         with pytest.raises(ValidationError) as e:
             count()
         assert e.value.code == "bound-exceeded" and "MAX_FRATTINI_SUBSPACES" in e.value.message
@@ -795,6 +838,19 @@ def test_abelian_epi_closed_form_matches_the_hall_sum():
                 assert epi_count(RelatorSpec(n, r), A) == want, (A.order, n, r)
             assert epi_count(FREE(n), A) == sum(k * mu * size**n for (mu, size, _, _), k in terms.items())
         assert epi_count(RelatorSpec(0, 1), A) == 0 == epi_count(FREE(0), A)
+
+
+def test_no_epimorphism_needs_no_automorphism_count(monkeypatch):
+    from arith_tqft.pgroup import FiniteGroup
+
+    # Heis(3)×(Z/3)^2 needs 4 generators, and its |Aut| is refused past MAX_AUT_CANDIDATES
+    big = direct_product(HEIS, E9)
+    with pytest.raises(ValidationError):
+        big.automorphism_count()
+    monkeypatch.setattr(FiniteGroup, "automorphism_count", lambda G: pytest.fail("|Aut Γ| counted for no epimorphism"))
+    assert counting_summary(FREE(3), big) == {"hom_count": 243**3, "epi_count": 0, "extensions": 0, "primes_used": []}
+    assert extension_count(RelatorSpec(1, 1), big) == 0  # 2 letters
+    assert extension_count(RelatorSpec(1, 1), HEIS) == 0  # Hall's sum is 0: 297 − 4·81 + 3·9
 
 
 def test_epi_count_on_the_trivial_group_and_a_mixed_order_group():

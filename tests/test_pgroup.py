@@ -84,14 +84,14 @@ def test_power_map_conventions():
 def test_class_power_well_defined():
     g = heisenberg(3)
     conj = g.conjugacy_classes()
-    for j in range(len(conj)):
-        assert g.class_power(j, -1) == conj.inverse_class[j]
-        assert g.class_power(j, 1) == j
-        # all members of a class land in class_power's class
-        rep = conj.reps[j]
+    assert g.class_powers(-1).tolist() == list(conj.inverse_class)
+    assert "_t" not in vars(g)  # gathers on g.table: the flat list is never built
+    assert g.class_powers(1).tolist() == list(range(len(conj)))
+    squares = g.class_powers(2)
+    for j, rep in enumerate(conj.reps):
+        # all members of a class land in the class of rep_j², by the scalar power loop
         for h in range(g.order):
-            y = g.conj(h, rep)
-            assert conj.class_of[g.power(y, 2)] == g.class_power(j, 2)
+            assert conj.class_of[g.power(g.conj(h, rep), 2)] == squares[j]
 
 
 def test_cyclic9_subgroups():
