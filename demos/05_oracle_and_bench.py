@@ -70,7 +70,7 @@ print("orientable-handle entries checked:", k**2, "mismatches:", mismatches)
 # the oracle accounts for all 27^4 = 531441 tuples from the Cayley table.
 
 spec = RelatorSpec(2, 1)
-value = hom_count(spec, HEIS)  # builds the character table once
+value = hom_count(spec, HEIS)  # builds the class algebra's data once
 
 t0 = time.perf_counter()
 value = uncached_hom_count(spec, HEIS)

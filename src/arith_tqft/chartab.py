@@ -24,9 +24,9 @@ A character sum S_ρ = Σ_g χ_ρ(g^e)·χ_ρ(g) is a rational integer (the Galo
 action g ↦ g^a permutes Γ and fixes it) with |S_ρ| ≤ |Γ|·χ_ρ(1)² ≤ |Γ|·|Γ:Z(Γ)|.
 So one split prime above 2|Γ|·|Γ:Z(Γ)| recovers every S_ρ exactly by a
 centered lift, one character at a time.  `dw.hom_count` no longer counts
-this way (it reads which characters the handle's Galois action fixes), so
-`char_sum` and `recover_integer` are the tests' independent reference for
-its counts.
+this way, nor builds a table (it reads how many characters of each degree
+the handle's Galois action fixes off the class algebra), so `char_sum` and
+`recover_integer` are the tests' independent reference for its counts.
 """
 
 from __future__ import annotations

@@ -6,18 +6,16 @@ aligned human-readable text).  Errors go to stderr as ``{"error": code,
 failures, so batch drivers can tell the two apart.  Flags that take a diagram
 or a task accept either a literal string or a path to a file holding one.
 
-`homcount` and `extensions` record the prime and the seed of the character
-table their count used, making each count a reproducible artifact: the DW
-algebra's split prime for a non-abelian group at genus n ≥ 2, and
-``[]`` with a null seed when no table was needed (genus 1 is read off the
-class power map, and an abelian group is counted through its dual group).
-Both print an extension count as a JSON number when it is an integer and as
-an ``"a/b"`` string otherwise.
-Tables never retry a seed, so the seed is always 0.  When |Aut Γ| is refused
-at a limit, `homcount` still prints its hom and epi counts, with
-``"extensions": null`` and the refusal under ``extensions_refused``;
-`extensions` exits with the refusal.  No epimorphism means no extension:
-an epi count of 0 prints 0 extensions without counting |Aut Γ|.
+`homcount` and `extensions` print ``"primes_used": []`` and ``"seed": null``:
+no count reads a character table or a prime.  A non-abelian group is counted
+on its class algebra (the class power map at genus 1, traces of the commutator
+sum's multiplication above it), an abelian group through its dual group.  Both
+print an extension count as a JSON number when it is an integer and as an
+``"a/b"`` string otherwise.  When |Aut Γ| is refused at a limit, `homcount`
+still prints its hom and epi counts, with ``"extensions": null`` and the
+refusal under ``extensions_refused``; `extensions` exits with the refusal.
+No epimorphism means no extension: an epi count of 0 prints 0 extensions
+without counting |Aut Γ|.
 """
 
 from __future__ import annotations
@@ -82,11 +80,6 @@ def _default_prime(G, flag):
     return flag if flag is not None else split_primes(G, count=1)[0]
 
 
-def _table_seed(G, primes):
-    """Seed of the (cached) character table a count used, or None when it used none."""
-    return character_table_mod(G, primes[0]).seed if primes else None
-
-
 # -- command handlers ---------------------------------------------------------------------
 
 
@@ -94,7 +87,7 @@ def _cmd_homcount(args):
     G = group_from_spec(args.group)
     spec = _spec_from_flags(args)
     out = counting_summary(spec, G)
-    out["seed"] = _table_seed(G, out["primes_used"])
+    out["seed"] = None  # no count reads a character table
     if args.verify:
         task = EnumerationTask(G, spec, budget=args.budget)
         scanned = (count_solutions(task), count_epis(task))
@@ -130,7 +123,7 @@ def _cmd_extensions(args):
             "extensions": out["extensions"],
             "epi_count": out["epi_count"],
             "spec": str(spec),
-            "seed": _table_seed(G, out["primes_used"]),
+            "seed": None,
         }
     ]
 

@@ -18,15 +18,18 @@ returns its data.
 
 On top of the algebra sit the counting formulas: `hom_count` reads the
 number of homomorphisms from a one-relator surface group into Γ off the
-same forms, as |Γ| times the closed surface's value summed in ℤ: the
-characters fixed by the handle's Galois permutation π_c, weighted by
-(|Γ|/χ(1))^{2n−2}.  At genus 1 that is the number of classes fixed by the
-power map, with no table; at higher genus the degrees and π_c come from
-the split prime's table; an abelian Γ is read off its element orders (its
-character table is its dual group).  `epi_count` inverts it by P. Hall's
-Möbius sum over the subgroups containing the Frattini subgroup Φ(Γ),
-enumerated as the subspaces of Γ/Φ(Γ) ≅ 𝔽_p^d, a sum that takes a closed
-form in d when Γ is abelian and is 0 when d exceeds the spec's letters;
+class algebra, as |Γ| times the closed surface's value summed in ℤ,
+|Γ|·tr(Φ_c·L^{n−1}): Φ_c is the class power map of the handle's exponent
+c and L the multiplication by the commutator sum ζ = Σ_{x,y} [x, y].  At
+genus 1 that is the number of classes the power map fixes; at higher genus
+the number of characters of each degree that π_c fixes is solved for from
+the traces, mod a fixed prime, with no character table; an abelian Γ is
+read off its element orders (its character table is its dual group).
+`epi_count` inverts it by P. Hall's Möbius sum over the subgroups
+containing the Frattini subgroup Φ(Γ), enumerated as the subspaces of
+Γ/Φ(Γ) ≅ 𝔽_p^d, a sum that takes a closed form in d when Γ is abelian and
+is 0 when d exceeds the spec's letters; each non-abelian subgroup is
+counted on a relabelled group that is dropped once counted;
 `extension_count`, `yamagishi_count` and `general_gauge_count` are the
 derived quantities.  Everything here has an independent brute-force twin in
 `oracle`; the hom counts also have the integer character sums of
@@ -37,11 +40,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
 
-from .chartab import character_table_mod, split_primes
+from .chartab import character_table_mod
 from .cobordism import Diagram, Token
 from .errors import INT_EXACT, ComputationError, EngineError, ValidationError
 from .frobenius import (
@@ -649,7 +653,7 @@ def classification_data(G, l: int) -> dict | None:
     }
 
 
-# -- character-sum counting -------------------------------------------------------------
+# -- counting on the class algebra ------------------------------------------------------
 
 
 def _abelian_hom_count(spec: RelatorSpec, orders: np.ndarray, p: int) -> int:
@@ -669,40 +673,107 @@ def _abelian_hom_count(spec: RelatorSpec, orders: np.ndarray, p: int) -> int:
     return size ** (2 * spec.n - 1) * torsion
 
 
-def _surface_hom_count(G: FiniteGroup, n: int, r) -> tuple[int, list[int]]:
-    """(#Hom(G_{n,r} → Γ), primes used): |Γ|·Σ_{χ : π_c(χ) = χ} (|Γ|/χ(1))^{2n−2}, c = 1 − p^r.
+# a prime with ℓ > MAX_ORDER ≥ k and MAX_ORDER·(ℓ−1)² < 2⁶³: every k-term product of residues mod ℓ is exact in int64
+_COUNT_PRIME = 8_388_593
+
+
+def _solve_mod(rows: list, l: int) -> list | None:
+    """x with Σ_j rows[i][j]·x_j ≡ rows[i][−1] (mod ℓ) for every i, by Gauss–Jordan elimination; None when singular."""
+    rows, size = [list(row) for row in rows], len(rows)
+    for i in range(size):
+        pivot = next((r for r in range(i, size) if rows[r][i] % l), None)
+        if pivot is None:
+            return None
+        rows[i], rows[pivot] = rows[pivot], rows[i]
+        inv = pow(rows[i][i], -1, l)
+        rows[i] = [x * inv % l for x in rows[i]]
+        for r in range(size):
+            if r != i and rows[r][i]:
+                f = rows[r][i]
+                rows[r] = [(x - f * y) % l for x, y in zip(rows[r], rows[i])]
+    return [row[-1] for row in rows]
+
+
+def _degree_bound(G: FiniteGroup, p: int) -> int:
+    """J, the largest j with p^{2j} ≤ |Γ:Z(Γ)|: every character degree of a p-group is some p^j with j ≤ J."""
+    index, j = G.order // G.conjugacy_classes().sizes.count(1), 0
+    while p ** (2 * j + 2) <= index:
+        j += 1
+    return j
+
+
+def _fixed_degrees(G: FiniteGroup, p: int, c: int, top: int | None = None) -> list[int]:
+    """[f_0, …, f_J]: f_j is the number of characters of degree p^j that π_c fixes, read off the class algebra.
+
+    ζ = Σ_{x,y} [x, y] = Σ_K (|Γ|/|K|)·C_K·C_{K⁻¹} is central and acts on the
+    idempotent e_χ by λ_χ = (|Γ|/χ(1))² (Frobenius 1896), and Φ_c: C_K ↦
+    C_{K^c} permutes the e_χ by π_c (Isaacs, *Character Theory of Finite
+    Groups*, 6.32).  So with L the multiplication by ζ in the class basis,
+    tr(Φ_c·L^m) = Σ_j f_j·λ_j^m with λ_j = (|Γ|/p^j)², and the equations
+    m = 0..J (J = `top`, by default `_degree_bound`) are a Vandermonde system
+    in the f_j, solved mod ℓ = `_COUNT_PRIME`.  Since 0 ≤ f_j ≤ k < ℓ, each
+    f_j is its own residue.  A singular system, an equation m = J + 1 that
+    disagrees, or an f_j past k is a ComputationError("invariant").
+
+    Everything is read off the structure constants a, which are refused past
+    `MAX_DENSE_ENTRIES`: L[m, j] = Σ_i z_i·a[i, j, m] for ζ = Σ_i z_i·C_i,
+    and tr(Φ_c·L^m) = Σ_j (L^m)[j, c(j)] is the class-j coordinate of
+    ζ^m·C_{c(j)}, so it is B·w_m for the coordinates w_m = L^m·1 of ζ^m and
+    B[i] = Σ_j a[i, c(j), j]: one k³ contraction, then a matrix-vector
+    product per power.  No character table is built.
+    """
+    l, top = _COUNT_PRIME, _degree_bound(G, p) if top is None else top
+    conj = G.conjugacy_classes()
+    k, a, ident = len(conj), G.structure_constants(), np.arange(len(conj))
+    z = np.array(conj.centralizers, dtype=np.int64) @ a[ident, list(conj.inverse_class)] % l
+    L = np.einsum("i,ijm->mj", z, a) % l
+    B = a[:, G.class_powers(c), ident].sum(axis=1)
+    w, traces = np.eye(1, k, conj.class_of[G.identity], dtype=np.int64)[0], []
+    for m in range(top + 2):
+        if m:
+            w = L @ w % l
+        traces.append(int(B @ w) % l)
+    lam = [pow(G.order // p**j, 2, l) for j in range(top + 1)]
+    f = _solve_mod([[pow(x, m, l) for x in lam] + [traces[m]] for m in range(top + 1)], l)
+    if f is None:
+        raise ComputationError("invariant", f"the degree system of an order-{G.order} group is singular mod {l}")
+    if sum(x * pow(y, top + 1, l) for x, y in zip(f, lam)) % l != traces[top + 1]:
+        raise ComputationError("invariant", f"the traces of an order-{G.order} group need a degree above {p}^{top}")
+    if max(f) > k:
+        raise ComputationError("invariant", f"{max(f)} fixed characters of one degree, but the group has {k} classes")
+    return f
+
+
+def _surface_hom_count(G: FiniteGroup, n: int, r) -> int:
+    """#Hom(G_{n,r} → Γ) = |Γ|·tr(Φ_c·L^{n−1}) = |Γ|·Σ_j f_j·((|Γ|/p^j)²)^{n−1}, with c = 1 − p^r.
 
     This is |Γ| times the DW value of the closed genus-n surface with level-r
-    handles: the cap weighs e_χ by λ_χ = χ(1)²/|Γ|² and each handle by
-    τ_r(χ) = μ_χ·[π_c(χ) = χ] (`Splitting`).  At n = 1 every weight is 1, and
-    by Brauer's permutation lemma (Isaacs, *Character Theory of Finite
-    Groups*, 6.32) π_c fixes as many characters as g ↦ g^c fixes classes, so
-    the count is |Γ|·#{K : K^c = K}, read off the class power map with no
-    table and no prime ([]).  At n ≥ 2 the degrees and π_c come from the one
-    character table at the DW algebra's split prime ℓ ([ℓ]), π_c by
-    `Splitting.power_map`, which checks it; the sum itself is in ℤ, so ℓ need
-    not bound it.  An abelian Γ is its own character group: its count is
-    read from the element orders, with no table and no prime ([]).
+    handles, on the class algebra (`_fixed_degrees`): the cap weighs e_χ by
+    χ(1)²/|Γ|² and each handle by (|Γ|/χ(1))²·[π_c(χ) = χ].  The sum is in ℤ
+    for any n.  At n = 1 it is |Γ|·tr(Φ_c), the classes g ↦ g^c fixes, read
+    off the class power map with no structure constants.  An abelian Γ is
+    its own character group: its count is read from the element orders.
+    No route here builds a character table or uses a prime in its answer.
     """
     if G.order == 1 or n == 0:
-        return 1, []
+        return 1
     cache_key = ("hom-count", n, r)
     if cache_key in G._cache:
         return G._cache[cache_key]
     p = group_prime(G)
     c = _torus_exponent(G, p, r)
     if G.is_abelian():
-        G._cache[cache_key] = (_abelian_hom_count(RelatorSpec(n, r), G.element_orders(), p), [])
+        value = _abelian_hom_count(RelatorSpec(n, r), G.element_orders(), p)
     elif n == 1:
         classes = G.class_powers(c)
-        G._cache[cache_key] = (G.order * int((classes == np.arange(len(classes))).sum()), [])
+        value = G.order * int((classes == np.arange(len(classes))).sum())
     else:
-        l = split_primes(G, count=1)[0]
-        degrees = character_table_mod(G, l).degrees  # raises the table's refusal, and caches it for the splitting
-        fixed = _algebra(G, l).splitting.power_map(c) == np.arange(len(degrees))
-        value = sum((G.order // d) ** (2 * n - 2) for d, f in zip(degrees, fixed.tolist()) if f)
-        G._cache[cache_key] = (G.order * value, [l])
-    return G._cache[cache_key]
+        key = ("fixed-degrees", c)
+        if key not in G._cache:
+            G._cache[key] = _fixed_degrees(G, p, c)
+        value = G.order * sum(f * (G.order // p**j) ** (2 * n - 2) for j, f in enumerate(G._cache[key]))
+    G._cache[cache_key] = value
+    return value
 
 
 def hom_count(spec: RelatorSpec, G) -> int:
@@ -712,16 +783,17 @@ def hom_count(spec: RelatorSpec, G) -> int:
     G = group_from_spec(G)
     if spec.is_free:
         return G.order**spec.free_rank
-    return _surface_hom_count(G, spec.n, spec.r)[0]
+    return _surface_hom_count(G, spec.n, spec.r)
 
 
 def uncached_hom_count(spec: RelatorSpec, G) -> int:
     """hom_count with the memoized result discarded first: the true formula cost.
 
-    The character table and its splitting stay warm — they are per-group
-    assets amortized over every (n, r) query — so timing this measures the
-    class power map at genus 1, or the weighted sum over the characters π_c
-    fixes at higher genus, which is what a marginal count actually costs.
+    The group's class data stay warm — its conjugacy classes, structure
+    constants and the fixed-degree counts f_j of each handle exponent are
+    per-group assets amortized over every (n, r) query — so timing this
+    measures the class power map at genus 1, or the sum Σ_j f_j·λ_j^{n−1} at
+    higher genus, which is what a marginal count actually costs.
     """
     G = group_from_spec(G)
     if isinstance(spec, RelatorSpec) and not spec.is_free:
@@ -734,13 +806,15 @@ def uncached_hom_count(spec: RelatorSpec, G) -> int:
 MAX_FRATTINI_SUBSPACES = 100_000  # subgroups H ⊇ Φ(Γ) a Möbius sum may visit
 
 
-def _subspaces(p: int, d: int):
+@lru_cache(maxsize=32)
+def _subspaces(p: int, d: int) -> tuple:
     """Every subspace U of 𝔽_p^d once, as (codimension, codes Σ_i v_i·p^i of its vectors), 𝔽_p^d first.
 
     Each U is generated from its reduced row echelon basis: pivots at chosen
     columns, the entries right of a pivot outside the pivot columns free.
+    Cached per (p, d), each code array read-only.
     """
-    weights = p ** np.arange(d)
+    weights, out = p ** np.arange(d), []
     for m in range(d, -1, -1):
         span = np.array(list(product(range(p), repeat=m)), dtype=np.int64).reshape(p**m, m)
         for pivots in combinations(range(d), m):
@@ -750,7 +824,10 @@ def _subspaces(p: int, d: int):
             basis[range(m), pivots] = 1
             for values in product(range(p), repeat=len(free)):
                 basis[rows, cols] = values
-                yield d - m, span @ basis % p @ weights
+                codes = span @ basis % p @ weights
+                codes.flags.writeable = False
+                out.append((d - m, codes))
+    return tuple(out)
 
 
 def _frattini_subgroups(G: FiniteGroup):
@@ -830,7 +907,7 @@ def epi_count(spec: RelatorSpec, G) -> int:
     Frattini quotient (𝔽_p^{2n} for G_{n,r}, 𝔽_p^k for FREE(k)) onto
     Γ/Φ(Γ) ≅ 𝔽_p^d.  Then the walk runs: an abelian H takes the dual-group
     value from the element orders; only a non-abelian H is relabelled as its
-    own group and counted through its character table.
+    own group and counted on its class algebra (`_subgroup_hom_count`).
     """
     if not isinstance(spec, RelatorSpec):
         raise ValidationError("bad-spec", f"expected a RelatorSpec, got {type(spec).__name__}")
@@ -849,7 +926,7 @@ def epi_count(spec: RelatorSpec, G) -> int:
         elif _commutative(G, h):
             value = _abelian_hom_count(spec, orders[h], p)
         else:
-            value = hom_count(spec, _subgroup_group(G, h))
+            value = _subgroup_hom_count(spec, G, h)
         total += mu * value
     return total
 
@@ -875,6 +952,19 @@ def yamagishi_count(N: int, r, G) -> int:
     if N % 2:
         raise ValidationError("odd-degree", f"degree {N} is odd; the count needs an even degree")
     return hom_count(RelatorSpec(N // 2 + 1, r), G)
+
+
+def _subgroup_hom_count(spec: RelatorSpec, G: FiniteGroup, h: np.ndarray) -> int:
+    """hom_count(spec, H) for the subgroup H of Γ on the elements h, cached on Γ as the integer alone.
+
+    H is relabelled as its own group for the count and dropped once counted,
+    so a walk over thousands of subgroups keeps none of their tables.
+    """
+    members = np.sort(h)
+    key = ("subgroup-hom-count", members.tobytes(), spec)
+    if key not in G._cache:
+        G._cache[key] = hom_count(spec, G.subgroup_as_group(members)[0])
+    return G._cache[key]
 
 
 def _subgroup_group(G: FiniteGroup, elements) -> FiniteGroup:
@@ -922,15 +1012,13 @@ def counting_summary(spec: RelatorSpec, G) -> dict:
     `extensions` is ready for JSON: an int, or an "a/b" string when the count
     is not an integer.  When |Aut Γ| is refused at a limit, the counts already
     made are kept: `extensions` is None and `extensions_refused` holds the error
-    code and message.
+    code and message.  `primes_used` is [] for every count: none reads a
+    character table or reduces its answer mod a prime.
     """
     G = group_from_spec(G)
-    if spec.is_free:
-        hom, primes = G.order**spec.free_rank, []
-    else:
-        hom, primes = _surface_hom_count(G, spec.n, spec.r)
+    hom = G.order**spec.free_rank if spec.is_free else _surface_hom_count(G, spec.n, spec.r)
     epis = epi_count(spec, G)
-    out = {"hom_count": hom, "epi_count": epis, "extensions": None, "primes_used": primes}
+    out = {"hom_count": hom, "epi_count": epis, "extensions": None, "primes_used": []}
     try:
         q = _extensions(G, epis)
         out["extensions"] = q.numerator if q.denominator == 1 else str(q)

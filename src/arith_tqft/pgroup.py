@@ -51,7 +51,8 @@ class FiniteGroup:
     classes are derived from it; `_t`, the same table as a flat list, serves
     the scalar `mul`/`closure`/`power` loops, where list indexing is faster,
     and is built only when one of them first runs.  `powers` and
-    `class_powers` gather on `table` instead, so they never build it.
+    `class_powers` gather on `table` instead, and `generating_set` walks
+    only its generators' columns, so none of them builds it.
     """
 
     def __init__(self, table, names=None, check=True, max_order=MAX_ORDER):
@@ -313,12 +314,13 @@ class FiniteGroup:
 
     def subgroup_as_group(self, elements) -> tuple["FiniteGroup", list[int]]:
         """Relabel a subgroup as its own FiniteGroup; returns (group, ambient indices)."""
-        elems = sorted(elements)
-        members = np.array(elems)
-        products = self.table[members[:, None], members]
-        table = members.searchsorted(products)
-        if (members.take(table, mode="clip") != products).any():
+        members = np.sort(np.fromiter(elements, dtype=np.int64, count=len(elements)))
+        index = np.full(self.order, -1)  # an ambient element's place among the members, −1 outside them
+        index[members] = np.arange(len(members))
+        table = index[self.table[members[:, None], members]]
+        if (table < 0).any():
             raise ValidationError("bad-spec", "the elements are not closed under the group product")
+        elems = members.tolist()
         group = FiniteGroup(table, names=[self.names[g] for g in elems], check=False)
         orders = self.element_orders()[members]  # an element has the same order in every subgroup
         orders.flags.writeable = False
@@ -331,17 +333,30 @@ class FiniteGroup:
         """A small generating set: grown greedily, then pruned of redundant picks (cached; a fresh list each call)."""
         if "gens" not in self._cache:
             gens: list[int] = []
-            have = frozenset({self.identity})
+            have = {self.identity}
             while len(have) < self.order:
                 g = next(x for x in range(self.order) if x not in have)
                 gens.append(g)
-                have = self.closure(gens)
+                have = self._span(gens)
             for g in list(gens):
                 rest = [h for h in gens if h != g]
-                if rest and len(self.closure(rest)) == self.order:
+                if rest and len(self._span(rest)) == self.order:
                     gens = rest
             self._cache["gens"] = tuple(gens)
         return list(self._cache["gens"])
+
+    def _span(self, gens) -> set:
+        """⟨gens⟩ as a set, walked over the generators' columns of `table`: d·N entries, where `_t` holds N²."""
+        columns = self.table[:, list(gens)].T.tolist()
+        seen, walk = {self.identity}, [self.identity]
+        while walk:
+            x = walk.pop()
+            for col in columns:
+                y = col[x]
+                if y not in seen:
+                    seen.add(y)
+                    walk.append(y)
+        return seen
 
     def automorphism_count(self) -> int:
         """|Aut Γ| of a p-group, from its structure: a closed form when Γ is abelian, else a relator test.
@@ -489,22 +504,24 @@ def _frattini_cosets(G: FiniteGroup, p: int) -> np.ndarray:
 
     An irredundant generating set b_1..b_d of a p-group is a Burnside basis:
     it maps onto a basis of Γ/Φ(Γ) ≅ 𝔽_p^d.  Every element is labelled by a
-    walk of the Cayley graph from the identity, the step by b_i adding the
+    walk of the Cayley graph from the identity over the columns b_i of
+    `table` (d·N entries: `_t` is not built), the step by b_i adding the
     i-th unit vector, and the labelling is checked to be a homomorphism on
     every edge; Φ(Γ) is its kernel, row 0.
     """
     if "frattini" in G._cache:
         return G._cache["frattini"]
-    t, n, gens = G._t, G.order, G.generating_set()
+    gens = G.generating_set()
     weights = [p**i for i in range(len(gens))]  # the code of the i-th unit vector
-    code = [-1] * n
+    code = [-1] * G.order
     code[G.identity] = 0
     walk = [G.identity]
+    steps = list(zip(G.table[:, gens].T.tolist(), weights))  # x·b_i is row x of column b_i
     while walk:
         x = walk.pop()
         c = code[x]
-        for g, w in zip(gens, weights):
-            y = t[x * n + g]
+        for col, w in steps:
+            y = col[x]
             if code[y] < 0:
                 code[y] = c + w if c // w % p < p - 1 else c - (p - 1) * w
                 walk.append(y)

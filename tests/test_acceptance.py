@@ -313,7 +313,7 @@ def _tuple_by_tuple_count(G, q: int) -> int:
 def test_criterion_9_performance_contrast():
     G = heisenberg(3)
     spec = RelatorSpec(2, 1)
-    expected = hom_count(spec, G)  # builds the character table once
+    expected = hom_count(spec, G)  # builds the class algebra's data once
 
     formula_seconds = None
     for _ in range(9):

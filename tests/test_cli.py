@@ -44,8 +44,7 @@ def test_homcount_with_verification(capsys):
     assert run(["homcount", "--group", "named:heisenberg:3", "--n", "2", "--r", "1"]) == 0
     out = _lines(capsys)[0][0]
     assert out["hom_count"] == 181521
-    assert out["primes_used"] == [61]  # the DW algebra's split prime
-    assert out["seed"] == 0  # a table never retries: the count used seed 0
+    assert out["primes_used"] == [] and out["seed"] is None  # genus 2 reads the class algebra: no table
 
 
 def test_homcount_free_rank(capsys):
@@ -247,7 +246,7 @@ def _run_capped(argv):
         # precheck is a k^4-entry matrix
         ["evaluate", "--algebra", "dw", "--group", "named:elementary_abelian:3:6", "--dsl", "cap; cup"],
         # Heis(5)×(Z/5)^2 (order 3,125) has k = 725 classes: its structure constants hold k^3
-        # entries, so it has no character table, which a genus-2 count reads
+        # entries, which the class algebra of a genus-2 count reads
         ["homcount", "--group", "file:{product}", "--n", "2", "--r", "1"],
     ],
     ids=["evaluate-e729", "homcount-heis5xe25"],

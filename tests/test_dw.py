@@ -620,7 +620,7 @@ def test_counting_summary():
     free = counting_summary(FREE(2), C3)
     assert free["hom_count"] == 9 and free["primes_used"] == []
     assert counting_summary(RelatorSpec(1, 1), HEIS)["primes_used"] == []  # genus 1: the class power map
-    assert counting_summary(RelatorSpec(14, INF), HEIS)["primes_used"] == [61]  # the split prime's table
+    assert counting_summary(RelatorSpec(14, INF), HEIS)["primes_used"] == []  # the class algebra: no table
 
 
 # -- Hall–Frattini Möbius sums and dual-group counts ------------------------------------
@@ -697,12 +697,44 @@ FIXITY_GROUPS = {
 
 @pytest.mark.parametrize("name", FIXITY_GROUPS)
 def test_fixity_count_matches_the_character_sums(name):
-    # |Γ|·Σ_{π_c(χ) = χ} (|Γ|/χ(1))^{2n−2} (genus 1 from the class power map, else from the
-    # split prime's table) against the integer character sums at a prime that bounds them
+    # |Γ|·tr(Φ_c·L_ζ^{n−1}) on the class algebra (genus 1 from the class power map, else the
+    # fixed characters of each degree from traces mod a fixed prime) against the integer
+    # character sums of a Dixon table at a prime that bounds them
     G = FIXITY_GROUPS[name]
     for n in (1, 2, 3, 6):
         for r in (1, 2, 3, INF):
             assert hom_count(RelatorSpec(n, r), G) == _character_sum_count(G, n, r), (name, n, r)
+
+
+PRODUCT_FACTORS = {
+    "Heis3xHeis3": (HEIS, HEIS),  # degrees 1, 3 and 9: three unknowns f_j
+    "Heis3xXSP3": (HEIS, XSP),
+    "D8xQ8": (HALL_GROUPS["D8"], HALL_GROUPS["Q8"]),
+}
+
+
+@pytest.mark.parametrize("name", PRODUCT_FACTORS)
+def test_hom_counts_multiply_over_direct_products(name):
+    # Hom(π, A×B) = Hom(π, A)×Hom(π, B): the product's class algebra shares no data with its factors'
+    A, B = PRODUCT_FACTORS[name]
+    G = direct_product(A, B)
+    for n in (1, 2, 3, 6):
+        for r in (1, 2, 3, INF):
+            spec = RelatorSpec(n, r)
+            assert hom_count(spec, G) == hom_count(spec, A) * hom_count(spec, B), (name, n, r)
+
+
+def test_a_degree_bound_below_the_truth_is_an_invariant_failure():
+    # Heis3×Heis3 has characters of degree 9 = 3²; solving for degrees up to 3¹ only leaves
+    # the equation m = J + 1 unmet
+    from arith_tqft.dw import _degree_bound, _fixed_degrees
+
+    G = direct_product(HEIS, HEIS)
+    assert _degree_bound(G, 3) == 2 and _fixed_degrees(G, 3, 1) == [81, 36, 4]
+    for top in (0, 1):
+        with pytest.raises(ComputationError) as e:
+            _fixed_degrees(G, 3, 1, top=top)
+        assert e.value.code == "invariant"
 
 
 @pytest.mark.parametrize("name", FIXITY_GROUPS)
@@ -773,7 +805,7 @@ def test_counts_past_the_old_subgroup_limit_match_closed_forms():
     assert time.perf_counter() - t0 < 10
 
 
-def test_cold_homcount_builds_tables_only_for_non_abelian_groups(monkeypatch, capsys, tmp_path):
+def test_cold_homcount_builds_no_character_table(monkeypatch, capsys, tmp_path):
     from arith_tqft import chartab, cli, dw
     from arith_tqft.cli import run
 
@@ -786,18 +818,53 @@ def test_cold_homcount_builds_tables_only_for_non_abelian_groups(monkeypatch, ca
 
     for module in (chartab, dw, cli):
         monkeypatch.setattr(module, "character_table_mod", counted)
+    monkeypatch.setattr(dw, "DWAlgebra", lambda *a: pytest.fail("a count built a DW algebra"))
     c3xc9 = tmp_path / "c3xc9.json"
     c3xc9.write_text('{"kind": "product", "factors": ["named:cyclic:3", "named:cyclic:9"]}')
-    for group, tables in (
-        ("named:cyclic:3", []),
-        (f"file:{c3xc9}", []),  # the lattice route built four order-9 tables here
-        ("named:elementary_abelian:3:3", []),
-        ("named:heisenberg:3", [27]),  # Γ only: its maximal subgroups and Φ are abelian
-    ):
-        built.clear()
-        assert run(["homcount", "--group", group, "--n", "2", "--r", "1"]) == 0
-        assert built == tables, group
+    d8 = tmp_path / "d8.json"
+    d8.write_text('{"kind": "perm", "degree": 4, "gens": [[1, 2, 3, 0], [3, 2, 1, 0]]}')
+    for group in ("named:cyclic:3", f"file:{c3xc9}", "named:elementary_abelian:3:3", "named:heisenberg:3", f"file:{d8}"):
+        for n in (1, 2, 5):
+            assert run(["homcount", "--group", group, "--n", str(n), "--r", "1"]) == 0
+    assert built == []
     capsys.readouterr()
+
+
+def test_cold_counts_leave_no_reference_cycles(capsys):
+    # the table route cached a DW algebra on its group, which pointed back at the group
+    import gc
+
+    from arith_tqft.cli import run
+
+    argv = ["homcount", "--group", "named:heisenberg:3", "--n", "2", "--r", "1"]
+    assert run(argv) == 0  # warm-up: first-use caches of the interpreter and numpy
+    gc.collect()
+    gc.disable()  # no automatic pass may collect a cycle before the count below
+    try:
+        for _ in range(20):
+            assert run(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    capsys.readouterr()
+
+
+def test_the_hall_walk_keeps_counts_not_groups():
+    # each non-abelian H ⊇ Φ(Γ) is counted on a relabelled group that is dropped once counted
+    g = direct_product(HEIS, HEIS)  # d = 4, so the walk runs from genus 2 on
+    assert epi_count(RelatorSpec(3, 1), g) == 15_523_598_064_199_680
+    assert not any(key[0] == "subgroup-group" for key in g._cache if isinstance(key, tuple))
+    assert not any(isinstance(v, type(g)) for v in g._cache.values())
+
+
+def test_a_genus_one_count_builds_no_flat_table():
+    # Heis(5)×(Z/5)^2, order 3,125: the Frattini labelling and the generating set read the
+    # generators' columns of the table, not its 9.8M-entry flat list
+    g = direct_product(heisenberg(5), elementary_abelian(5, 2))
+    assert counting_summary(RelatorSpec(1, 1), g) == {
+        "hom_count": 3125 * 725, "epi_count": 0, "extensions": 0, "primes_used": []
+    }
+    assert "_t" not in g.__dict__
 
 
 def test_the_subspace_bound_refuses_before_enumerating(monkeypatch):

@@ -522,8 +522,8 @@ def test_closure_and_generators():
 
 def test_generating_set_walks_closure_once(monkeypatch):
     g = heisenberg(5)
-    calls, closure = [], g.closure
-    monkeypatch.setattr(g, "closure", lambda gens: calls.append(list(gens)) or closure(gens))
+    calls, span = [], g._span
+    monkeypatch.setattr(g, "_span", lambda gens: calls.append(list(gens)) or span(gens))
     first = g.generating_set()
     walked = len(calls)
     second = g.generating_set()
