@@ -702,7 +702,7 @@ def _degree_bound(G: FiniteGroup, p: int) -> int:
     return j
 
 
-def _fixed_degrees(G: FiniteGroup, p: int, c: int, top: int | None = None) -> list[int]:
+def _fixed_degrees(G: FiniteGroup, p: int, c: int) -> list[int]:
     """[f_0, …, f_J]: f_j is the number of characters of degree p^j that π_c fixes, read off the class algebra.
 
     ζ = Σ_{x,y} [x, y] = Σ_K (|Γ|/|K|)·C_K·C_{K⁻¹} is central and acts on the
@@ -710,7 +710,7 @@ def _fixed_degrees(G: FiniteGroup, p: int, c: int, top: int | None = None) -> li
     C_{K^c} permutes the e_χ by π_c (Isaacs, *Character Theory of Finite
     Groups*, 6.32).  So with L the multiplication by ζ in the class basis,
     tr(Φ_c·L^m) = Σ_j f_j·λ_j^m with λ_j = (|Γ|/p^j)², and the equations
-    m = 0..J (J = `top`, by default `_degree_bound`) are a Vandermonde system
+    m = 0..J (J = `_degree_bound`) are a Vandermonde system
     in the f_j, solved mod ℓ = `_COUNT_PRIME`.  Since 0 ≤ f_j ≤ k < ℓ, each
     f_j is its own residue.  A singular system, an equation m = J + 1 that
     disagrees, or an f_j past k is a ComputationError("invariant").
@@ -722,7 +722,7 @@ def _fixed_degrees(G: FiniteGroup, p: int, c: int, top: int | None = None) -> li
     B[i] = Σ_j a[i, c(j), j]: one k³ contraction, then a matrix-vector
     product per power.  No character table is built.
     """
-    l, top = _COUNT_PRIME, _degree_bound(G, p) if top is None else top
+    l, top = _COUNT_PRIME, _degree_bound(G, p)
     conj = G.conjugacy_classes()
     k, a, ident = len(conj), G.structure_constants(), np.arange(len(conj))
     z = np.array(conj.centralizers, dtype=np.int64) @ a[ident, list(conj.inverse_class)] % l
@@ -765,15 +765,25 @@ def _surface_hom_count(G: FiniteGroup, n: int, r) -> int:
     if G.is_abelian():
         value = _abelian_hom_count(RelatorSpec(n, r), G.element_orders(), p)
     elif n == 1:
-        classes = G.class_powers(c)
-        value = G.order * int((classes == np.arange(len(classes))).sum())
+        value = G.order * _fixed_classes(G, c)
     else:
         key = ("fixed-degrees", c)
         if key not in G._cache:
             G._cache[key] = _fixed_degrees(G, p, c)
-        value = G.order * sum(f * (G.order // p**j) ** (2 * n - 2) for j, f in enumerate(G._cache[key]))
+        value = _degree_sum(G.order, p, G._cache[key], n)
     G._cache[cache_key] = value
     return value
+
+
+def _fixed_classes(G: FiniteGroup, c: int) -> int:
+    """The number of classes K with K^c = K: Σ_j f_j, the genus-1 count over |Γ| (Brauer's permutation lemma)."""
+    classes = G.class_powers(c)
+    return int((classes == np.arange(len(classes))).sum())
+
+
+def _degree_sum(order: int, p: int, f: list[int], n: int) -> int:
+    """|Γ|·Σ_j f_j·((|Γ|/p^j)²)^{n−1}, the genus-n count from the fixed-degree counts f_j; n = 1 reads only Σ_j f_j."""
+    return order * sum(x * (order // p**j) ** (2 * n - 2) for j, x in enumerate(f))
 
 
 def hom_count(spec: RelatorSpec, G) -> int:
@@ -955,16 +965,27 @@ def yamagishi_count(N: int, r, G) -> int:
 
 
 def _subgroup_hom_count(spec: RelatorSpec, G: FiniteGroup, h: np.ndarray) -> int:
-    """hom_count(spec, H) for the subgroup H of Γ on the elements h, cached on Γ as the integer alone.
+    """hom_count(spec, H) for the non-abelian subgroup H of Γ on the elements h, from class data Γ caches per H.
 
-    H is relabelled as its own group for the count and dropped once counted,
-    so a walk over thousands of subgroups keeps none of their tables.
+    H is relabelled as its own group only to read its class data, and dropped
+    once they are read, so a walk over thousands of subgroups keeps none of
+    their tables.  Γ keeps, per H and handle level r, the fixed-degree counts
+    f_j of `_fixed_degrees`, which answer every genus; at genus 1, until those
+    exist, it keeps only H's number of fixed classes, which needs no structure
+    constants.  So another genus at the same level relabels no H again.
     """
+    if spec.is_free:
+        return len(h) ** spec.free_rank
     members = np.sort(h)
-    key = ("subgroup-hom-count", members.tobytes(), spec)
+    p, name = group_prime(G), members.tobytes()
+    key = ("subgroup-degrees", name, spec.r)
+    if spec.n == 1 and key not in G._cache:  # genus 1 reads Σ_j f_j alone: the classes g ↦ g^c fixes
+        key = ("subgroup-fixed-classes", name, spec.r)
     if key not in G._cache:
-        G._cache[key] = hom_count(spec, G.subgroup_as_group(members)[0])
-    return G._cache[key]
+        H = G.subgroup_as_group(members)[0]
+        c = _torus_exponent(H, p, spec.r)
+        G._cache[key] = [_fixed_classes(H, c)] if spec.n == 1 else _fixed_degrees(H, p, c)
+    return _degree_sum(len(h), p, G._cache[key], spec.n)
 
 
 def _subgroup_group(G: FiniteGroup, elements) -> FiniteGroup:

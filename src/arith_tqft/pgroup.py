@@ -345,9 +345,18 @@ class FiniteGroup:
             self._cache["gens"] = tuple(gens)
         return list(self._cache["gens"])
 
+    def _columns(self, gens) -> list[list[int]]:
+        """The generators' columns of `table` as lists, x·g at entry x of g's: d·N entries, where `_t` holds N²."""
+        return self.table[:, list(gens)].T.tolist()
+
     def _span(self, gens) -> set:
-        """⟨gens⟩ as a set, walked over the generators' columns of `table`: d·N entries, where `_t` holds N²."""
-        columns = self.table[:, list(gens)].T.tolist()
+        """⟨gens⟩ as a set, walked over `_columns`, so a cold group builds no `_t`.
+
+        `closure` keeps its walk over `_t`: subgroup enumeration and the
+        oracle read `_t` anyway and call it once per join, where gathering
+        the columns per call is slower (all subgroups of (ℤ/3)⁴ 22 → 30 ms).
+        """
+        columns = self._columns(gens)
         seen, walk = {self.identity}, [self.identity]
         while walk:
             x = walk.pop()
@@ -516,7 +525,7 @@ def _frattini_cosets(G: FiniteGroup, p: int) -> np.ndarray:
     code = [-1] * G.order
     code[G.identity] = 0
     walk = [G.identity]
-    steps = list(zip(G.table[:, gens].T.tolist(), weights))  # x·b_i is row x of column b_i
+    steps = list(zip(G._columns(gens), weights))
     while walk:
         x = walk.pop()
         c = code[x]

@@ -43,6 +43,7 @@ from arith_tqft.dw import (
 from arith_tqft.errors import ComputationError, ValidationError
 from arith_tqft.frobenius import check_axioms, default_unit_samples, ensure_prechecked, evaluate_diagram, residue_dtype
 from arith_tqft.pgroup import (
+    FiniteGroup,
     cyclic,
     direct_product,
     elementary_abelian,
@@ -724,16 +725,17 @@ def test_hom_counts_multiply_over_direct_products(name):
             assert hom_count(spec, G) == hom_count(spec, A) * hom_count(spec, B), (name, n, r)
 
 
-def test_a_degree_bound_below_the_truth_is_an_invariant_failure():
+def test_a_degree_bound_below_the_truth_is_an_invariant_failure(monkeypatch):
     # Heis3×Heis3 has characters of degree 9 = 3²; solving for degrees up to 3¹ only leaves
     # the equation m = J + 1 unmet
-    from arith_tqft.dw import _degree_bound, _fixed_degrees
+    from arith_tqft import dw
 
     G = direct_product(HEIS, HEIS)
-    assert _degree_bound(G, 3) == 2 and _fixed_degrees(G, 3, 1) == [81, 36, 4]
+    assert dw._degree_bound(G, 3) == 2 and dw._fixed_degrees(G, 3, 1) == [81, 36, 4]
     for top in (0, 1):
+        monkeypatch.setattr(dw, "_degree_bound", lambda G, p: top)
         with pytest.raises(ComputationError) as e:
-            _fixed_degrees(G, 3, 1, top=top)
+            dw._fixed_degrees(G, 3, 1)
         assert e.value.code == "invariant"
 
 
@@ -849,12 +851,17 @@ def test_cold_counts_leave_no_reference_cycles(capsys):
     capsys.readouterr()
 
 
-def test_the_hall_walk_keeps_counts_not_groups():
+def test_the_hall_walk_keeps_counts_not_groups(monkeypatch):
     # each non-abelian H ⊇ Φ(Γ) is counted on a relabelled group that is dropped once counted
     g = direct_product(HEIS, HEIS)  # d = 4, so the walk runs from genus 2 on
     assert epi_count(RelatorSpec(3, 1), g) == 15_523_598_064_199_680
     assert not any(key[0] == "subgroup-group" for key in g._cache if isinstance(key, tuple))
     assert not any(isinstance(v, type(g)) for v in g._cache.values())
+    # Γ keeps each H's fixed-degree counts per level, so another genus at that level relabels no H
+    expected = epi_count(RelatorSpec(2, 1), direct_product(HEIS, HEIS))
+    relabelled, relabel = [], FiniteGroup.subgroup_as_group
+    monkeypatch.setattr(FiniteGroup, "subgroup_as_group", lambda G, e: relabelled.append(len(e)) or relabel(G, e))
+    assert epi_count(RelatorSpec(2, 1), g) == expected and relabelled == []
 
 
 def test_a_genus_one_count_builds_no_flat_table():
