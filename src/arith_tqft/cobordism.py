@@ -101,7 +101,12 @@ def TORUS(r) -> Token:
 
 @dataclass(frozen=True)
 class Diagram:
-    """An immutable word of slices.  `wires` gives the arity of a sliceless identity."""
+    """An immutable word of slices.  `wires` gives the arity of a sliceless identity.
+
+    The arities are read once, here: `in_arity` and `out_arity` at the
+    boundaries, and `widest`, the most strands at any cut between slices
+    (the inputs included), which the dimension guard reads.
+    """
 
     slices: tuple = ()
     wires: int | None = None
@@ -113,8 +118,9 @@ class Diagram:
                 raise ValidationError("bad-spec", "a diagram with no slices needs a wire count ≥ 0")
             object.__setattr__(self, "in_arity", self.wires)
             object.__setattr__(self, "out_arity", self.wires)
+            object.__setattr__(self, "widest", self.wires)
         else:
-            width = sum(t.arity[0] for t in self.slices[0])
+            width = widest = sum(t.arity[0] for t in self.slices[0])
             object.__setattr__(self, "in_arity", width)
             for i, sl in enumerate(self.slices):
                 need = sum(t.arity[0] for t in sl)
@@ -124,7 +130,9 @@ class Diagram:
                         f"slice {i - 1} produces {width} strands but slice {i} consumes {need}",
                     )
                 width = sum(t.arity[1] for t in sl)
+                widest = max(widest, width)
             object.__setattr__(self, "out_arity", width)
+            object.__setattr__(self, "widest", widest)
         p = prec = None
         for sl in self.slices:
             for t in sl:

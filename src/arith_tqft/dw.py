@@ -77,6 +77,7 @@ from .pgroup import (
 from .units import INF, PadicUnit, is_valid_level, level_to_json, p_power
 
 _FLOAT32_EXACT = 2**24  # float32 holds every integer below this exactly
+_FLOAT32_BLOCK = 2**16  # float32 entries multiplied and reduced mod ℓ at a time by `Splitting._mul`
 
 # -- relator specs -------------------------------------------------------------------
 
@@ -356,6 +357,9 @@ class Splitting:
         self.lam = degrees * degrees % l * pow(n * n, -1, l) % l  # ε(e_χ) = χ(1)²/|Γ|²
         self.mu = inv_degrees * inv_degrees % l * (n * n % l) % l  # Δ(e_χ) = |Γ|²/χ(1)²·e_χ⊗e_χ
         self._forms: dict = {("m",): None, ("cap",): None, ("d",): self.mu, ("cup",): self.lam}  # generator key → form
+        self._top = 2  # the most factors in [0, ℓ) a weight holds unreduced: (ℓ−1)^top < 2⁶³, and k·(ℓ−1)² < 2⁶³ here
+        while (l - 1) ** (self._top + 1) < INT_EXACT:
+            self._top += 1
         self._ops: dict = {}  # token → its form
 
     def _refuse(self, law: str, chi: int, why: str):
@@ -372,8 +376,10 @@ class Splitting:
 
         In float32 BLAS while k·(ℓ−1)² + ℓ < 2²⁴ and the product is large
         enough to pay for the conversions; otherwise in int64.  A block of a's
-        rows at a time is multiplied, reduced and written into the result, so
-        no temporary outgrows `_MOD_BLOCK` entries.
+        rows at a time is multiplied, reduced and written into the result:
+        `_MOD_BLOCK` entries in int64, `_FLOAT32_BLOCK` in float32, where the
+        product and its quotient go into two buffers allocated once per call
+        and every step of the reduction runs in place.
 
         A float32 block R is reduced in float32 as R − ⌊R/ℓ⌋·ℓ, exactly.
         R + ℓ < 2²⁴, so every partial sum of R is an integer below 2²⁴, hence
@@ -386,18 +392,23 @@ class Splitting:
         """
         rows, cols, l = len(a), b.shape[1], self.l
         out = np.empty((rows, cols), dtype=dtype)
-        step = max(1, _MOD_BLOCK // cols)
         if not self._float or rows * cols * self.k <= _SMALL:
+            step = max(1, _MOD_BLOCK // cols)
             for i in range(0, rows, step):
                 out[i : i + step] = _mod(a[i : i + step] @ b, l)
             return out
         a, b = a.astype(np.float32), b.astype(np.float32)
+        step = min(rows, max(1, _FLOAT32_BLOCK // cols))
+        R, Q = np.empty((2, step, cols), dtype=np.float32)
         for i in range(0, rows, step):
-            R = a[i : i + step] @ b
-            q = R / l
+            x = a[i : i + step]
+            r, q = R[: len(x)], Q[: len(x)]
+            np.matmul(x, b, out=r)
+            np.divide(r, l, out=q)
             np.floor(q, out=q)
             q *= l
-            np.subtract(R, q, out=out[i : i + step], casting="unsafe")
+            r -= q
+            out[i : i + step] = r  # a plain cast: a ufunc writing a narrower dtype casts in slow buffered chunks
         return out
 
     def form(self, tok: Token):
@@ -505,9 +516,9 @@ class Splitting:
         U, V = self._columns(self._P_rows, outs), self._columns(self.P_inv, ins)
         if w is not None:
             if U.shape[1] <= V.shape[1]:
-                U = U * w[:, None] % self.l
+                U = _mod(U * w[:, None], self.l)
             else:
-                V = V * w[:, None] % self.l
+                V = _mod(V * w[:, None], self.l)
         return self._mul(U.T, V, self._dtype)
 
     def matrix(self, D: Diagram) -> np.ndarray:
@@ -521,14 +532,21 @@ class Splitting:
         groups it re-expresses the second group through σ₂⁻¹∘σ₁ and joins it
         to the first.  Δ, cup and tor multiply w by their weights at σ, tw
         composes σ with its permutation, and swap and id only relabel strands.
+        A form is read at σ by a gather, or used as it is while σ is the
+        identity (the same array object), so a handle on a closed surface is
+        one numpy product.  A weight is an int64 product of factors in [0, ℓ),
+        reduced mod ℓ only when one more could pass 2⁶³ ((ℓ−1)^t < 2⁶³ for t
+        factors), and before a join under m and before `_factor`.
         The groups left are the connected pieces of D.  One with no legs is the
-        scalar Σ_χ w(χ); each other is U·diag(w)·Vᵀ on its own legs (`_factor`),
-        and several are tensored together by `frobenius._assemble`.
+        scalar Σ_χ w(χ), summed in Python ints, so exact unreduced; each other
+        is U·diag(w)·Vᵀ on its own legs (`_factor`), and several are tensored
+        together by `frobenius._assemble`.
         """
-        l, ident, ops = self.l, self._ident, self._ops
+        l, ident, ops, top = self.l, self._ident, self._ops, self._top
         n = D.in_arity
         group, sigma = list(range(n)), [ident] * n
         weight = dict.fromkeys(group)
+        depth = dict.fromkeys(group, 0)  # group → the factors multiplied into its weight since it was last reduced
         legs = {i: {i: ident} for i in group}
         fresh = n
         for sl in D.slices:
@@ -542,7 +560,7 @@ class Splitting:
                     pos = end
                     continue
                 if kind == "cap":
-                    weight[fresh], legs[fresh] = None, {}
+                    weight[fresh], depth[fresh], legs[fresh] = None, 0, {}
                     out_g.append(fresh)
                     out_s.append(ident)
                     fresh += 1
@@ -563,19 +581,31 @@ class Splitting:
                                 if x == h:
                                     strands[i], maps[i] = g, move(maps[i])
                         legs[g].update((i, move(tau)) for i, tau in legs.pop(h).items())
-                        v = weight.pop(h)
+                        v, d = weight.pop(h), depth.pop(h)
                         if v is not None:
-                            weight[g] = v[f] if w is None else w * v[f] % l
+                            v = v if f is ident else v[f]
+                            if w is None:
+                                weight[g], depth[g] = v, d
+                            else:  # each side reduced first, so the product of two residues fits
+                                weight[g], depth[g] = (w % l if depth[g] > 1 else w) * (v % l if d > 1 else v), 2
                     elif t is not s:
                         weight[g] = (s == t) * (1 if w is None else w)
+                        depth[g] = depth[g] or 1
                     out_g.append(g)
                     out_s.append(s)
                     continue
                 if kind == "tw":
                     out_g.append(g)
-                    out_s.append(form[s])
+                    out_s.append(form if s is ident else form[s])
                     continue
-                weight[g] = form[s] if w is None else w * form[s] % l
+                if s is not ident:
+                    form = form[s]
+                if w is None:
+                    weight[g], depth[g] = form, 1
+                elif depth[g] < top:
+                    weight[g], depth[g] = w * form, depth[g] + 1
+                else:
+                    weight[g], depth[g] = w % l * form, 2
                 if kind != "cup":
                     out_g += [g, g] if kind == "d" else [g]
                     out_s += [s, s] if kind == "d" else [s]
@@ -586,8 +616,10 @@ class Splitting:
         scalar, factors = 1, []  # the closed groups' product, and each open group's matrix and legs
         for g, w in weight.items():
             if g not in outs and not legs[g]:
-                scalar = scalar * (self.k if w is None else int(w.sum())) % l
+                scalar = scalar * (self.k if w is None else sum(w.tolist())) % l
                 continue
+            if depth[g] > 1:
+                w = w % l
             ins, o = sorted(legs[g]), outs.get(g, [])
             factors.append([w, [sigma[j] for j in o], [legs[g][i] for i in ins], tuple(ins), tuple(o)])
         if not factors:

@@ -745,8 +745,12 @@ def _scalars(codes, S):
 
 
 def _modulus(A):
-    """ℓ when A's token matrices are `ModMatrix` over 𝔽_ℓ, None for exact scalars."""
-    return getattr(A.token_matrix(Token("id")), "l", None)
+    """ℓ when A's token matrices are `ModMatrix` over 𝔽_ℓ, None for exact scalars; read once per algebra."""
+    try:
+        return A._modulus
+    except AttributeError:
+        A._modulus = getattr(A.token_matrix(Token("id")), "l", None)
+        return A._modulus
 
 
 def _mod(R, l):
@@ -1020,15 +1024,17 @@ def evaluate_diagram(D: Diagram, A):
     the diagram in its character idempotent basis, in one walk over the
     tokens (dw.Splitting.matrix).  Otherwise every generator acts on its own
     strands of one state (`_contract`), never through a matrix of its whole
-    slice.  Either way the dimension guard reads the whole diagram first.
+    slice.  Either way the dimension guard comes first: it refuses a diagram
+    whose widest cut (`Diagram.widest`, read off the arities at parse time)
+    would need more than `A.max_dim` basis tensors.
     """
     ensure_prechecked(A)
-    for width in (D.in_arity, *(sum(t.arity[1] for t in sl) for sl in D.slices)):
-        if A.dim**width > A.max_dim:
-            raise ComputationError(
-                "dimension-guard",
-                f"slice of width {width} needs dimension {A.dim}^{width} > {A.max_dim} on {A.name}",
-            )
+    width = D.widest
+    if A.dim**width > A.max_dim:
+        raise ComputationError(
+            "dimension-guard",
+            f"slice of width {width} needs dimension {A.dim}^{width} > {A.max_dim} on {A.name}",
+        )
     l = _modulus(A)
     if l is None:
         return GenericMatrix(_contract(D, A, l).tolist())  # the same scalars, unpacked in C

@@ -483,26 +483,29 @@ def _random_context_embed(rng, core):
     return D, left
 
 
+RULE_PROTOTYPES = [
+    ("R1", "cap, id; m", {}),
+    ("R2", "d; id, cup", {}),
+    ("R3", "m, id; m", {}),
+    ("R4", "d; d, id", {}),
+    ("R5", "m; d", {}),
+    ("R6", "cap; tw(4 mod 3^2)", {}),
+    ("R7", "tw(4 mod 3^2); cup", {}),
+    ("R8", "tw(4 mod 3^2), tw(4 mod 3^2); m", {}),
+    ("R9", "tw(4 mod 3^2); d", {}),
+    ("R10", "tor(2)", {"p": 3, "precision": 2 + 1}),
+    ("R11", "tor(2); tor(1)", {}),
+    ("R12", "tor(1); tw(4 mod 3^2)", {}),
+    ("RS1", "swap; swap", {}),
+    ("RS2", "swap; m", {}),
+    ("RS4", "tw(4 mod 3^2), tw(7 mod 3^2); swap", {}),
+    ("RS5", "swap, id; id, swap; swap, id", {}),
+]
+
+
 def test_relation_instances_preserve_invariants_randomized():
     rng = random.Random(7)
-    prototypes = [
-        ("R1", "cap, id; m", {}),
-        ("R2", "d; id, cup", {}),
-        ("R3", "m, id; m", {}),
-        ("R4", "d; d, id", {}),
-        ("R5", "m; d", {}),
-        ("R6", "cap; tw(4 mod 3^2)", {}),
-        ("R7", "tw(4 mod 3^2); cup", {}),
-        ("R8", "tw(4 mod 3^2), tw(4 mod 3^2); m", {}),
-        ("R9", "tw(4 mod 3^2); d", {}),
-        ("R10", "tor(2)", {"p": 3, "precision": 2 + 1}),
-        ("R11", "tor(2); tor(1)", {}),
-        ("R12", "tor(1); tw(4 mod 3^2)", {}),
-        ("RS1", "swap; swap", {}),
-        ("RS2", "swap; m", {}),
-        ("RS4", "tw(4 mod 3^2), tw(7 mod 3^2); swap", {}),
-        ("RS5", "swap, id; id, swap; swap, id", {}),
-    ]
+    prototypes = RULE_PROTOTYPES
     for _ in range(40):
         rule, text, kwargs = prototypes[rng.randrange(len(prototypes))]
         core = parse_diagram(text)
@@ -510,6 +513,37 @@ def test_relation_instances_preserve_invariants_randomized():
         E = apply_relation(D, rule, (0, left), **kwargs)
         assert canonicalize(E) == canonicalize(D)
         assert invariant_of(E) == invariant_of(D)
+
+
+def _cut_widths(D):
+    """The strands at every cut of D, summed from the arities: its inputs, then each slice's outputs."""
+    return [D.in_arity] + [sum(t.arity[1] for t in sl) for sl in D.slices]
+
+
+def test_widest_is_the_widest_cut_of_every_diagram():
+    diagrams = [
+        parse_diagram(text)
+        for text in (
+            "m",
+            "d; d, id; m, id; m",  # widest in the middle
+            "m, m; m",  # widest at the inputs
+            "cap; d; d, id",  # widest at the outputs
+            "cap, id; id, d; m, id; cup, cup",
+            "d, d; id, swap, id; m, m",
+        )
+    ]
+    diagrams += [identity_diagram(n) for n in range(4)]
+    diagrams += [compose(parse_diagram("d"), parse_diagram("m")), tensor(parse_diagram("d"), identity_diagram(2))]
+    rng = random.Random(11)
+    for rule, text, kwargs in RULE_PROTOTYPES:
+        D, left = _random_context_embed(rng, parse_diagram(text))
+        diagrams += [D, apply_relation(D, rule, (0, left), **kwargs)]
+    D = parse_diagram("id, cap, id; id, m")
+    diagrams.append(apply_relation(D, "R1", (0, 1)))  # rewritten to a sliceless identity
+    assert not diagrams[-1].slices and diagrams[-1].widest == 2
+    for D in diagrams:
+        assert D.widest == max(_cut_widths(D)), str(D)
+    assert [identity_diagram(n).widest for n in range(4)] == [0, 1, 2, 3]
 
 
 def test_invariant_depends_only_on_canonical_class_under_composition():

@@ -1,6 +1,7 @@
 """Gauge-theory matrices and counting formulas: structure, axioms, known values."""
 
 import math
+import random
 import time
 from collections import Counter
 from fractions import Fraction
@@ -53,8 +54,9 @@ from arith_tqft.pgroup import (
     group_from_spec,
     group_prime,
     heisenberg,
+    is_prime,
 )
-from arith_tqft.units import INF, level_from_json, one, p_power, unit
+from arith_tqft.units import INF, level_from_json, one, p_power, sample_units, unit
 
 C3 = cyclic(3)
 C9 = cyclic(9)
@@ -485,6 +487,135 @@ def test_dimension_guard():
     assert e.value.code == "dimension-guard"
     with pytest.raises(ComputationError):
         evaluate_dw(identity_diagram(4), C9, 19)
+
+
+# -- the idempotent walk -------------------------------------------------------------------
+
+# The gauge benchmark's four algebras at their smallest split prime, and Heis3 at
+# the largest split prime the walk takes: ℓ ≡ 1 mod 3 with 11·(ℓ−1)² < 2⁶³.
+# There three residues can pass 2⁶³, so a weight holds only two unreduced.
+WIDE_PRIME = 915690067
+WALK_GAUGES = {
+    "C3": (C3, None),
+    "C9": (C9, None),
+    "Heis3": (HEIS, None),
+    "Heis5": (heisenberg(5), None),
+    "Heis3 wide": (HEIS, WIDE_PRIME),
+}
+
+
+def _walk_gauge(name):
+    G, l = WALK_GAUGES[name]
+    A = DWAlgebra(G, l or split_primes(G, count=1)[0])
+    ensure_prechecked(A)
+    assert A.splitting is not None
+    return A
+
+
+def test_the_wide_prime_is_the_largest_the_walk_takes():
+    k, l = len(HEIS.conjugacy_classes()), WIDE_PRIME
+    assert is_prime(l) and (l - 1) % 3 == 0 and k * (l - 1) ** 2 < 2**63 <= (l - 1) ** 3
+    past = math.isqrt((2**63 - 1) // k) + 2  # the least q with k·(q−1)² ≥ 2⁶³
+    assert k * (past - 2) ** 2 < 2**63 <= k * (past - 1) ** 2
+    assert not any(is_prime(q) for q in range(l + 3, past, 3))
+    assert _walk_gauge("Heis3 wide").splitting._top == 2
+
+
+@pytest.mark.parametrize("name, width", [("C3", 8), ("C9", 4), ("Heis3", 4), ("Heis5", 3)])
+def test_the_gauge_cells_one_past_the_guard_are_refused(name, width):
+    A = _walk_gauge(name)
+    assert A.dim ** (width - 1) <= A.max_dim < A.dim**width
+    pad = ", id" * (width - 2)
+    full = parse_diagram(f"swap{pad}; m{pad}")  # the benchmark's shape: one slice at full width, then m
+    middle = parse_diagram(f"d{pad}; m{pad}")  # one strand fewer at both ends
+    for D in (full, middle):
+        assert D.widest == width
+        with pytest.raises(ComputationError) as e:
+            evaluate_diagram(D, A)
+        assert e.value.code == "dimension-guard"
+        assert e.value.message.startswith(f"slice of width {width} needs dimension {A.dim}^{width}")
+    at_guard = parse_diagram("d" + pad[4:] + "; m" + pad[4:])
+    assert at_guard.widest == width - 1
+    assert evaluate_diagram(at_guard, A).shape == (A.dim ** (width - 2),) * 2
+
+
+def _closed_surface(rng, genus, twist=None):
+    """A seeded genus-g surface as the gauge benchmark draws it, with its level: one handle d; m, the rest tor(r)."""
+    levels = [rng.choice((1, 2, 3, INF)) for _ in range(genus - 1)]
+    handles = [f"tor({'inf' if r == INF else r})" for r in levels]
+    handles.insert(rng.randrange(genus), "d; m")
+    cap = f"cap; tw({twist})" if twist else "cap"  # dies on the cap (R6), but takes σ off the identity
+    return parse_diagram(f"{cap}; " + "; ".join(handles) + "; cup"), min(levels, default=INF)
+
+
+@pytest.mark.parametrize("name", list(WALK_GAUGES))
+def test_closed_surfaces_to_genus_30_are_the_normalized_hom_counts(name):
+    A = _walk_gauge(name)
+    G, l, p = A.group, A.l, A.p
+    rng = random.Random(20261021)
+    for genus in range(1, 31):
+        D, r = _closed_surface(rng, genus, f"{p + 1} mod {p}^4" if genus % 2 else None)
+        want = hom_count(RelatorSpec(genus, r), G) * pow(G.order, -1, l) % l
+        assert evaluate_diagram(D, A).rows == ((want,),), (genus, str(D))
+
+
+def test_at_the_wide_prime_the_reduction_rule_is_what_keeps_the_walk_exact(monkeypatch):
+    A = _walk_gauge("Heis3 wide")
+    D = parse_diagram("cap; " + "; ".join(["tor(1)"] * 29) + "; d; m; cup")
+    want = ((hom_count(RelatorSpec(30, 1), HEIS) * pow(HEIS.order, -1, WIDE_PRIME) % WIDE_PRIME,),)
+    assert evaluate_diagram(D, A).rows == want
+    monkeypatch.setattr(A.splitting, "_top", 10**6)  # never reduce: the int64 products wrap
+    assert evaluate_diagram(D, A).rows != want
+
+
+@pytest.mark.parametrize("route", ["float32", "int64"])
+def test_the_blocked_product_mod_l_at_the_block_edges(route, monkeypatch):
+    from arith_tqft import dw, frobenius
+
+    A = _walk_gauge("Heis5")
+    S, l, k, cols = A.splitting, A.l, A.dim, 256
+    if route == "float32":
+        assert S._float
+        block = dw._FLOAT32_BLOCK // cols
+    else:
+        monkeypatch.setattr(S, "_float", False)
+        block = frobenius._MOD_BLOCK // cols
+    rng = np.random.default_rng(5)
+    b = rng.integers(0, l, (k, cols))
+    for rows in (1, block - 1, block, 2 * block, 2 * block + 3):  # below one block, whole blocks, a partial last one
+        a = rng.integers(0, l, (k, rows)).T  # transposed, as `_factor` passes U
+        want = a @ b % l
+        for dtype in (np.int64, residue_dtype(l)):
+            got = S._mul(a, b, dtype)
+            assert got.dtype == dtype and np.array_equal(got, want), (rows, dtype)
+
+
+# a twist on an input leg (σ ≠ id), long handle chains on it, two such chains
+# joined under m, m inside one group at σ₁ ≠ σ₂, and a cap joining an input;
+# tor(1) kills the characters a level-1 twist moves, so the chains mostly avoid it
+WALK_OPEN = [
+    "tw({u}); " + "; ".join(["tor(2)", "d; m", "tor(inf)", "tor(3)"] * 3),
+    "tw({u}), tw({v}); " + "; ".join(["tor(2), tor(inf)", "tor(inf), tor(3)"] * 2) + "; m",
+    "tw({u}), id; " + "; ".join(["tor(inf), tor(2)"] * 5) + "; m; d",
+    "d; tw({u}), id; m; tor(2); tor(inf)",
+    "cap, id; tw({u}), tor(2); tor(inf), tor(3); m; d; tw({v}), id",
+    "tw({v}); d; tor(1), tw({u}); tor(2), tor(2); swap; m; tor(3); cup",
+    "tw({u}); d; tor(inf), tw({u}); tor(2), id",
+]
+
+
+@pytest.mark.parametrize("name", list(WALK_GAUGES))
+def test_open_walks_with_twists_match_the_class_basis_contraction(name):
+    from arith_tqft import frobenius
+
+    A = _walk_gauge(name)
+    p = A.p
+    u, v = (f"{w.residue} mod {p}^4" for w in (sample_units(p, 4, 1)[0], sample_units(p, 4, 2)[0]))
+    for text in WALK_OPEN:
+        D = parse_diagram(text.format(u=u, v=v))
+        assert np.array_equal(evaluate_diagram(D, A).a, frobenius._contract(D, A, A.l)), str(D)
+    if A.group.exponent() > p:  # units ≡ 1 mod p act on Γ, so the twists move characters
+        assert (A.splitting.power_map(int(u.split()[0])) != np.arange(A.dim)).any()
 
 
 # -- counting ----------------------------------------------------------------------------

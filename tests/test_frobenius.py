@@ -379,7 +379,7 @@ def _kron_reference(D, A):
     """The product of np.kron-assembled slice matrices, exact, as tuples of rows."""
     # int64 stays exact while k^width·(ℓ−1)² < 2⁶³ for every reduced product below
     l = getattr(A, "l", None)
-    dtype = object if l is None or A.dim ** _widest(D) * (l - 1) ** 2 >= 2**63 else np.int64
+    dtype = object if l is None or A.dim ** D.widest * (l - 1) ** 2 >= 2**63 else np.int64
     reduce = (lambda M: M) if l is None else (lambda M: M % l)
     total = np.eye(A.dim**D.in_arity, dtype=dtype)
     for sl in D.slices:
@@ -511,10 +511,6 @@ def _random_diagram(rng, k, max_width, cost_limit=REFERENCE_COST, **pools):
             return D
 
 
-def _widest(D):
-    return max(D.in_arity, *(sum(t.arity[1] for t in sl) for sl in D.slices))
-
-
 @pytest.mark.parametrize("name", list(REFERENCE_ALGEBRAS))
 def test_evaluation_matches_a_kronecker_reference(name):
     make, max_width, pools = REFERENCE_ALGEBRAS[name]
@@ -532,7 +528,7 @@ def test_evaluation_matches_a_kronecker_reference(name):
         "d, swap; m, m; m",  # out < in, a swap beside a widening d
     ] + (UNIVERSAL_FIXED if pools else [])
     diagrams = [parse_diagram(text) for text in fixed]
-    diagrams = [D for D in diagrams if _widest(D) <= max_width]
+    diagrams = [D for D in diagrams if D.widest <= max_width]
     diagrams += [_random_diagram(rng, A.dim, max_width, **pools) for _ in range(30)]
     toks = [t for D in diagrams for sl in D.slices for t in sl]
     assert {"cup", "cap", "swap", "tw", "m", "d", "tor"} <= {t.kind for t in toks}
@@ -540,7 +536,7 @@ def test_evaluation_matches_a_kronecker_reference(name):
     assert {level(t.unit) for t in toks if t.kind == "tw"} == {level(u) for u in pools.get("units", REFERENCE_UNITS)}
     assert any(D.out_arity < D.in_arity for D in diagrams)
     assert any(D.in_arity < D.out_arity for D in diagrams)
-    assert max(map(_widest, diagrams)) == max_width
+    assert max(D.widest for D in diagrams) == max_width
     for D in diagrams:
         assert evaluate_diagram(D, A).rows == _kron_reference(D, A), str(D)
 
@@ -638,7 +634,7 @@ def _idle_diagram(rng, k, max_width, **pools):
                 left_over -= toks[-1].arity[0]
             slices.insert(0, toks)
         D = Diagram(slices)
-        if D.in_arity and _widest(D) <= max_width and _reference_cost(D, k) <= pools.get("cost_limit", REFERENCE_COST):
+        if D.in_arity and D.widest <= max_width and _reference_cost(D, k) <= pools.get("cost_limit", REFERENCE_COST):
             return D
 
 
@@ -656,7 +652,7 @@ def test_idle_inputs_match_a_kronecker_reference(name, make):
     max_width = 5 if name == "universal" else 4 if A.dim == 3 else 3
     rng = random.Random(20261020)
     diagrams = [parse_diagram(text) for text in IDLE_DIAGRAMS]
-    diagrams = [D for D in diagrams if _widest(D) <= max_width]
+    diagrams = [D for D in diagrams if D.widest <= max_width]
     diagrams += [_idle_diagram(rng, A.dim, max_width, **pools) for _ in range(20)]
     assert any(D.out_arity < D.in_arity for D in diagrams) and len(diagrams) >= 29
     l, referenced = frobenius._modulus(A), 0
@@ -788,7 +784,7 @@ def test_the_idempotent_walk_matches_the_whole_contraction(name):
     p, units = A.p, _walk_units(A.p)
     named = {key: f"{u.residue} mod {p}^4" for key, u in zip("uvw", (units[0], units[2], units[-1]))}
     diagrams = [parse_diagram(text.format(**named)) for text in WALK_DIAGRAMS]
-    diagrams = [D for D in diagrams if A.dim ** _widest(D) <= A.max_dim]  # inside the dimension guard
+    diagrams = [D for D in diagrams if A.dim ** D.widest <= A.max_dim]  # inside the dimension guard
     rng = random.Random(20261021)
     pools = {"units": units, "levels": (1, 2, 3, INF), "cost_limit": cost_limit}
     diagrams += [_random_diagram(rng, A.dim, max_width, **pools) for _ in range(40)]
@@ -900,7 +896,7 @@ def test_results_come_in_the_narrowest_residue_dtype(G, l, dtype, split):
     assert frobenius.residue_dtype(l) == dtype and (A.splitting is not None) == split
     for text in ("m; d; swap", "cap; d; m; tor(1); cup", "swap, tor(1); m, id", "d, id; id, m"):
         D = parse_diagram(text)
-        if A.dim ** _widest(D) > A.max_dim:
+        if A.dim ** D.widest > A.max_dim:
             continue
         got = evaluate_diagram(D, A)
         assert got.a.dtype == dtype and A.token_matrix(Token("m")).a.dtype == dtype, text
