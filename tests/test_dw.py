@@ -31,7 +31,6 @@ from arith_tqft.dw import (
     RelatorSpec,
     classification_data,
     counting_summary,
-    dw_generator_map,
     dw_generator_map_exact,
     epi_count,
     evaluate_dw,
@@ -129,9 +128,10 @@ def test_character_vectors_diagonalize_the_structure():
     for G, l in ((HEIS, 61), (C9, 19)):
         tab = character_table_mod(G, l)
         N, k = G.order, len(tab.rows)
-        d_mat = dw_generator_map(G, l, P12).a
-        m_mat = dw_generator_map(G, l, P21).a
-        eps = dw_generator_map(G, l, CUP).a
+        A = DWAlgebra(G, l)
+        d_mat = A.token_matrix(P12).a
+        m_mat = A.token_matrix(P21).a
+        eps = A.token_matrix(CUP).a
         for rho in range(k):
             b = np.array(tab.rows[rho], dtype=np.int64)
             scale = N * pow(int(tab.degrees[rho]), -1, l) % l
@@ -153,7 +153,7 @@ def test_torus_level_one_on_c9():
     assert t_inf.rows != t1.rows
     l = 19
     tab = character_table_mod(C9, l)
-    t_mod = dw_generator_map(C9, l, TORUS(INF)).a
+    t_mod = DWAlgebra(C9, l).token_matrix(TORUS(INF)).a
     for rho in range(9):
         b = np.array(tab.rows[rho], dtype=np.int64)
         assert np.array_equal(t_mod @ b % l, 81 * b % l)
@@ -963,13 +963,21 @@ def test_cold_homcount_builds_no_character_table(monkeypatch, capsys, tmp_path):
     capsys.readouterr()
 
 
-def test_cold_counts_leave_no_reference_cycles(capsys):
-    # the table route cached a DW algebra on its group, which pointed back at the group
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["homcount", "--group", "named:heisenberg:3", "--n", "2", "--r", "1"],
+        ["evaluate", "--algebra", "dw", "--group", "named:heisenberg:3", "--dsl", "cap; cup"],
+        ["chartab", "--group", "named:heisenberg:3"],
+    ],
+    ids=["homcount", "evaluate", "chartab"],
+)
+def test_cold_counts_leave_no_reference_cycles(argv, capsys):
+    # a DW algebra cached on its group, or a splitting pointing back at its algebra, is a cycle
     import gc
 
     from arith_tqft.cli import run
 
-    argv = ["homcount", "--group", "named:heisenberg:3", "--n", "2", "--r", "1"]
     assert run(argv) == 0  # warm-up: first-use caches of the interpreter and numpy
     gc.collect()
     gc.disable()  # no automatic pass may collect a cycle before the count below

@@ -17,6 +17,7 @@ tracer.install()
 tracer.enabled = True
 from arith_tqft import cobordism, dw, frobenius, pgroup
 dw.hom_count(dw.RelatorSpec(2, 1), pgroup.heisenberg(3))
+dw.epi_count(dw.RelatorSpec(2, 1), pgroup.direct_product(pgroup.heisenberg(3), pgroup.cyclic(3)))  # 9 non-abelian H
 frobenius.evaluate_diagram(cobordism.parse_diagram("m; d"), frobenius.UniversalAlgebra())
 dw.evaluate_dw(cobordism.parse_diagram("m; d"), pgroup.cyclic(9), 19)
 split = cobordism.parse_diagram("swap, d, m, tor(inf), id; m, id, id, id, id, id")  # five pieces
@@ -30,5 +31,6 @@ def test_traced_run_sees_every_layer():
     proc = subprocess.run([sys.executable, "-c", SCRIPT, str(ROOT)], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     metrics = json.loads(proc.stdout.splitlines()[-1])
-    for name in ("chartab.tables_n", "pgroup.classes_s", "frobenius.eval_universal_s", "frobenius.eval_dw_s"):
+    for name in ("chartab.tables_n", "pgroup.classes_s", "frobenius.eval_universal_s", "frobenius.eval_dw_s",
+                 "dw.hom_s", "dw.epi_s"):
         assert metrics[name] > 0, name
